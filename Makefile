@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build check vet fmt lint lint-extra test race bench bench-smoke bench-scale bench-json cover fuzz-smoke cluster-smoke ci clean
+.PHONY: all build check vet fmt lint lint-extra test race bench bench-smoke bench-scale bench-json cover fuzz-smoke cluster-smoke loc ci clean
 
 # Coverage floor (percent) enforced on internal/serve — the service
 # layer is pure coordination logic, so uncovered lines are usually
@@ -108,14 +108,21 @@ fuzz-smoke:
 
 # The 3-node cluster differential smoke: a frontend sharding across two
 # workers (HTTP and loopback transports) plus the full daemon fleet
-# test must return single-node bytes on every endpoint, under -race.
+# test must return single-node bytes on every endpoint, under -race,
+# and a worker's request error must reach the client as its 4xx
+# without taking healthy workers out of rotation.
 # CI runs this as its own step so a cluster-layer regression is named
 # in the job list, not buried in `race`.
 cluster-smoke:
 	$(GO) test -race -count=1 \
-		-run 'TestClusterFlowByteIdenticalToSingleNode|TestClusterSweepByteIdenticalAtAnyWorkerCount|TestClusterBatchByteIdenticalToSingleNode|TestClusterSweepThroughputScales|TestClusterHedgingCutsTailLatency' \
+		-run 'TestClusterFlowByteIdenticalToSingleNode|TestClusterSweepByteIdenticalAtAnyWorkerCount|TestClusterBatchByteIdenticalToSingleNode|TestClusterSweepThroughputScales|TestClusterHedgingCutsTailLatency|TestClusterFrontendRelaysWorker400' \
 		./internal/cluster/
 	$(GO) test -race -count=1 -run 'TestDaemonClusterRoles' ./cmd/smartndrd/
+
+# Non-test Go lines, the size figure the ROADMAP tracks next to ns/op
+# and allocs/op. perfbench (its own module) and testdata are excluded.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 # What CI runs (.github/workflows/ci.yml): everything check does plus a
 # plain build, the full test suite, the benchmark smoke pass, the scale

@@ -193,7 +193,7 @@ func benchFlowSmartScale(b *testing.B, n int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		built, _, err := flow.RunSpec(context.Background(), spec, SchemeSmart)
+		built, _, err := flow.RunSpecEdits(context.Background(), spec, SchemeSmart, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,17 +9,16 @@
 //	smartndrd -addr localhost:8147 -max-concurrent 4 -queue-depth 8
 //	smartndrd -trace spans.jsonl -request-timeout 30s
 //
-// One binary serves every role in a fleet (-role):
+// One binary serves every node in a fleet, and -backends decides its
+// role. Without it the node is a single node, or a worker when a
+// frontend addresses it: it serves the engine directly. With it the
+// node is a frontend that routes across the listed backends:
+// consistent-hash cache shards, per-backend admission gates, hedged
+// retries on stragglers, periodic health probes.
 //
-//	standalone  (default) single node, in-process loopback backend
-//	worker      identical to standalone; addressed by a frontend
-//	frontend    routes across -backends: consistent-hash cache shards,
-//	            per-backend admission gates, hedged retries on
-//	            stragglers, periodic health probes
-//
-//	smartndrd -role worker -addr :8148
-//	smartndrd -role worker -addr :8149
-//	smartndrd -role frontend -addr :8147 \
+//	smartndrd -addr :8148
+//	smartndrd -addr :8149
+//	smartndrd -addr :8147 \
 //	    -backends http://localhost:8148,http://localhost:8149
 //
 // Endpoints (see docs/service.md and docs/observability.md):
@@ -31,7 +30,8 @@
 //	POST /v1/session/{id}/delta  apply edits or roll back, warm
 //	GET  /v1/session/{id}        session state; DELETE closes it
 //	GET  /v1/healthz  liveness (503 while draining)
-//	GET  /v1/statsz   counters, latency percentiles, cache, admission, shards
+//	GET  /v1/statsz   counters, latency percentiles, cache, admission
+//	                  (and, on a frontend, shards)
 //	GET  /v1/tracez   slowest + most recent request span trees
 //	GET  /metricsz    Prometheus text exposition (counters, gauges, histograms)
 //
@@ -90,8 +90,7 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 	metrics := fs.Bool("metrics", true, "aggregate span latencies into /metricsz histograms")
 	tracezCap := fs.Int("tracez-capacity", 64, "request span trees retained for /v1/tracez (0 disables)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	role := fs.String("role", "standalone", "standalone | worker | frontend")
-	backends := fs.String("backends", "", "frontend backend list, comma-separated [name=]url ('loopback' = in-process)")
+	backends := fs.String("backends", "", "route across these backends as a frontend: comma-separated [name=]url ('loopback' = in-process)")
 	backendConc := fs.Int("backend-concurrent", 0, "frontend: max in-flight calls per backend (0 = default 4)")
 	hedgeAfter := fs.Duration("hedge-after", 0, "frontend: fixed hedge delay (0 = adaptive recent p95)")
 	noHedge := fs.Bool("no-hedge", false, "frontend: disable hedged retries")
@@ -143,25 +142,29 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 		return err
 	}
 
-	// Every role routes through the cluster runner; standalone and
-	// worker get a single in-process loopback backend (no HTTP hop, no
-	// behavior change), frontend gets the configured shard set.
-	specs, err := parseBackends(*role, *backends)
-	if err != nil {
-		closeTrace()
-		return err
-	}
-	runner, err := cluster.NewRunner(cluster.Config{
-		Local:             &serve.FlowRunner{Workers: *workers},
-		Backends:          specs,
-		BackendConcurrent: *backendConc,
-		HedgeAfter:        *hedgeAfter,
-		DisableHedge:      *noHedge,
-		Tracer:            tracer,
-	})
-	if err != nil {
-		closeTrace()
-		return err
+	// A node serves the engine directly; only a frontend routes through
+	// the cluster runner, across the configured shard set.
+	runner := serve.Runner(&serve.FlowRunner{Workers: *workers})
+	var fleet *cluster.Runner
+	if *backends != "" {
+		specs, err := parseBackends(*backends)
+		if err != nil {
+			closeTrace()
+			return err
+		}
+		fleet, err = cluster.NewRunner(cluster.Config{
+			Local:             runner,
+			Backends:          specs,
+			BackendConcurrent: *backendConc,
+			HedgeAfter:        *hedgeAfter,
+			DisableHedge:      *noHedge,
+			Tracer:            tracer,
+		})
+		if err != nil {
+			closeTrace()
+			return err
+		}
+		runner = fleet
 	}
 
 	srv := serve.New(serve.Config{
@@ -185,7 +188,7 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 	// down (routing and hedging skip them) and recovers them when they
 	// answer again.
 	probeDone := make(chan struct{})
-	if !runner.Standalone() && *probeEvery > 0 {
+	if fleet != nil && *probeEvery > 0 {
 		ticker := time.NewTicker(*probeEvery)
 		go func() {
 			defer ticker.Stop()
@@ -195,7 +198,7 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 					return
 				case <-ticker.C:
 					ctx, cancel := context.WithTimeout(context.Background(), *probeEvery)
-					runner.Probe(ctx)
+					fleet.Probe(ctx)
 					cancel()
 				}
 			}
@@ -210,9 +213,9 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-	fmt.Fprintf(stderr, "smartndrd: %s serving on %s\n", *role, ln.Addr())
-	if !runner.Standalone() {
-		fmt.Fprintf(stderr, "smartndrd: routing across %d backends\n", runner.Ring().Backends())
+	fmt.Fprintf(stderr, "smartndrd: serving on %s\n", ln.Addr())
+	if fleet != nil {
+		fmt.Fprintf(stderr, "smartndrd: routing across %d backends\n", fleet.Ring().Backends())
 	}
 	if ready != nil {
 		ready <- ln.Addr().String()
@@ -249,25 +252,11 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 	return drainErr
 }
 
-// parseBackends resolves the -role/-backends pair into a backend spec
-// list. Standalone and worker roles take no backend list (they are the
-// single in-process backend); frontend requires one. Each entry is
-// [name=]url, where the url "loopback" selects the in-process backend
-// (a frontend can serve a shard of the keyspace itself).
-func parseBackends(role, list string) ([]cluster.BackendSpec, error) {
-	switch role {
-	case "standalone", "worker":
-		if list != "" {
-			return nil, fmt.Errorf("-backends is only valid with -role frontend")
-		}
-		return nil, nil
-	case "frontend":
-		if list == "" {
-			return nil, fmt.Errorf("-role frontend requires -backends")
-		}
-	default:
-		return nil, fmt.Errorf("unknown -role %q (standalone | worker | frontend)", role)
-	}
+// parseBackends resolves a frontend's -backends list into backend
+// specs. Each entry is [name=]url, where the url "loopback" selects the
+// in-process backend (a frontend can serve a shard of the keyspace
+// itself).
+func parseBackends(list string) ([]cluster.BackendSpec, error) {
 	var specs []cluster.BackendSpec
 	for _, entry := range strings.Split(list, ",") {
 		entry = strings.TrimSpace(entry)

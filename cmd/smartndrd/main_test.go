@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -198,25 +199,19 @@ func TestDaemonBadFlags(t *testing.T) {
 
 func TestParseBackends(t *testing.T) {
 	cases := []struct {
-		name, role, list string
-		wantErr          bool
-		wantSpecs        int
+		name, list string
+		wantErr    bool
+		wantSpecs  int
 	}{
-		{"standalone default", "standalone", "", false, 0},
-		{"worker default", "worker", "", false, 0},
-		{"standalone rejects backends", "standalone", "http://a", true, 0},
-		{"worker rejects backends", "worker", "http://a", true, 0},
-		{"frontend requires backends", "frontend", "", true, 0},
-		{"frontend empty entries", "frontend", ", ,", true, 0},
-		{"frontend urls", "frontend", "http://a:1,http://b:2", false, 2},
-		{"frontend named", "frontend", "w1=http://a:1, w2=http://b:2 ,self=loopback", false, 3},
-		{"frontend https", "frontend", "w1=https://a:1,self=loopback", false, 2},
-		{"bare token is not loopback", "frontend", "self,w1=http://a:1", true, 0},
-		{"scheme-less url", "frontend", "w1=a:1", true, 0},
-		{"unknown role", "proxy", "", true, 0},
+		{"frontend empty entries", ", ,", true, 0},
+		{"frontend urls", "http://a:1,http://b:2", false, 2},
+		{"frontend named", "w1=http://a:1, w2=http://b:2 ,self=loopback", false, 3},
+		{"frontend https", "w1=https://a:1,self=loopback", false, 2},
+		{"bare token is not loopback", "self,w1=http://a:1", true, 0},
+		{"scheme-less url", "w1=a:1", true, 0},
 	}
 	for _, c := range cases {
-		specs, err := parseBackends(c.role, c.list)
+		specs, err := parseBackends(c.list)
 		if (err != nil) != c.wantErr {
 			t.Errorf("%s: err = %v, wantErr = %v", c.name, err, c.wantErr)
 			continue
@@ -229,7 +224,7 @@ func TestParseBackends(t *testing.T) {
 		}
 	}
 
-	specs, err := parseBackends("frontend", "w1=http://a:1,self=loopback")
+	specs, err := parseBackends("w1=http://a:1,self=loopback")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,12 +241,11 @@ func TestParseBackends(t *testing.T) {
 // across them plus its own loopback shard, checked byte-for-byte
 // against a standalone daemon.
 func TestDaemonClusterRoles(t *testing.T) {
-	w1, stopW1 := startDaemon(t, "-role", "worker")
+	w1, stopW1 := startDaemon(t)
 	defer stopW1()
-	w2, stopW2 := startDaemon(t, "-role", "worker")
+	w2, stopW2 := startDaemon(t)
 	defer stopW2()
 	fe, stopFE := startDaemon(t,
-		"-role", "frontend",
 		"-backends", "w1="+w1+",w2="+w2+",self=loopback",
 		"-probe-interval", "100ms")
 	defer stopFE()
@@ -321,12 +315,78 @@ func TestDaemonClusterRoles(t *testing.T) {
 		t.Error("no shard recorded any request")
 	}
 
-	// A worker daemon refuses -backends; a frontend without them fails.
-	if err := run([]string{"-role", "worker", "-backends", "http://x"}, io.Discard, nil, nil); err == nil {
-		t.Error("worker accepted -backends")
+	// -backends alone decides the role: the -role flag is gone, and a
+	// frontend without backend entries fails.
+	if err := run([]string{"-role", "worker"}, io.Discard, nil, nil); err == nil {
+		t.Error("removed -role flag accepted")
 	}
-	if err := run([]string{"-role", "frontend"}, io.Discard, nil, nil); err == nil {
+	if err := run([]string{"-backends", " , "}, io.Discard, nil, nil); err == nil {
 		t.Error("frontend accepted an empty backend list")
+	}
+}
+
+// syncBuffer is a goroutine-safe stderr sink for a daemon under test.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestDaemonSingleBackendFrontend: -backends with one HTTP backend is a
+// frontend like any other — it routes (and says so), and its one shard
+// serves the worker's bytes.
+func TestDaemonSingleBackendFrontend(t *testing.T) {
+	w1, stopW1 := startDaemon(t)
+	defer stopW1()
+
+	var stderr syncBuffer
+	ready := make(chan string, 1)
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-addr", "127.0.0.1:0", "-backends", "w1=" + w1}, &stderr, ready, stop)
+	}()
+	var fe string
+	select {
+	case addr := <-ready:
+		fe = "http://" + addr
+	case err := <-done:
+		t.Fatalf("frontend did not start: %v", err)
+	}
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	if out := stderr.String(); !strings.Contains(out, "routing across 1 backends") {
+		t.Errorf("single-backend frontend does not route; stderr:\n%s", out)
+	}
+
+	flow := `{"spec":{"name":"one","sinks":10,"die_x":250,"die_y":250,"seed":6,"cap_min":1e-15,"cap_max":3e-15}}`
+	post := func(base string) []byte {
+		resp, err := http.Post(base+"/v1/flow", "application/json", strings.NewReader(flow))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s flow = %d: %s", base, resp.StatusCode, out)
+		}
+		return out
+	}
+	if feBody, wBody := post(fe), post(w1); !bytes.Equal(feBody, wBody) {
+		t.Errorf("frontend flow differs from its worker's:\n%s\n%s", feBody, wBody)
 	}
 }
 

@@ -129,8 +129,8 @@ func (s Scheme) String() string {
 }
 
 // HierConfig opts a flow into partitioned hierarchical construction for
-// large sink sets. The zero value disables it: every RunSpec builds one
-// flat tree regardless of size.
+// large sink sets. The zero value disables it: every RunSpecEdits
+// builds one flat tree regardless of size.
 type HierConfig struct {
 	// MaxRegionSinks, when positive, enables the hierarchical pipeline
 	// for specs larger than the bound and caps the sink count of one
@@ -168,8 +168,8 @@ type FlowConfig struct {
 	// RNG substream derived from (Seed, unit index) alone and lands in an
 	// index-addressed slot. See docs/performance.md.
 	Workers int
-	// Hier opts RunSpec into partitioned hierarchical construction for
-	// specs larger than Hier.MaxRegionSinks. Zero value: always flat.
+	// Hier opts RunSpecEdits into partitioned hierarchical construction
+	// for specs larger than Hier.MaxRegionSinks. Zero value: always flat.
 	Hier HierConfig
 }
 
@@ -295,14 +295,22 @@ func (f *Flow) Apply(b *Built, scheme Scheme) (*Result, error) {
 	return res, nil
 }
 
-// RunSpec is the one-call, context-accepting form of the flow a
+// RunSpecEdits is the one-call, context-accepting form of the flow a
 // long-running service uses: generate the benchmark described by spec,
-// synthesize the clock tree, and apply the scheme. The context is
-// honored at phase granularity — it is checked before generation,
-// before building, and before applying, so a cancelled or expired
-// request stops at the next phase boundary rather than mid-phase (the
-// engine phases themselves are deterministic and uninterruptible).
-func (f *Flow) RunSpec(ctx context.Context, spec BenchSpec, scheme Scheme) (*Built, *Result, error) {
+// synthesize the clock tree, apply the scheme, and then land the
+// session edits (nil for a plain run). The context is honored at phase
+// granularity — it is checked before generation, before building, and
+// before applying, so a cancelled or expired request stops at the next
+// phase boundary rather than mid-phase (the engine phases themselves
+// are deterministic and uninterruptible).
+//
+// Edits never influence construction or optimization — they model
+// post-synthesis ECOs: the canonical edit state is applied to the
+// result tree and the metrics re-evaluated. This is the cold reference
+// the session differential harness compares warm deltas against: a
+// session sitting at the same canonical edit state must return these
+// bytes.
+func (f *Flow) RunSpecEdits(ctx context.Context, spec BenchSpec, scheme Scheme, edits []Edit) (*Built, *Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -313,35 +321,24 @@ func (f *Flow) RunSpec(ctx context.Context, spec BenchSpec, scheme Scheme) (*Bui
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
+	var (
+		built *Built
+		res   *Result
+	)
 	if h := f.cfg.Hier; h.MaxRegionSinks > 0 && len(bm.Sinks) > h.MaxRegionSinks {
-		return f.RunHier(ctx, bm.Sinks, bm.Src, scheme)
-	}
-	built, err := f.Build(bm.Sinks, bm.Src)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	res, err := f.Apply(built, scheme)
-	if err != nil {
-		return nil, nil, err
-	}
-	return built, res, nil
-}
-
-// RunSpecEdits is RunSpec followed by a set of session edits: the
-// benchmark is generated, built, and scheme-optimized exactly as a plain
-// run (edits never influence construction or optimization — they model
-// post-synthesis ECOs), then the canonical edit state is applied to the
-// result tree and the metrics re-evaluated. This is the cold reference
-// the session differential harness compares warm deltas against: a
-// session sitting at the same canonical edit state must return these
-// bytes.
-func (f *Flow) RunSpecEdits(ctx context.Context, spec BenchSpec, scheme Scheme, edits []Edit) (*Built, *Result, error) {
-	built, res, err := f.RunSpec(ctx, spec, scheme)
-	if err != nil {
-		return nil, nil, err
+		if built, res, err = f.RunHier(ctx, bm.Sinks, bm.Src, scheme); err != nil {
+			return nil, nil, err
+		}
+	} else {
+		if built, err = f.Build(bm.Sinks, bm.Src); err != nil {
+			return nil, nil, err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		if res, err = f.Apply(built, scheme); err != nil {
+			return nil, nil, err
+		}
 	}
 	canon := core.CanonicalEdits(edits)
 	if len(canon) == 0 {
@@ -442,7 +439,7 @@ const flowKeyVersion = "smartndr/flow/v2"
 const flowKeyVersionEdits = "smartndr/flow/v3"
 
 // runKey is the canonical serialization of everything that determines a
-// RunSpec result: the benchmark spec, the full technology and buffer
+// RunSpecEdits result: the benchmark spec, the full technology and buffer
 // library, the scheme, and every resolved engine knob. Tracer fields
 // and Workers are deliberately absent — instrumentation and throughput
 // knobs never change results (the determinism suite proves it), so two
@@ -463,17 +460,12 @@ type runKey struct {
 	Edits []core.Edit `json:"edits,omitempty"`
 }
 
-// CanonicalRun returns the canonical byte serialization hashed by
-// CanonicalKey. Exposed so tests and tools can inspect exactly what the
-// content address covers.
-func (f *Flow) CanonicalRun(spec BenchSpec, scheme Scheme) ([]byte, error) {
-	return f.CanonicalRunEdits(spec, scheme, nil)
-}
-
-// CanonicalRunEdits is CanonicalRun for a run carrying session edits. The
-// edits are canonicalized first, so every edit sequence reaching the same
-// state serializes — and hashes — identically. With no surviving edits
-// the serialization (and version stamp) is exactly CanonicalRun's.
+// CanonicalRunEdits returns the canonical byte serialization hashed by
+// CanonicalKeyEdits, exposed so tests and tools can inspect exactly what
+// the content address covers. The edits (nil for a plain run) are
+// canonicalized first, so every edit sequence reaching the same state
+// serializes — and hashes — identically. With no surviving edits the
+// serialization and version stamp are a plain run's.
 func (f *Flow) CanonicalRunEdits(spec BenchSpec, scheme Scheme, edits []Edit) ([]byte, error) {
 	k := runKey{
 		V:       flowKeyVersion,
@@ -498,18 +490,13 @@ func (f *Flow) CanonicalRunEdits(spec BenchSpec, scheme Scheme, edits []Edit) ([
 	return json.Marshal(k)
 }
 
-// CanonicalKey returns the content address of a RunSpec outcome: the
-// SHA-256 (hex) of the canonical serialization of (spec, technology,
-// library, scheme, resolved knobs). Identical keys mean byte-identical
-// results, which is what makes the address safe to use as a cache key
-// and a cross-run dedup handle.
-func (f *Flow) CanonicalKey(spec BenchSpec, scheme Scheme) (string, error) {
-	return f.CanonicalKeyEdits(spec, scheme, nil)
-}
-
-// CanonicalKeyEdits is CanonicalKey for an edited run: the content
-// address of RunSpecEdits' outcome. Every session state has one — two
-// sessions (or a session and a cold run) in the same edit state share it.
+// CanonicalKeyEdits returns the content address of a RunSpecEdits
+// outcome: the SHA-256 (hex) of the canonical serialization of (spec,
+// technology, library, scheme, resolved knobs, edits). Identical keys
+// mean byte-identical results, which is what makes the address safe to
+// use as a cache key and a cross-run dedup handle. Every session state
+// has one — two sessions (or a session and a cold run) in the same edit
+// state share it.
 func (f *Flow) CanonicalKeyEdits(spec BenchSpec, scheme Scheme, edits []Edit) (string, error) {
 	b, err := f.CanonicalRunEdits(spec, scheme, edits)
 	if err != nil {

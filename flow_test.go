@@ -372,30 +372,30 @@ func TestFlowMonteCarloWorkersInvariance(t *testing.T) {
 func TestFlowRunSpec(t *testing.T) {
 	spec := testutil.UniformSpec("runspec", 120, 1800, 42)
 	flow := smartndr.NewFlow(nil)
-	built, res, err := flow.RunSpec(context.Background(), spec, smartndr.SchemeSmart)
+	built, res, err := flow.RunSpecEdits(context.Background(), spec, smartndr.SchemeSmart, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if built == nil || res == nil || res.Stats == nil {
-		t.Fatal("RunSpec returned incomplete results")
+		t.Fatal("RunSpecEdits returned incomplete results")
 	}
 	manual := testutil.RunScheme(t, nil, testutil.Gen(t, spec), smartndr.SchemeSmart)
 	if res.Metrics.Power.Total() != manual.Metrics.Power.Total() ||
 		res.Metrics.Skew != manual.Metrics.Skew ||
 		res.Metrics.SwitchedCap != manual.Metrics.SwitchedCap ||
 		res.Metrics.Wirelength != manual.Metrics.Wirelength {
-		t.Errorf("RunSpec metrics differ from manual pipeline:\n%+v\n%+v",
+		t.Errorf("RunSpecEdits metrics differ from manual pipeline:\n%+v\n%+v",
 			res.Metrics, manual.Metrics)
 	}
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := flow.RunSpec(cancelled, spec, smartndr.SchemeSmart); err == nil {
+	if _, _, err := flow.RunSpecEdits(cancelled, spec, smartndr.SchemeSmart, nil); err == nil {
 		t.Error("cancelled context must fail")
 	}
 	bad := spec
 	bad.Sinks = 0
-	if _, _, err := flow.RunSpec(context.Background(), bad, smartndr.SchemeSmart); err == nil {
+	if _, _, err := flow.RunSpecEdits(context.Background(), bad, smartndr.SchemeSmart, nil); err == nil {
 		t.Error("invalid spec must fail")
 	}
 }
@@ -407,7 +407,7 @@ func TestFlowCanonicalKey(t *testing.T) {
 	spec := testutil.UniformSpec("key", 100, 1500, 7)
 	key := func(cfg *smartndr.FlowConfig, sp smartndr.BenchSpec, sc smartndr.Scheme) string {
 		t.Helper()
-		k, err := smartndr.NewFlow(cfg).CanonicalKey(sp, sc)
+		k, err := smartndr.NewFlow(cfg).CanonicalKeyEdits(sp, sc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -459,7 +459,7 @@ func TestFlowRunSpecHierDispatch(t *testing.T) {
 	// Flat path clones the built tree per scheme; the hier path returns
 	// one fused tree. That distinction is the dispatch witness.
 	small := testutil.UniformSpec("hier-small", 120, 1500, 3)
-	builtS, resS, err := flow.RunSpec(context.Background(), small, smartndr.SchemeSmart)
+	builtS, resS, err := flow.RunSpecEdits(context.Background(), small, smartndr.SchemeSmart, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +468,7 @@ func TestFlowRunSpecHierDispatch(t *testing.T) {
 	}
 
 	big := testutil.UniformSpec("hier-big", 1600, 4000, 9)
-	built, res, err := flow.RunSpec(context.Background(), big, smartndr.SchemeSmart)
+	built, res, err := flow.RunSpecEdits(context.Background(), big, smartndr.SchemeSmart, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +486,7 @@ func TestFlowRunSpecHierDispatch(t *testing.T) {
 		t.Errorf("hier skew %.2f ps over budget %.2f ps", res.Metrics.Skew*1e12, te.MaxSkew*1e12)
 	}
 	// The blanket scheme must run hierarchically too, without stats.
-	_, bres, err := flow.RunSpec(context.Background(), big, smartndr.SchemeBlanket)
+	_, bres, err := flow.RunSpecEdits(context.Background(), big, smartndr.SchemeBlanket, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"smartndr/internal/obs"
 	"smartndr/internal/par"
 	"smartndr/internal/serve"
 )
@@ -25,15 +24,13 @@ type Meta struct {
 }
 
 // Transport executes one resolved request against one backend. The two
-// implementations are LocalTransport (in-process loopback — the
-// standalone path) and HTTPTransport (a worker reached over the wire).
-// tr is the request-scoped tracer; transports that cross a process
-// boundary ignore it (the worker has its own), and the cluster runner
-// only threads it through on single-branch calls where the ambient
-// span stack is goroutine-safe.
+// implementations are LocalTransport (an in-process loopback shard) and
+// HTTPTransport (a worker reached over the wire). Calls run untraced:
+// a worker records its own span tree, and hedged branches run on their
+// own goroutines, where the tracer's ambient span stack is off-limits.
 type Transport interface {
-	Flow(ctx context.Context, req *serve.FlowRequest, tr *obs.Tracer) (*serve.FlowResponse, Meta, error)
-	Sweep(ctx context.Context, req *serve.SweepRequest, tr *obs.Tracer) (*serve.SweepResponse, Meta, error)
+	Flow(ctx context.Context, req *serve.FlowRequest) (*serve.FlowResponse, Meta, error)
+	Sweep(ctx context.Context, req *serve.SweepRequest) (*serve.SweepResponse, Meta, error)
 	// Check probes the backend's health (GET /v1/healthz for HTTP;
 	// always healthy for loopback).
 	Check(ctx context.Context) error
@@ -46,31 +43,19 @@ type LocalTransport struct {
 }
 
 // Flow implements Transport.
-func (t *LocalTransport) Flow(ctx context.Context, req *serve.FlowRequest, tr *obs.Tracer) (*serve.FlowResponse, Meta, error) {
-	resp, err := t.Runner.RunFlow(ctx, req, tr)
+func (t *LocalTransport) Flow(ctx context.Context, req *serve.FlowRequest) (*serve.FlowResponse, Meta, error) {
+	resp, err := t.Runner.RunFlow(ctx, req, nil)
 	return resp, Meta{}, err
 }
 
 // Sweep implements Transport.
-func (t *LocalTransport) Sweep(ctx context.Context, req *serve.SweepRequest, tr *obs.Tracer) (*serve.SweepResponse, Meta, error) {
-	resp, err := t.Runner.RunSweep(ctx, req, tr)
+func (t *LocalTransport) Sweep(ctx context.Context, req *serve.SweepRequest) (*serve.SweepResponse, Meta, error) {
+	resp, err := t.Runner.RunSweep(ctx, req, nil)
 	return resp, Meta{}, err
 }
 
 // Check implements Transport; the loopback backend is this process.
 func (t *LocalTransport) Check(ctx context.Context) error { return nil }
-
-// StatusError is a non-2xx response from a worker, carrying the HTTP
-// status so the frontend can distinguish retryable refusals (429, 5xx)
-// from permanent request errors (4xx).
-type StatusError struct {
-	Code int
-	Msg  string
-}
-
-func (e *StatusError) Error() string {
-	return fmt.Sprintf("cluster: backend status %d: %s", e.Code, e.Msg)
-}
 
 // retryable reports whether err should move the call to another
 // replica: transport-level failures, refusal/overload statuses, and
@@ -84,7 +69,7 @@ func retryable(err error) bool {
 	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
-	var se *StatusError
+	var se *serve.StatusError
 	if errors.As(err, &se) {
 		return se.Code == http.StatusTooManyRequests || se.Code >= 500
 	}
@@ -129,8 +114,8 @@ func (t *HTTPTransport) client() *http.Client {
 }
 
 // post sends one JSON request and decodes the response into out,
-// returning the remote cache outcome. Non-2xx responses become
-// *StatusError with the worker's error text.
+// returning the remote cache outcome. A non-2xx response becomes a
+// *serve.StatusError carrying the worker's status and error text.
 func (t *HTTPTransport) post(ctx context.Context, path string, in, out any) (Meta, error) {
 	body, err := json.Marshal(in)
 	if err != nil {
@@ -152,7 +137,7 @@ func (t *HTTPTransport) post(ctx context.Context, path string, in, out any) (Met
 		return meta, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return meta, &StatusError{Code: resp.StatusCode, Msg: errorText(data)}
+		return meta, backendStatus(resp.StatusCode, data)
 	}
 	if err := json.Unmarshal(data, out); err != nil {
 		return meta, fmt.Errorf("cluster: decoding %s response: %w", path, err)
@@ -161,7 +146,7 @@ func (t *HTTPTransport) post(ctx context.Context, path string, in, out any) (Met
 }
 
 // Flow implements Transport.
-func (t *HTTPTransport) Flow(ctx context.Context, req *serve.FlowRequest, _ *obs.Tracer) (*serve.FlowResponse, Meta, error) {
+func (t *HTTPTransport) Flow(ctx context.Context, req *serve.FlowRequest) (*serve.FlowResponse, Meta, error) {
 	var out serve.FlowResponse
 	meta, err := t.post(ctx, "/v1/flow", req, &out)
 	if err != nil {
@@ -171,7 +156,7 @@ func (t *HTTPTransport) Flow(ctx context.Context, req *serve.FlowRequest, _ *obs
 }
 
 // Sweep implements Transport.
-func (t *HTTPTransport) Sweep(ctx context.Context, req *serve.SweepRequest, _ *obs.Tracer) (*serve.SweepResponse, Meta, error) {
+func (t *HTTPTransport) Sweep(ctx context.Context, req *serve.SweepRequest) (*serve.SweepResponse, Meta, error) {
 	var out serve.SweepResponse
 	meta, err := t.post(ctx, "/v1/sweep", req, &out)
 	if err != nil {
@@ -194,9 +179,16 @@ func (t *HTTPTransport) Check(ctx context.Context) error {
 	defer resp.Body.Close()
 	data, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		return &StatusError{Code: resp.StatusCode, Msg: errorText(data)}
+		return backendStatus(resp.StatusCode, data)
 	}
 	return nil
+}
+
+// backendStatus wraps a worker's non-2xx answer. The frontend's serve
+// layer honors the code, so a worker's 400 reaches the client as 400.
+func backendStatus(code int, body []byte) error {
+	return &serve.StatusError{Code: code,
+		Err: fmt.Errorf("cluster: backend status %d: %s", code, errorText(body))}
 }
 
 // errorText extracts the server's error message from a response body,

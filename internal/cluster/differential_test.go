@@ -8,16 +8,18 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"smartndr"
+	"smartndr/internal/core"
 	"smartndr/internal/serve"
 	"smartndr/internal/testutil"
 )
 
-// The cluster differential suite pins the PR's core promise: a 3-node
-// cluster (frontend + two HTTP workers, with the frontend itself
-// owning a loopback shard) and a loopback-standalone node return the
-// exact bytes a single-node smartndrd returns, for every endpoint, at
-// any worker count. The cluster layer is a routing detail — never a
-// semantic one.
+// The cluster differential suite pins the cluster layer's core promise:
+// a 3-node cluster (frontend + two HTTP workers, with the frontend
+// itself owning a loopback shard) and a frontend whose only shard is
+// loopback return the exact bytes a single-node smartndrd returns, for
+// every endpoint, at any worker count. The cluster layer is a routing
+// detail — never a semantic one.
 
 // newWorkerServer starts a real single-node smartndrd HTTP surface.
 func newWorkerServer(t *testing.T) *httptest.Server {
@@ -49,8 +51,9 @@ func newClusterServer(t *testing.T) *httptest.Server {
 	return ts
 }
 
-// newStandaloneClusterServer starts a node whose runner is the cluster
-// layer in loopback-standalone mode — the default single-binary path.
+// newStandaloneClusterServer starts a node whose runner is a cluster
+// runner with no backends: one in-process loopback shard, routed like
+// any other.
 func newStandaloneClusterServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	runner, err := NewRunner(Config{Local: &serve.FlowRunner{}})
@@ -215,6 +218,39 @@ func TestClusterBatchByteIdenticalToSingleNode(t *testing.T) {
 		if !bytes.Equal(bytes.TrimSpace(flow), []byte(res.Flow)) {
 			t.Errorf("batch item %d bytes differ from a standalone /v1/flow call:\n%s\n%s",
 				i, flow, res.Flow)
+		}
+	}
+}
+
+// TestClusterFrontendRelaysWorker400: a request error is the client's,
+// on a frontend as on a single node. One out-of-range edit sent through
+// a two-worker frontend comes back 400, and neither worker — each of
+// which answered it correctly — is taken out of rotation.
+func TestClusterFrontendRelaysWorker400(t *testing.T) {
+	w1 := newWorkerServer(t)
+	w2 := newWorkerServer(t)
+	runner, err := NewRunner(Config{
+		Local: &serve.FlowRunner{},
+		Backends: []BackendSpec{
+			{Name: "w1", URL: w1.URL},
+			{Name: "w2", URL: w2.URL},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe := httptest.NewServer(serve.New(serve.Config{Runner: runner}).Handler())
+	t.Cleanup(fe.Close)
+
+	req := &serve.FlowRequest{Bench: "cns01", Scheme: "smart-ndr",
+		Edits: []smartndr.Edit{{Op: core.OpNodeRule, Node: 9999999}}}
+	resp, body := clusterPost(t, fe, "/v1/flow", req)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("frontend status = %d, want the workers' 400: %s", resp.StatusCode, body)
+	}
+	for _, st := range runner.ShardStats() {
+		if !st.Healthy {
+			t.Errorf("shard %s marked down by a request error", st.Shard)
 		}
 	}
 }

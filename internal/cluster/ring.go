@@ -4,12 +4,11 @@
 // key is owned by exactly one backend, so a cold run happens once
 // fleet-wide), fans sweep arms out to workers with a bounded gate per
 // backend, and hedges stragglers onto a second replica after the
-// recent p95. Standalone deployments use the same Runner with a single
-// in-process loopback backend — the cluster layer adds no HTTP hop and
-// no behavior change when there is nothing to distribute.
+// recent p95. Only frontends build a Runner; a single node or a worker
+// serves serve.FlowRunner directly, with nothing to distribute.
 //
 // The package implements serve.Runner, so the HTTP layer (admission,
-// caching, drain, telemetry) is identical on every role; see
+// caching, drain, telemetry) is identical on every node; see
 // docs/service.md for the topology and failure-mode story.
 package cluster
 

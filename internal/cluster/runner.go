@@ -33,8 +33,8 @@ type Config struct {
 	// Local computes canonical keys on the frontend and executes
 	// loopback work. Required.
 	Local serve.Runner
-	// Backends is the shard set. Empty means standalone: one loopback
-	// backend, no HTTP anywhere.
+	// Backends is the shard set. Empty means one in-process loopback
+	// shard, no HTTP anywhere.
 	Backends []BackendSpec
 	// Replicas is the consistent-hash vnode count per backend (default 64).
 	Replicas int
@@ -96,12 +96,11 @@ type backend struct {
 // single-node service; and serve.ShardStatser, so /v1/statsz and
 // /metricsz expose the per-shard view.
 type Runner struct {
-	local      serve.Runner
-	backends   []*backend
-	ring       *Ring
-	standalone bool
-	reg        *obs.Registry
-	now        func() time.Time
+	local    serve.Runner
+	backends []*backend
+	ring     *Ring
+	reg      *obs.Registry
+	now      func() time.Time
 
 	disableHedge    bool
 	hedgeAfter      time.Duration
@@ -189,7 +188,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 		local:           cfg.Local,
 		backends:        backends,
 		ring:            NewRing(names, cfg.Replicas),
-		standalone:      len(backends) == 1,
 		reg:             reg,
 		now:             now,
 		disableHedge:    cfg.DisableHedge,
@@ -204,9 +202,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 
 // Ring exposes the placement ring (tests, statsz).
 func (r *Runner) Ring() *Ring { return r.ring }
-
-// Standalone reports whether the runner is a single loopback backend.
-func (r *Runner) Standalone() bool { return r.standalone }
 
 // --- membership ---
 
@@ -420,58 +415,25 @@ func (r *Runner) SweepKey(req *serve.SweepRequest) (string, error) {
 	return r.local.SweepKey(req)
 }
 
-// RunFlow implements serve.Runner: standalone runs loopback on the
-// caller's goroutine (today's single-node behavior, tracer and all);
-// clustered, the flow is owned by the shard its canonical key hashes
-// to, so a cold run happens on exactly one backend fleet-wide.
-func (r *Runner) RunFlow(ctx context.Context, req *serve.FlowRequest, tr *obs.Tracer) (*serve.FlowResponse, error) {
-	if r.standalone {
-		be := r.backends[0]
-		be.requests.Add(1)
-		r.reg.Add("cluster.requests", 1)
-		t0 := r.now()
-		out, _, err := be.tr.Flow(ctx, req, tr)
-		if err != nil {
-			be.errors.Add(1)
-			r.reg.Add("cluster.errors", 1)
-			return nil, err
-		}
-		be.window.Observe(r.now().Sub(t0).Seconds())
-		return out, nil
-	}
+// RunFlow implements serve.Runner: the flow is owned by the shard its
+// canonical key hashes to, so a cold run happens on exactly one backend
+// fleet-wide.
+func (r *Runner) RunFlow(ctx context.Context, req *serve.FlowRequest, _ *obs.Tracer) (*serve.FlowResponse, error) {
 	key, err := r.local.FlowKey(req)
 	if err != nil {
 		return nil, err
 	}
-	// Remote calls run untraced — the worker records its own span tree
-	// — and hedged branches run on their own goroutines where the
-	// ambient span stack is off-limits.
 	return callSharded(r, ctx, key, func(ctx context.Context, t Transport) (*serve.FlowResponse, Meta, error) {
-		return t.Flow(ctx, req, nil)
+		return t.Flow(ctx, req)
 	})
 }
 
-// RunSweep implements serve.Runner. Standalone delegates to the local
-// engine (one shared build, arms fanned in-process). Clustered, each
-// arm becomes a single-arm sweep routed by its own canonical key, so
-// repeat sweeps hit each arm's owner cache, the whole batch spreads
-// across the fleet under per-backend gates, and a straggling arm is
-// hedged onto the next replica after the recent p95.
+// RunSweep implements serve.Runner: each arm becomes a single-arm sweep
+// routed by its own canonical key, so repeat sweeps hit each arm's
+// owner cache, the whole batch spreads across the fleet under
+// per-backend gates, and a straggling arm is hedged onto the next
+// replica after the recent p95.
 func (r *Runner) RunSweep(ctx context.Context, req *serve.SweepRequest, tr *obs.Tracer) (*serve.SweepResponse, error) {
-	if r.standalone {
-		be := r.backends[0]
-		be.requests.Add(1)
-		r.reg.Add("cluster.requests", 1)
-		t0 := r.now()
-		out, _, err := be.tr.Sweep(ctx, req, tr)
-		if err != nil {
-			be.errors.Add(1)
-			r.reg.Add("cluster.errors", 1)
-			return nil, err
-		}
-		be.window.Observe(r.now().Sub(t0).Seconds())
-		return out, nil
-	}
 	key, err := r.local.SweepKey(req)
 	if err != nil {
 		return nil, err
@@ -500,7 +462,7 @@ func (r *Runner) RunSweep(ctx context.Context, req *serve.SweepRequest, tr *obs.
 			obs.S("scheme", req.Arms[i].Scheme), obs.S("corner", req.Arms[i].Corner))
 		defer armSp.End()
 		resp, err := callSharded(r, ctx, armKey, func(ctx context.Context, t Transport) (*serve.SweepResponse, Meta, error) {
-			return t.Sweep(ctx, armReq, nil)
+			return t.Sweep(ctx, armReq)
 		})
 		if err != nil {
 			return err

@@ -97,7 +97,7 @@ func (s *stubTransport) wait(ctx context.Context) error {
 	}
 }
 
-func (s *stubTransport) Flow(ctx context.Context, req *serve.FlowRequest, _ *obs.Tracer) (*serve.FlowResponse, Meta, error) {
+func (s *stubTransport) Flow(ctx context.Context, req *serve.FlowRequest) (*serve.FlowResponse, Meta, error) {
 	s.mu.Lock()
 	s.flows = append(s.flows, req.Bench)
 	fail := s.fail
@@ -112,9 +112,8 @@ func (s *stubTransport) Flow(ctx context.Context, req *serve.FlowRequest, _ *obs
 }
 
 // Sweep models a serial worker: one delay per arm. The cluster path
-// always sends single-arm sweeps; the standalone path sends the whole
-// batch to its one backend.
-func (s *stubTransport) Sweep(ctx context.Context, req *serve.SweepRequest, _ *obs.Tracer) (*serve.SweepResponse, Meta, error) {
+// always sends single-arm sweeps.
+func (s *stubTransport) Sweep(ctx context.Context, req *serve.SweepRequest) (*serve.SweepResponse, Meta, error) {
 	s.mu.Lock()
 	for _, a := range req.Arms {
 		s.sweeps = append(s.sweeps, a.Scheme+":"+a.Corner)
@@ -153,7 +152,7 @@ func (s *stubTransport) Check(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.down {
-		return &StatusError{Code: 503, Msg: "stub down"}
+		return &serve.StatusError{Code: 503, Err: errors.New("stub down")}
 	}
 	return nil
 }
@@ -219,7 +218,7 @@ func TestRunnerFlowRoutesToOwner(t *testing.T) {
 func TestRunnerFlowFailsOverOnRetryableError(t *testing.T) {
 	r, stubs := newStubCluster(t, 3, func(cfg *Config) { cfg.DisableHedge = true })
 	bench := benchOwnedBy(r, 0, 1, "failover")[0]
-	stubs[0].setFail(&StatusError{Code: 500, Msg: "shard wedged"})
+	stubs[0].setFail(&serve.StatusError{Code: 500, Err: errors.New("shard wedged")})
 
 	resp, err := r.RunFlow(context.Background(), &serve.FlowRequest{Bench: bench}, nil)
 	if err != nil {
@@ -243,10 +242,10 @@ func TestRunnerFlowFailsOverOnRetryableError(t *testing.T) {
 func TestRunnerFlowRequestErrorDoesNotFailOver(t *testing.T) {
 	r, stubs := newStubCluster(t, 3, func(cfg *Config) { cfg.DisableHedge = true })
 	bench := benchOwnedBy(r, 1, 1, "badreq")[0]
-	stubs[1].setFail(&StatusError{Code: 400, Msg: "bad request"})
+	stubs[1].setFail(&serve.StatusError{Code: 400, Err: errors.New("bad request")})
 
 	_, err := r.RunFlow(context.Background(), &serve.FlowRequest{Bench: bench}, nil)
-	var se *StatusError
+	var se *serve.StatusError
 	if !errors.As(err, &se) || se.Code != 400 {
 		t.Fatalf("err = %v, want the owner's 400", err)
 	}
@@ -382,8 +381,8 @@ func TestRunnerStandaloneUsesLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Standalone() {
-		t.Fatal("empty backend list should be standalone")
+	if r.Ring().Backends() != 1 {
+		t.Fatal("empty backend list should be one loopback shard")
 	}
 	resp, err := r.RunFlow(context.Background(), &serve.FlowRequest{Bench: "solo"}, nil)
 	if err != nil {
@@ -577,16 +576,16 @@ func TestClusterHedgingCutsTailLatency(t *testing.T) {
 // are exactly how an ==-based cancellation check slips past tests.
 type wrapErrTransport struct{ inner Transport }
 
-func (w wrapErrTransport) Flow(ctx context.Context, req *serve.FlowRequest, tr *obs.Tracer) (*serve.FlowResponse, Meta, error) {
-	resp, m, err := w.inner.Flow(ctx, req, tr)
+func (w wrapErrTransport) Flow(ctx context.Context, req *serve.FlowRequest) (*serve.FlowResponse, Meta, error) {
+	resp, m, err := w.inner.Flow(ctx, req)
 	if err != nil {
 		err = &url.Error{Op: "Post", URL: "http://stub/v1/flow", Err: err}
 	}
 	return resp, m, err
 }
 
-func (w wrapErrTransport) Sweep(ctx context.Context, req *serve.SweepRequest, tr *obs.Tracer) (*serve.SweepResponse, Meta, error) {
-	resp, m, err := w.inner.Sweep(ctx, req, tr)
+func (w wrapErrTransport) Sweep(ctx context.Context, req *serve.SweepRequest) (*serve.SweepResponse, Meta, error) {
+	resp, m, err := w.inner.Sweep(ctx, req)
 	if err != nil {
 		err = &url.Error{Op: "Post", URL: "http://stub/v1/sweep", Err: err}
 	}
@@ -606,9 +605,9 @@ func TestRetryableClassification(t *testing.T) {
 		{"raw cancel", context.Canceled, false, false},
 		{"wrapped cancel", &url.Error{Op: "Post", URL: "http://w0/v1/flow", Err: context.Canceled}, false, false},
 		{"wrapped deadline", fmt.Errorf("call: %w", context.DeadlineExceeded), false, false},
-		{"status 500", &StatusError{Code: 500, Msg: "wedged"}, true, true},
-		{"wrapped 429", fmt.Errorf("call: %w", &StatusError{Code: 429, Msg: "busy"}), true, true},
-		{"status 400", &StatusError{Code: 400, Msg: "bad"}, false, false},
+		{"status 500", &serve.StatusError{Code: 500, Err: errors.New("wedged")}, true, true},
+		{"wrapped 429", fmt.Errorf("call: %w", &serve.StatusError{Code: 429, Err: errors.New("busy")}), true, true},
+		{"status 400", &serve.StatusError{Code: 400, Err: errors.New("bad")}, false, false},
 		{"network", &url.Error{Op: "Post", URL: "http://w0/v1/flow", Err: errors.New("connection refused")}, true, true},
 		{"gate saturated", par.ErrSaturated, true, false},
 	}
@@ -715,7 +714,7 @@ func TestSaturatedOwnerFailsOverWithoutMarkDown(t *testing.T) {
 func TestFailedCallsDoNotFeedHedgeWindow(t *testing.T) {
 	r, stubs := newStubCluster(t, 2, func(cfg *Config) { cfg.DisableHedge = true })
 	bench := benchOwnedBy(r, 0, 1, "window")[0]
-	stubs[0].setFail(&StatusError{Code: 500, Msg: "boom"})
+	stubs[0].setFail(&serve.StatusError{Code: 500, Err: errors.New("boom")})
 	if _, err := r.RunFlow(context.Background(), &serve.FlowRequest{Bench: bench}, nil); err != nil {
 		t.Fatal(err) // rescued by failover
 	}

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -115,98 +114,30 @@ func batchKey(keys []string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// handleBatch serves POST /v1/batch. The envelope succeeds (200) once
-// it decodes and every key resolves; individual items carry their own
+// batch serves POST /v1/batch. The envelope succeeds (200) once it
+// decodes and every key resolves; individual items carry their own
 // status, so one failing item does not poison its siblings. Each item
-// runs exactly the standalone /v1/flow path — same cache, same
-// admission gate per cold item, same runner — which is what makes item
-// bytes identical to standalone responses.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	t0 := s.now()
-	var (
-		reqID   int64
-		status  int
-		key     string
-		outcome string
-		col     *obs.Collector
-	)
-	defer func() {
-		d := s.now().Sub(t0)
-		class := latencyClass(status, outcome)
-		if h := s.lat[epBatch][class]; h != nil {
-			h.Observe(d.Seconds())
-		}
-		if s.tracez != nil {
-			var evs []obs.SpanEvent
-			if col != nil {
-				evs = col.Events()
-			}
-			s.tracez.Add(TraceRecord{
-				Req: reqID, Endpoint: epBatch, Key: key, Outcome: class,
-				Cache: outcome, Status: status, DurNS: d.Nanoseconds(),
-				Spans: buildSpanTree(evs),
-			})
-		}
-	}()
-
-	if r.Method != http.MethodPost {
-		status = http.StatusMethodNotAllowed
-		s.writeError(w, nil, status, fmt.Errorf("serve: %s needs POST", r.URL.Path))
-		return
-	}
-	if !s.admit() {
-		status = http.StatusServiceUnavailable
-		s.refuse(w, nil, status, "draining")
-		return
-	}
-	defer s.depart()
-	s.reg.Add("serve.requests", 1)
-
-	reqID = s.reqID.Add(1)
-	rtr := s.tr.Scoped()
-	if s.tracez != nil && s.tr.Enabled() {
-		col = obs.NewCollector()
-		rtr = s.tr.ScopedTee(col)
-	}
-
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-			s.writeError(w, nil, status,
-				fmt.Errorf("serve: request body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		status = http.StatusBadRequest
-		s.writeError(w, nil, status, fmt.Errorf("serve: reading body: %w", err))
-		return
-	}
+// runs exactly the /v1/flow path — same cache, same admission gate per
+// cold item, same runner, same statusOf — which is what makes item
+// bytes and statuses identical to standalone responses.
+func (s *Server) batch(r *http.Request, body []byte, sp *obs.Span, rtr *obs.Tracer) (reply, error) {
 	req, err := DecodeBatchRequest(body)
 	if err != nil {
-		status = http.StatusBadRequest
-		s.writeError(w, nil, status, err)
-		return
+		return reply{}, badRequest(err)
 	}
 	n := len(req.Requests)
-	sp := rtr.Start("serve.batch", obs.I("req", int(reqID)), obs.I("items", n))
-	defer sp.End()
-
+	sp.Set("items", n)
 	keys := make([]string, n)
 	for i := range req.Requests {
 		keys[i], err = s.runner.FlowKey(&req.Requests[i])
 		if err != nil {
-			status = http.StatusBadRequest
-			s.writeError(w, sp, status, fmt.Errorf("serve: batch item %d: %w", i, err))
-			return
+			return reply{}, badRequest(fmt.Errorf("serve: batch item %d: %w", i, err))
 		}
 	}
-	key = batchKey(keys)
-	sp.Set("key", key)
+	key := batchKey(keys)
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.resolveTimeout(req.TimeoutMS))
+	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
-
 	workers := req.Workers
 	if workers <= 0 || workers > n {
 		workers = n
@@ -214,67 +145,36 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	results := make([]BatchItemResult, n)
 	outcomes := make([]string, n)
 	// fn never returns an error: item failures land in the item's
-	// result so siblings keep running.
-	_ = par.ForEach(ctx, workers, n, func(i int) error {
+	// result so siblings keep running. Every item is dispatched even
+	// past the deadline — each resolves its status against ctx exactly
+	// as a standalone /v1/flow would, so an item the deadline overtakes
+	// reports 504 rather than never running.
+	_ = par.ForEach(context.WithoutCancel(ctx), workers, n, func(i int) error {
 		item := &req.Requests[i]
-		bytesOut, oc, err := s.cache.Do(ctx, keys[i], func() ([]byte, error) {
-			release, err := s.gate.Acquire(ctx)
-			if err != nil {
-				return nil, err
-			}
-			defer release()
-			out, err := s.runner.RunFlow(ctx, item, rtr)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(out)
+		out, oc, err := s.runCached(ctx, keys[i], func(ctx context.Context) (any, error) {
+			return s.runner.RunFlow(ctx, item, rtr)
 		})
 		outcomes[i] = oc
 		if err != nil {
-			results[i] = BatchItemResult{Status: s.batchItemStatus(err), Error: err.Error()}
+			status := statusOf(err)
+			s.tally(status)
+			results[i] = BatchItemResult{Status: status, Error: err.Error()}
 			return nil
 		}
-		results[i] = BatchItemResult{Status: http.StatusOK, Flow: bytesOut}
+		results[i] = BatchItemResult{Status: http.StatusOK, Flow: out}
 		return nil
 	})
 
-	outcome = CacheMiss
-	allHit := true
+	outcome := CacheHit
 	for i := range results {
 		if results[i].Status != http.StatusOK ||
 			(outcomes[i] != CacheHit && outcomes[i] != CacheShared) {
-			allHit = false
+			outcome = CacheMiss
 			break
 		}
 	}
-	if allHit {
-		outcome = CacheHit
-	}
-	status = http.StatusOK
-	sp.Set("cache", outcome)
-	sp.Set("status", status)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", outcome)
-	w.Header().Set("X-Key", key)
-	w.WriteHeader(http.StatusOK)
-	_ = json.NewEncoder(w).Encode(BatchResponse{Key: key, Results: results})
-}
-
-// batchItemStatus maps an item failure onto the status a standalone
-// /v1/flow call would have returned, tallying the same counters.
-func (s *Server) batchItemStatus(err error) int {
-	switch {
-	case errors.Is(err, par.ErrSaturated):
-		s.reg.Add("serve.saturated", 1)
-		return http.StatusTooManyRequests
-	case errors.Is(err, context.DeadlineExceeded):
-		s.reg.Add("serve.timeouts", 1)
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		s.reg.Add("serve.errors", 1)
-		return http.StatusServiceUnavailable
-	default:
-		s.reg.Add("serve.errors", 1)
-		return http.StatusInternalServerError
-	}
+	out, err := json.Marshal(BatchResponse{Key: key, Results: results})
+	// The trailing newline (json.Encoder framing) is part of the batch
+	// body's byte contract.
+	return reply{key: key, cache: outcome, body: append(out, '\n')}, err
 }

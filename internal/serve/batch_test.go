@@ -275,3 +275,30 @@ func TestRetryAfterHeaderOnRefusalTracksColdP95(t *testing.T) {
 		t.Errorf("Retry-After = %q, want derived %q", got, wantSecs)
 	}
 }
+
+// TestServeBatchItemsPastDeadlineReport504: an item the batch deadline
+// overtakes before it starts gets the status a standalone call would —
+// 504, tallied as a timeout — not an empty result.
+func TestServeBatchItemsPastDeadlineReport504(t *testing.T) {
+	sr := newStubRunner()
+	sr.waitCtx = true
+	s := New(Config{Runner: sr})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// One worker: the first item holds it until the deadline passes.
+	resp := postBatch(t, ts, `{"requests":[{"bench":"cns01"},{"bench":"cns02"}],"workers":1,"timeout_ms":1}`)
+	body := readBody(t, resp)
+	var out BatchResponse
+	if err := json.Unmarshal(body, &out); err != nil || len(out.Results) != 2 {
+		t.Fatalf("batch body %s: %v", body, err)
+	}
+	for i, res := range out.Results {
+		if res.Status != http.StatusGatewayTimeout {
+			t.Errorf("item %d = %+v, want 504", i, res)
+		}
+	}
+	if got := s.reg.Counter("serve.timeouts"); got != 2 {
+		t.Errorf("serve.timeouts = %v, want 2", got)
+	}
+}

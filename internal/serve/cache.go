@@ -12,7 +12,7 @@ import (
 
 // Cache is a bounded, content-addressed result cache with singleflight
 // de-duplication. Keys are canonical hashes of everything that
-// determines a result (see Flow.CanonicalKey), values are the exact
+// determines a result (see Flow.CanonicalKeyEdits), values are the exact
 // serialized response bytes — a hit replays a prior run byte for byte,
 // which is only sound because the engine is deterministic.
 //

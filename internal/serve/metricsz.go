@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"net/http"
 	"runtime/metrics"
 	"strconv"
@@ -65,7 +64,7 @@ func readRuntimeMetrics(snap *obs.PromSnapshot) {
 // gauges vary run to run.
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeError(w, nil, http.StatusMethodNotAllowed, fmt.Errorf("serve: metricsz needs GET"))
+		s.fail(w, nil, errMethod(r, http.MethodGet))
 		return
 	}
 	s.reg.Set("serve.cache_shard_balance", s.cache.Balance())

@@ -221,7 +221,7 @@ func (fr *FlowRunner) SweepKey(req *SweepRequest) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	base, err := smartndr.NewFlow(cfg).CanonicalRun(spec, smartndr.SchemeAllDefault)
+	base, err := smartndr.NewFlow(cfg).CanonicalRunEdits(spec, smartndr.SchemeAllDefault, nil)
 	if err != nil {
 		return "", err
 	}

@@ -61,6 +61,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"smartndr/internal/core"
 	"smartndr/internal/obs"
 	"smartndr/internal/par"
 )
@@ -262,12 +263,19 @@ func New(cfg Config) *Server {
 		},
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/flow", s.handleFlow)
-	s.mux.HandleFunc("/v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("/v1/batch", s.handleBatch)
-	s.mux.HandleFunc("/v1/session", s.handleSessionCreate)
-	s.mux.HandleFunc("/v1/session/{id}", s.handleSessionByID)
-	s.mux.HandleFunc("/v1/session/{id}/delta", s.handleSessionDelta)
+	s.mux.HandleFunc("/v1/flow", s.endpoint(http.MethodPost, epFlow, s.flow))
+	s.mux.HandleFunc("/v1/sweep", s.endpoint(http.MethodPost, epSweep, s.sweep))
+	s.mux.HandleFunc("/v1/batch", s.endpoint(http.MethodPost, epBatch, s.batch))
+	s.mux.HandleFunc("/v1/session", s.endpoint(http.MethodPost, epSessionCreate, s.sessionCreate))
+	s.mux.HandleFunc("/v1/session/{id}/delta", s.endpoint(http.MethodPost, epSessionDelta, s.sessionDelta))
+	readSession := s.endpoint(http.MethodGet, epSessionRead, s.sessionRead)
+	s.mux.HandleFunc("/v1/session/{id}", func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodDelete {
+			s.closeSession(w, r)
+			return
+		}
+		readSession(w, r)
+	})
 	s.mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/v1/statsz", s.handleStatsz)
 	s.mux.HandleFunc("/v1/tracez", s.handleTracez)
@@ -334,183 +342,171 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// handleFlow serves POST /v1/flow.
-func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
-	s.handleRun(w, r, epFlow, func(body []byte) (string, loader, time.Duration, error) {
-		req, err := DecodeFlowRequest(body)
-		if err != nil {
-			return "", nil, 0, err
-		}
-		key, err := s.runner.FlowKey(req)
-		if err != nil {
-			return "", nil, 0, err
-		}
-		return key, func(ctx context.Context, tr *obs.Tracer) (any, error) {
-			return s.runner.RunFlow(ctx, req, tr)
-		}, s.resolveTimeout(req.TimeoutMS), nil
-	})
+// reply is an endpoint's successful answer: the body bytes plus the
+// content key and cache outcome (hit|miss|shared; "" for uncached
+// session work) the envelope stamps on the X-Key and X-Cache headers,
+// the request span, the latency histogram, and the tracez record. Work
+// keeps key and cache on failure too, so a failed request's trace still
+// names its key.
+type reply struct {
+	key, cache string
+	body       []byte
 }
 
-// handleSweep serves POST /v1/sweep.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.handleRun(w, r, epSweep, func(body []byte) (string, loader, time.Duration, error) {
-		req, err := DecodeSweepRequest(body)
-		if err != nil {
-			return "", nil, 0, err
-		}
-		key, err := s.runner.SweepKey(req)
-		if err != nil {
-			return "", nil, 0, err
-		}
-		return key, func(ctx context.Context, tr *obs.Tracer) (any, error) {
-			return s.runner.RunSweep(ctx, req, tr)
-		}, s.resolveTimeout(req.TimeoutMS), nil
-	})
-}
+// work is one endpoint's decode-and-work part. It runs inside the
+// envelope on the size-capped request body, under the open request span
+// sp and the request-scoped tracer rtr, and either replies or returns an
+// error for statusOf.
+type work func(r *http.Request, body []byte, sp *obs.Span, rtr *obs.Tracer) (reply, error)
 
-// loader executes one admitted request under the request-scoped tracer.
-type loader func(ctx context.Context, tr *obs.Tracer) (any, error)
-
-// resolveTimeout clamps a request's timeout_ms against the server
-// bound: requests may shorten their deadline, never extend it.
-func (s *Server) resolveTimeout(ms int) time.Duration {
-	if ms <= 0 {
-		return s.timeout
-	}
-	d := time.Duration(ms) * time.Millisecond
-	if d > s.timeout {
-		return s.timeout
-	}
-	return d
-}
-
-// handleRun is the shared request path: decode → key → cache/flight →
-// admission → run → respond. Every outcome lands on one request span
-// tagged with the canonical key, cache outcome, and HTTP status; on
-// the way out the request is recorded into the per-endpoint/per-class
-// latency histogram and (when enabled) the tracez buffer.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request,
-	endpoint string, prepare func(body []byte) (string, loader, time.Duration, error)) {
-
-	t0 := s.now()
-	var (
-		reqID   int64
-		status  int
-		key     string
-		outcome string // cache outcome: hit|miss|shared (empty pre-cache)
-		col     *obs.Collector
-	)
-	// Registered first so it runs last — after the request span has
-	// ended and its event has landed in col.
-	defer func() {
-		d := s.now().Sub(t0)
-		class := latencyClass(status, outcome)
-		if h := s.lat[endpoint][class]; h != nil {
-			h.Observe(d.Seconds())
-		}
-		if s.tracez != nil {
-			var evs []obs.SpanEvent
-			if col != nil {
-				evs = col.Events()
+// endpoint wraps work in the one request envelope every request endpoint
+// shares: method check, admission against drain, the request span under
+// a scoped tracer, the bounded body read, the response, and — whatever
+// the outcome — the per-endpoint/per-class latency histogram and the
+// tracez record.
+func (s *Server) endpoint(method, name string, do work) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		t0 := s.now()
+		var (
+			reqID  int64
+			status int
+			rep    reply
+			col    *obs.Collector
+		)
+		// Registered first so it runs last — after the request span has
+		// ended and its event has landed in col.
+		defer func() {
+			d := s.now().Sub(t0)
+			class := latencyClass(status, rep.cache)
+			s.lat[name][class].Observe(d.Seconds())
+			if s.tracez != nil {
+				var evs []obs.SpanEvent
+				if col != nil {
+					evs = col.Events()
+				}
+				s.tracez.Add(TraceRecord{
+					Req: reqID, Endpoint: name, Key: rep.key, Outcome: class,
+					Cache: rep.cache, Status: status, DurNS: d.Nanoseconds(),
+					Spans: buildSpanTree(evs),
+				})
 			}
-			s.tracez.Add(TraceRecord{
-				Req: reqID, Endpoint: endpoint, Key: key, Outcome: class,
-				Cache: outcome, Status: status, DurNS: d.Nanoseconds(),
-				Spans: buildSpanTree(evs),
-			})
-		}
-	}()
+		}()
 
-	if r.Method != http.MethodPost {
-		status = http.StatusMethodNotAllowed
-		s.writeError(w, nil, status, fmt.Errorf("serve: %s needs POST", r.URL.Path))
-		return
-	}
-	if !s.admit() {
-		status = http.StatusServiceUnavailable
-		s.refuse(w, nil, status, "draining")
-		return
-	}
-	defer s.depart()
-	s.reg.Add("serve.requests", 1)
-
-	reqID = s.reqID.Add(1)
-	rtr := s.tr.Scoped()
-	if s.tracez != nil && s.tr.Enabled() {
-		col = obs.NewCollector()
-		rtr = s.tr.ScopedTee(col)
-	}
-	sp := rtr.Start("serve."+endpoint, obs.I("req", int(reqID)))
-	defer sp.End()
-
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-			s.writeError(w, sp, status,
-				fmt.Errorf("serve: request body exceeds %d bytes", tooLarge.Limit))
+		if r.Method != method {
+			status = s.fail(w, nil, errMethod(r, method))
 			return
 		}
-		status = http.StatusBadRequest
-		s.writeError(w, sp, status, fmt.Errorf("serve: reading body: %w", err))
-		return
-	}
-	var run loader
-	var timeout time.Duration
-	key, run, timeout, err = prepare(body)
-	if err != nil {
-		status = http.StatusBadRequest
-		s.writeError(w, sp, status, err)
-		return
-	}
-	sp.Set("key", key)
+		if !s.admit() {
+			status = http.StatusServiceUnavailable
+			s.refuse(w, nil, status, "draining")
+			return
+		}
+		defer s.depart()
+		s.reg.Add("serve.requests", 1)
 
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
+		reqID = s.reqID.Add(1)
+		rtr := s.tr.Scoped()
+		if s.tracez != nil && s.tr.Enabled() {
+			col = obs.NewCollector()
+			rtr = s.tr.ScopedTee(col)
+		}
+		sp := rtr.Start("serve."+name, obs.I("req", int(reqID)))
+		defer sp.End()
 
-	var bytesOut []byte
-	bytesOut, outcome, err = s.cache.Do(ctx, key, func() ([]byte, error) {
-		// Cache miss: this call owns the execution. Admission happens
-		// here so hits and followers never consume a slot.
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+		var tooLarge *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooLarge):
+			err = &StatusError{Code: http.StatusRequestEntityTooLarge,
+				Err: fmt.Errorf("serve: request body exceeds %d bytes", tooLarge.Limit)}
+		case err != nil:
+			err = badRequest(fmt.Errorf("serve: reading body: %w", err))
+		default:
+			rep, err = do(r, body, sp, rtr)
+		}
+		if rep.key != "" {
+			sp.Set("key", rep.key)
+		}
+		if rep.cache != "" {
+			sp.Set("cache", rep.cache)
+		}
+		if err != nil {
+			status = s.fail(w, sp, err)
+			return
+		}
+		status = http.StatusOK
+		sp.Set("status", status)
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Cache", rep.cache)
+		w.Header().Set("X-Key", rep.key)
+		w.WriteHeader(status)
+		_, _ = w.Write(rep.body)
+	}
+}
+
+// requestContext bounds one request's work by its deadline: timeout_ms
+// may shorten the server's bound, never extend it.
+func (s *Server) requestContext(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
+	d := s.timeout
+	if t := time.Duration(timeoutMS) * time.Millisecond; t > 0 && t < d {
+		d = t
+	}
+	return context.WithTimeout(r.Context(), d)
+}
+
+// runCached serves one content-addressed result: a hit or a shared
+// flight replays the cached bytes; a miss owns the execution, and only
+// then takes an admission slot, so hits and followers never consume
+// one.
+func (s *Server) runCached(ctx context.Context, key string, run func(context.Context) (any, error)) ([]byte, string, error) {
+	return s.cache.Do(ctx, key, func() ([]byte, error) {
 		release, err := s.gate.Acquire(ctx)
 		if err != nil {
 			return nil, err
 		}
 		defer release()
-		out, err := run(ctx, rtr)
+		out, err := run(ctx)
 		if err != nil {
 			return nil, err
 		}
 		return json.Marshal(out)
 	})
-	sp.Set("cache", outcome)
+}
+
+// flow serves POST /v1/flow.
+func (s *Server) flow(r *http.Request, body []byte, _ *obs.Span, rtr *obs.Tracer) (reply, error) {
+	req, err := DecodeFlowRequest(body)
 	if err != nil {
-		switch {
-		case errors.Is(err, par.ErrSaturated):
-			status = http.StatusTooManyRequests
-			s.reg.Add("serve.saturated", 1)
-			s.refuse(w, sp, status, "saturated")
-		case errors.Is(err, context.DeadlineExceeded):
-			status = http.StatusGatewayTimeout
-			s.reg.Add("serve.timeouts", 1)
-			s.writeError(w, sp, status, err)
-		case errors.Is(err, context.Canceled):
-			status = http.StatusServiceUnavailable
-			s.writeError(w, sp, status, err)
-		default:
-			status = http.StatusInternalServerError
-			s.writeError(w, sp, status, err)
-		}
-		return
+		return reply{}, badRequest(err)
 	}
-	status = http.StatusOK
-	sp.Set("status", http.StatusOK)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", outcome)
-	w.Header().Set("X-Key", key)
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(bytesOut)
+	key, err := s.runner.FlowKey(req)
+	if err != nil {
+		return reply{}, badRequest(err)
+	}
+	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	defer cancel()
+	out, outcome, err := s.runCached(ctx, key, func(ctx context.Context) (any, error) {
+		return s.runner.RunFlow(ctx, req, rtr)
+	})
+	return reply{key: key, cache: outcome, body: out}, err
+}
+
+// sweep serves POST /v1/sweep.
+func (s *Server) sweep(r *http.Request, body []byte, _ *obs.Span, rtr *obs.Tracer) (reply, error) {
+	req, err := DecodeSweepRequest(body)
+	if err != nil {
+		return reply{}, badRequest(err)
+	}
+	key, err := s.runner.SweepKey(req)
+	if err != nil {
+		return reply{}, badRequest(err)
+	}
+	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	defer cancel()
+	out, outcome, err := s.runCached(ctx, key, func(ctx context.Context) (any, error) {
+		return s.runner.RunSweep(ctx, req, rtr)
+	})
+	return reply{key: key, cache: outcome, body: out}, err
 }
 
 // latencyClass maps a finished request onto its histogram class.
@@ -532,7 +528,7 @@ func latencyClass(status int, cacheOutcome string) string {
 // draining (so orchestration stops routing before shutdown).
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeError(w, nil, http.StatusMethodNotAllowed, fmt.Errorf("serve: healthz needs GET"))
+		s.fail(w, nil, errMethod(r, http.MethodGet))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -607,7 +603,7 @@ func (s *Server) latencySummaries() map[string]LatencySummary {
 // handleStatsz serves GET /v1/statsz.
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeError(w, nil, http.StatusMethodNotAllowed, fmt.Errorf("serve: statsz needs GET"))
+		s.fail(w, nil, errMethod(r, http.MethodGet))
 		return
 	}
 	// Refresh the balance gauge on read so scrapes of /v1/statsz and
@@ -645,13 +641,81 @@ func (s *Server) refuse(w http.ResponseWriter, sp *obs.Span, status int, reason 
 	_ = json.NewEncoder(w).Encode(errorResponse{Error: "serve: " + reason + ", retry later"})
 }
 
-func (s *Server) writeError(w http.ResponseWriter, sp *obs.Span, status int, err error) {
+// StatusError attaches an HTTP status to an error. statusOf honors it
+// ahead of every other rule, so work that knows its answer — 404 for an
+// unknown session, 400 for an undecodable body — says so where it
+// fails, and a cluster frontend relays a worker's status unchanged.
+type StatusError struct {
+	Code int
+	Err  error
+}
+
+func (e *StatusError) Error() string { return e.Err.Error() }
+func (e *StatusError) Unwrap() error { return e.Err }
+
+// badRequest marks err as the client's fault.
+func badRequest(err error) error {
+	return &StatusError{Code: http.StatusBadRequest, Err: err}
+}
+
+// errMethod is the 405 for a request made with the wrong method.
+func errMethod(r *http.Request, method string) error {
+	return &StatusError{Code: http.StatusMethodNotAllowed,
+		Err: fmt.Errorf("serve: %s needs %s", r.URL.Path, method)}
+}
+
+// statusOf is the service's one error-to-status policy, shared by every
+// endpoint and every batch item: an explicit StatusError wins; then
+// saturation (429), an expired deadline (504), cancellation (503), and
+// an invalid edit (400 — the client's fault, whichever endpoint carried
+// it). Anything else is the server's (500).
+func statusOf(err error) int {
+	var se *StatusError
+	switch {
+	case errors.As(err, &se):
+		return se.Code
+	case errors.Is(err, par.ErrSaturated):
+		return http.StatusTooManyRequests
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, core.ErrEdit):
+		return http.StatusBadRequest
+	default:
+		return http.StatusInternalServerError
+	}
+}
+
+// tally counts one failed request or batch item: a saturation refusal
+// under serve.saturated, anything else under serve.errors — and a
+// timeout under serve.timeouts as well.
+func (s *Server) tally(status int) {
+	switch status {
+	case http.StatusTooManyRequests:
+		s.reg.Add("serve.saturated", 1)
+		return
+	case http.StatusGatewayTimeout:
+		s.reg.Add("serve.timeouts", 1)
+	}
+	s.reg.Add("serve.errors", 1)
+}
+
+// fail answers a failed request with statusOf(err), tallies it, and
+// returns the status. Saturation is a retryable refusal.
+func (s *Server) fail(w http.ResponseWriter, sp *obs.Span, err error) int {
+	status := statusOf(err)
+	s.tally(status)
+	if status == http.StatusTooManyRequests {
+		s.refuse(w, sp, status, "saturated")
+		return status
+	}
 	sp.Set("status", status)
 	sp.Set("error", err.Error())
-	s.reg.Add("serve.errors", 1)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(errorResponse{Error: err.Error()})
+	return status
 }
 
 // retryAfterSeconds renders the Retry-After hint. A refused client

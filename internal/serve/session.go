@@ -2,11 +2,8 @@ package serve
 
 import (
 	"container/list"
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -14,7 +11,6 @@ import (
 	"smartndr"
 	"smartndr/internal/core"
 	"smartndr/internal/obs"
-	"smartndr/internal/par"
 )
 
 // Session endpoints (histogram names are serve.<endpoint>_<class>_seconds).
@@ -305,269 +301,145 @@ func (st *sessionStore) stats() SessionStats {
 	}
 }
 
-// sessionWork executes one admitted, decoded session request and
-// returns the response or (status, error).
-type sessionWork func(rtr *obs.Tracer, body []byte) (*SessionResponse, int, error)
+// errNoSession is the 404 for an unknown or expired session ID.
+func errNoSession(id string) error {
+	return &StatusError{Code: http.StatusNotFound,
+		Err: fmt.Errorf("serve: no session %q (expired or never created)", id)}
+}
 
-// handleSession is the shared session request path, mirroring handleRun:
-// deferred histogram + tracez record, method check, admission, scoped
-// tracer, bounded body read, then the endpoint work. Session responses
-// are stateful (rev counters), so there is no result cache — the
-// admission gate is the only throughput control. okOutcome is the cache
-// class a 200 lands in: "" (cold) for work that runs the engine,
-// CacheHit for pure state reads.
-func (s *Server) handleSession(w http.ResponseWriter, r *http.Request,
-	method, endpoint, okOutcome string, work sessionWork) {
-
-	t0 := s.now()
-	var (
-		reqID   int64
-		status  int
-		key     string
-		outcome string
-		col     *obs.Collector
-	)
-	defer func() {
-		d := s.now().Sub(t0)
-		class := latencyClass(status, outcome)
-		if h := s.lat[endpoint][class]; h != nil {
-			h.Observe(d.Seconds())
-		}
-		if s.tracez != nil {
-			var evs []obs.SpanEvent
-			if col != nil {
-				evs = col.Events()
-			}
-			s.tracez.Add(TraceRecord{
-				Req: reqID, Endpoint: endpoint, Key: key, Outcome: class,
-				Cache: outcome, Status: status, DurNS: d.Nanoseconds(),
-				Spans: buildSpanTree(evs),
-			})
-		}
-	}()
-
-	if r.Method != method {
-		status = http.StatusMethodNotAllowed
-		s.writeError(w, nil, status, fmt.Errorf("serve: %s needs %s", r.URL.Path, method))
-		return
-	}
-	if !s.admit() {
-		status = http.StatusServiceUnavailable
-		s.refuse(w, nil, status, "draining")
-		return
-	}
-	defer s.depart()
-	s.reg.Add("serve.requests", 1)
-
-	reqID = s.reqID.Add(1)
-	rtr := s.tr.Scoped()
-	if s.tracez != nil && s.tr.Enabled() {
-		col = obs.NewCollector()
-		rtr = s.tr.ScopedTee(col)
-	}
-	sp := rtr.Start("serve."+endpoint, obs.I("req", int(reqID)))
-	defer sp.End()
-
-	var body []byte
-	if method == http.MethodPost {
-		var err error
-		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
-		if err != nil {
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				status = http.StatusRequestEntityTooLarge
-				s.writeError(w, sp, status,
-					fmt.Errorf("serve: request body exceeds %d bytes", tooLarge.Limit))
-				return
-			}
-			status = http.StatusBadRequest
-			s.writeError(w, sp, status, fmt.Errorf("serve: reading body: %w", err))
-			return
-		}
-	}
-	resp, failStatus, err := work(rtr, body)
-	if err != nil {
-		status = failStatus
-		switch status {
-		case http.StatusTooManyRequests:
-			s.reg.Add("serve.saturated", 1)
-			s.refuse(w, sp, status, "saturated")
-		case http.StatusGatewayTimeout:
-			s.reg.Add("serve.timeouts", 1)
-			s.writeError(w, sp, status, err)
-		default:
-			s.writeError(w, sp, status, err)
-		}
-		return
-	}
-	key = resp.Key
-	outcome = okOutcome
-	sp.Set("key", key)
+// sessionReply renders a session response. Session responses are
+// stateful (rev counters), so there is no result cache — the admission
+// gate is the only throughput control. cache is the class a 200 lands
+// in: "" (cold) for work that runs the engine, CacheHit for pure state
+// reads.
+func sessionReply(sp *obs.Span, resp *SessionResponse, cache string) (reply, error) {
 	sp.Set("session", resp.Session)
-	status = http.StatusOK
-	sp.Set("status", http.StatusOK)
-	sp.Set("cache", outcome)
-	out, err := json.Marshal(resp)
+	body, err := json.Marshal(resp)
+	return reply{key: resp.Key, cache: cache, body: body}, err
+}
+
+// sessionCreate serves POST /v1/session: open the flow cold (gated —
+// it is a full synthesis), apply the initial edit state, store the
+// session at rev 0.
+func (s *Server) sessionCreate(r *http.Request, body []byte, sp *obs.Span, rtr *obs.Tracer) (reply, error) {
+	req, err := DecodeSessionCreateRequest(body)
 	if err != nil {
-		status = http.StatusInternalServerError
-		s.writeError(w, sp, status, err)
+		return reply{}, badRequest(err)
+	}
+	sr, ok := s.runner.(SessionRunner)
+	if !ok {
+		return reply{}, &StatusError{Code: http.StatusNotImplemented,
+			Err: fmt.Errorf("serve: this runner does not host sessions")}
+	}
+	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	defer cancel()
+	release, err := s.gate.Acquire(ctx)
+	if err != nil {
+		return reply{}, err
+	}
+	defer release()
+	h, err := sr.OpenSession(ctx, &req.FlowRequest, rtr)
+	if err != nil {
+		return reply{}, err
+	}
+	state := core.CanonicalEdits(req.Edits)
+	result, key, err := h.Apply(ctx, state)
+	if err != nil {
+		return reply{}, err
+	}
+	sess := s.sessions.add(h, time.Duration(req.TTLMS)*time.Millisecond, state, key)
+	return sessionReply(sp, &SessionResponse{
+		Session: sess.id,
+		Rev:     0,
+		Revs:    1,
+		Key:     key,
+		Nodes:   h.Nodes(),
+		Result:  result,
+	}, "")
+}
+
+// sessionDelta serves POST /v1/session/{id}/delta: resolve the target
+// edit state (stacked edits or a rollback), apply it under the
+// session's writer lock, record the new rev.
+func (s *Server) sessionDelta(r *http.Request, body []byte, sp *obs.Span, rtr *obs.Tracer) (reply, error) {
+	req, err := DecodeSessionDeltaRequest(body)
+	if err != nil {
+		return reply{}, badRequest(err)
+	}
+	id := r.PathValue("id")
+	sess := s.sessions.get(id)
+	if sess == nil {
+		return reply{}, errNoSession(id)
+	}
+	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	defer cancel()
+	release, err := s.gate.Acquire(ctx)
+	if err != nil {
+		return reply{}, err
+	}
+	defer release()
+	asp := rtr.Start("serve.session_apply", obs.I("edits", len(req.Edits)))
+	defer asp.End()
+	// Single writer: resolving the target state, the edit itself, and
+	// the rev append are one critical section, so concurrent deltas
+	// serialize and each sees the other's revs.
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	var state []smartndr.Edit
+	if rb := req.RollbackTo; rb != nil {
+		if *rb >= len(sess.revs) {
+			return reply{}, fmt.Errorf("%w: rollback_to %d beyond rev %d", core.ErrEdit, *rb, len(sess.revs)-1)
+		}
+		state = sess.revs[*rb].edits
+		s.reg.Add("serve.session_rollbacks", 1)
+	} else {
+		cur := sess.revs[len(sess.revs)-1].edits
+		state = core.CanonicalEdits(append(append([]smartndr.Edit{}, cur...), req.Edits...))
+	}
+	result, key, err := sess.handle.Apply(ctx, state)
+	if err != nil {
+		return reply{}, err
+	}
+	sess.revs = append(sess.revs, sessionRev{edits: state, key: key})
+	s.reg.Add("serve.session_deltas", 1)
+	return sessionReply(sp, &SessionResponse{
+		Session: sess.id,
+		Rev:     len(sess.revs) - 1,
+		Revs:    len(sess.revs),
+		Key:     key,
+		Nodes:   sess.handle.Nodes(),
+		Result:  result,
+	}, "")
+}
+
+// sessionRead serves GET /v1/session/{id}: a cheap state read, no
+// engine work.
+func (s *Server) sessionRead(r *http.Request, _ []byte, sp *obs.Span, _ *obs.Tracer) (reply, error) {
+	id := r.PathValue("id")
+	sess := s.sessions.get(id)
+	if sess == nil {
+		return reply{}, errNoSession(id)
+	}
+	sess.mu.RLock()
+	defer sess.mu.RUnlock()
+	rev := len(sess.revs) - 1
+	return sessionReply(sp, &SessionResponse{
+		Session: sess.id,
+		Rev:     rev,
+		Revs:    len(sess.revs),
+		Key:     sess.revs[rev].key,
+		Nodes:   sess.handle.Nodes(),
+	}, CacheHit)
+}
+
+// closeSession serves DELETE /v1/session/{id}: close now instead of
+// waiting out the TTL.
+func (s *Server) closeSession(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	if !s.sessions.remove(id) {
+		s.fail(w, nil, errNoSession(id))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", outcome)
-	w.Header().Set("X-Key", key)
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(out)
-}
-
-// mapRunError classifies an engine/gate error the way handleRun does,
-// with the session-specific addition that edit-validation failures
-// (core.ErrEdit) are the client's fault.
-func mapRunError(err error) int {
-	switch {
-	case errors.Is(err, par.ErrSaturated):
-		return http.StatusTooManyRequests
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, core.ErrEdit):
-		return http.StatusBadRequest
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-// handleSessionCreate serves POST /v1/session: open the flow cold
-// (gated — it is a full synthesis), apply the initial edit state, store
-// the session at rev 0.
-func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	s.handleSession(w, r, http.MethodPost, epSessionCreate, "", func(rtr *obs.Tracer, body []byte) (*SessionResponse, int, error) {
-		req, err := DecodeSessionCreateRequest(body)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		sr, ok := s.runner.(SessionRunner)
-		if !ok {
-			return nil, http.StatusNotImplemented,
-				fmt.Errorf("serve: this runner does not host sessions")
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), s.resolveTimeout(req.TimeoutMS))
-		defer cancel()
-		release, err := s.gate.Acquire(ctx)
-		if err != nil {
-			return nil, mapRunError(err), err
-		}
-		defer release()
-		h, err := sr.OpenSession(ctx, &req.FlowRequest, rtr)
-		if err != nil {
-			return nil, mapRunError(err), err
-		}
-		state := core.CanonicalEdits(req.Edits)
-		result, key, err := h.Apply(ctx, state)
-		if err != nil {
-			return nil, mapRunError(err), err
-		}
-		sess := s.sessions.add(h, time.Duration(req.TTLMS)*time.Millisecond, state, key)
-		return &SessionResponse{
-			Session: sess.id,
-			Rev:     0,
-			Revs:    1,
-			Key:     key,
-			Nodes:   h.Nodes(),
-			Result:  result,
-		}, 0, nil
-	})
-}
-
-// handleSessionDelta serves POST /v1/session/{id}/delta: resolve the
-// target edit state (stacked edits or a rollback), apply it under the
-// session's writer lock, record the new rev.
-func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
-	s.handleSession(w, r, http.MethodPost, epSessionDelta, "", func(rtr *obs.Tracer, body []byte) (*SessionResponse, int, error) {
-		req, err := DecodeSessionDeltaRequest(body)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		id := r.PathValue("id")
-		sess := s.sessions.get(id)
-		if sess == nil {
-			return nil, http.StatusNotFound,
-				fmt.Errorf("serve: no session %q (expired or never created)", id)
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), s.resolveTimeout(req.TimeoutMS))
-		defer cancel()
-		release, err := s.gate.Acquire(ctx)
-		if err != nil {
-			return nil, mapRunError(err), err
-		}
-		defer release()
-		sp := rtr.Start("serve.session_apply", obs.I("edits", len(req.Edits)))
-		defer sp.End()
-		// Single writer: resolving the target state, the edit itself,
-		// and the rev append are one critical section, so concurrent
-		// deltas serialize and each sees the other's revs.
-		sess.mu.Lock()
-		defer sess.mu.Unlock()
-		var state []smartndr.Edit
-		if rb := req.RollbackTo; rb != nil {
-			if *rb >= len(sess.revs) {
-				return nil, http.StatusBadRequest,
-					fmt.Errorf("%w: rollback_to %d beyond rev %d", core.ErrEdit, *rb, len(sess.revs)-1)
-			}
-			state = sess.revs[*rb].edits
-			s.reg.Add("serve.session_rollbacks", 1)
-		} else {
-			cur := sess.revs[len(sess.revs)-1].edits
-			state = core.CanonicalEdits(append(append([]smartndr.Edit{}, cur...), req.Edits...))
-		}
-		result, key, err := sess.handle.Apply(ctx, state)
-		if err != nil {
-			return nil, mapRunError(err), err
-		}
-		sess.revs = append(sess.revs, sessionRev{edits: state, key: key})
-		s.reg.Add("serve.session_deltas", 1)
-		return &SessionResponse{
-			Session: sess.id,
-			Rev:     len(sess.revs) - 1,
-			Revs:    len(sess.revs),
-			Key:     key,
-			Nodes:   sess.handle.Nodes(),
-			Result:  result,
-		}, 0, nil
-	})
-}
-
-// handleSessionByID serves GET (cheap state read, no engine work) and
-// DELETE (close now instead of waiting out the TTL) on /v1/session/{id}.
-func (s *Server) handleSessionByID(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodDelete {
-		id := r.PathValue("id")
-		if !s.sessions.remove(id) {
-			s.writeError(w, nil, http.StatusNotFound,
-				fmt.Errorf("serve: no session %q (expired or never created)", id))
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]string{"closed": id})
-		return
-	}
-	s.handleSession(w, r, http.MethodGet, epSessionRead, CacheHit, func(rtr *obs.Tracer, body []byte) (*SessionResponse, int, error) {
-		id := r.PathValue("id")
-		sess := s.sessions.get(id)
-		if sess == nil {
-			return nil, http.StatusNotFound,
-				fmt.Errorf("serve: no session %q (expired or never created)", id)
-		}
-		sess.mu.RLock()
-		defer sess.mu.RUnlock()
-		rev := len(sess.revs) - 1
-		return &SessionResponse{
-			Session: sess.id,
-			Rev:     rev,
-			Revs:    len(sess.revs),
-			Key:     sess.revs[rev].key,
-			Nodes:   sess.handle.Nodes(),
-		}, 0, nil
-	})
+	_ = json.NewEncoder(w).Encode(map[string]string{"closed": id})
 }

@@ -27,10 +27,14 @@ func sessionDelta(tb testing.TB, edits []smartndr.Edit) []byte {
 // the 300-sink case, a warm session delta — dirty-region re-evaluation
 // of a live tree — must come in under 5% of a cold /v1/flow of the same
 // edited state, which pays synthesis + optimization + full evaluation.
+// Cold and warm are sampled the same way: three distinct edited states,
+// each timed once cold and once warm, best of three on both sides, so
+// one scheduling hiccup cannot fail the run on either side.
 func TestServeSessionDeltaLatencyFloor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("300-sink synthesis is not a -short test")
 	}
+	// Cache sized to 1 so no cold flow reuses another's result.
 	ts := httptest.NewServer(New(Config{CacheEntries: 1}).Handler())
 	defer ts.Close()
 	spec := testutil.UniformSpec("lat300", 300, 3000, 42)
@@ -51,55 +55,45 @@ func TestServeSessionDeltaLatencyFloor(t *testing.T) {
 	}
 	sess := decodeSessionResponse(t, body)
 
-	edit := []smartndr.Edit{{Op: core.OpMoveSink, Sink: 5, X: 1200, Y: 900}}
-
-	// Cold baseline: full flow of the edited spec, timed through the
-	// same HTTP stack (cache sized to 1 so nothing is reused).
-	coldReq, err := json.Marshal(&FlowRequest{Spec: &spec, Scheme: "smart-ndr", Edits: edit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	begin := time.Now()
-	resp, err = http.Post(ts.URL+"/v1/flow", "application/json", bytes.NewReader(coldReq))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := time.Since(begin)
-	coldBody := readBody(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cold flow status %d: %s", resp.StatusCode, coldBody)
-	}
-
-	// Warm probes: the same edit applied repeatedly is idempotent on the
-	// canonical state, so every probe re-evaluates the same delta. Best
-	// of three, so one scheduling hiccup cannot fail the run.
-	deltaBody := sessionDelta(t, edit)
-	warm := time.Duration(1<<62 - 1)
-	var warmResult []byte
-	for i := 0; i < 3; i++ {
+	// post times one request through the full HTTP stack.
+	post := func(path string, body []byte) ([]byte, time.Duration) {
+		t.Helper()
 		begin := time.Now()
-		resp, err := http.Post(ts.URL+"/v1/session/"+sess.Session+"/delta",
-			"application/json", bytes.NewReader(deltaBody))
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		d := time.Since(begin)
 		out := readBody(t, resp)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("delta %d status %d: %s", i, resp.StatusCode, out)
+			t.Fatalf("%s status %d: %s", path, resp.StatusCode, out)
 		}
-		if d < warm {
-			warm = d
+		return out, d
+	}
+	// Each state moves the same sink somewhere new, so every delta
+	// changes the canonical state and does real dirty-region work.
+	states := [][]smartndr.Edit{
+		{{Op: core.OpMoveSink, Sink: 5, X: 1200, Y: 900}},
+		{{Op: core.OpMoveSink, Sink: 5, X: 400, Y: 2100}},
+		{{Op: core.OpMoveSink, Sink: 5, X: 2600, Y: 1700}},
+	}
+	cold, warm := time.Duration(1<<62-1), time.Duration(1<<62-1)
+	for i, edits := range states {
+		coldReq, err := json.Marshal(&FlowRequest{Spec: &spec, Scheme: "smart-ndr", Edits: edits})
+		if err != nil {
+			t.Fatal(err)
 		}
-		warmResult = decodeSessionResponse(t, out).Result
+		coldBody, c := post("/v1/flow", coldReq)
+		out, w := post("/v1/session/"+sess.Session+"/delta", sessionDelta(t, edits))
+		cold, warm = min(cold, c), min(warm, w)
+		// The speed claim is only meaningful because the answers agree.
+		if warmResult := decodeSessionResponse(t, out).Result; !bytes.Equal(warmResult, coldBody) {
+			t.Fatalf("state %d: warm delta result differs from cold flow:\n%s\n%s", i, warmResult, coldBody)
+		}
 	}
-
-	// The speed claim is only meaningful because the answers agree.
-	if !bytes.Equal(warmResult, coldBody) {
-		t.Fatalf("warm delta result differs from cold flow:\n%s\n%s", warmResult, coldBody)
-	}
+	t.Logf("best of %d: cold flow %v, warm delta %v", len(states), cold, warm)
 	if warm >= cold/20 {
-		t.Errorf("warm session delta %v is not under 5%% of cold flow %v", warm, cold)
+		t.Errorf("best warm session delta %v is not under 5%% of best cold flow %v", warm, cold)
 	}
 }
 

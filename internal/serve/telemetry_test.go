@@ -14,9 +14,9 @@ import (
 )
 
 // stepClock is an injectable clock: every Now() advances by the
-// current step, so request durations are exact multiples of it —
-// handleRun reads the clock exactly twice (admission and finish), so a
-// request observed with step d has duration d.
+// current step, so request durations are exact multiples of it — the
+// request envelope reads the clock exactly twice (admission and
+// finish), so a request observed with step d has duration d.
 type stepClock struct {
 	mu   sync.Mutex
 	t    time.Time

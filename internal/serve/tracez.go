@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"sort"
 	"strings"
@@ -153,7 +152,7 @@ func (b *TraceBuffer) Snapshot() TracezPage {
 // request span trees. 404 when the buffer is disabled.
 func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeError(w, nil, http.StatusMethodNotAllowed, fmt.Errorf("serve: tracez needs GET"))
+		s.fail(w, nil, errMethod(r, http.MethodGet))
 		return
 	}
 	if s.tracez == nil {

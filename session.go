@@ -40,7 +40,7 @@ type FlowSession struct {
 func (f *Flow) OpenSession(ctx context.Context, spec BenchSpec, scheme Scheme) (*FlowSession, error) {
 	sp := f.cfg.Tracer.Start("flow.open_session", obs.S("scheme", scheme.String()))
 	defer sp.End()
-	built, res, err := f.RunSpec(ctx, spec, scheme)
+	built, res, err := f.RunSpecEdits(ctx, spec, scheme, nil)
 	if err != nil {
 		return nil, err
 	}
