@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build check vet fmt lint lint-extra test race bench bench-smoke bench-scale bench-json cover fuzz-smoke cluster-smoke loc ci clean
+.PHONY: all build check vet fmt lint lint-extra test race bench bench-smoke bench-scale bench-json cover fuzz-smoke cluster-smoke perfbench-check loc ci clean
 
 # Coverage floor (percent) enforced on internal/serve — the service
 # layer is pure coordination logic, so uncovered lines are usually
@@ -119,16 +119,23 @@ cluster-smoke:
 		./internal/cluster/
 	$(GO) test -race -count=1 -run 'TestDaemonClusterRoles' ./cmd/smartndrd/
 
+# Vet and test the benchmark (perfbench, its own module compiled against
+# this one), so an engine API change that breaks the benchmark fails here
+# rather than in a benchmark run. Offline, about 2 s, writes nothing.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Non-test Go lines, the size figure the ROADMAP tracks next to ns/op
 # and allocs/op. perfbench (its own module) and testdata are excluded.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 # What CI runs (.github/workflows/ci.yml): everything check does plus a
-# plain build, the full test suite, the benchmark smoke pass, the scale
-# canary, the fuzz smoke pass, and the coverage floor. CI also runs
-# lint-extra, which needs network access for the pinned tools.
-ci: build vet fmt lint test race cluster-smoke bench-smoke bench-scale fuzz-smoke cover
+# plain build, the full test suite, the benchmark module check, the
+# benchmark smoke pass, the scale canary, the fuzz smoke pass, and the
+# coverage floor. CI also runs lint-extra, which needs network access for
+# the pinned tools.
+ci: build vet fmt lint test race cluster-smoke perfbench-check bench-smoke bench-scale fuzz-smoke cover
 
 clean:
 	$(GO) clean ./...

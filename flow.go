@@ -426,17 +426,13 @@ func (f *Flow) RunHier(ctx context.Context, sinks []Sink, src Point, scheme Sche
 	return built, res, nil
 }
 
-// flowKeyVersion prefixes every canonical run serialization. Bump it
-// whenever the key format (or anything about result semantics) changes
-// so stale content-addressed cache entries can never alias new results.
-const flowKeyVersion = "smartndr/flow/v2"
-
-// flowKeyVersionEdits is the version stamped on runs that carry session
-// edits. Edit-free runs keep flowKeyVersion — their serialization (the
-// Edits field is omitempty) and therefore their content addresses are
-// bitwise what they were before sessions existed, so warm caches survive
-// the upgrade; the golden-key regression test pins that.
-const flowKeyVersionEdits = "smartndr/flow/v3"
+// flowKeyVersion prefixes every canonical run serialization, plain and
+// edited runs alike (the Edits field is omitempty, so the two still hash
+// apart). Bump it whenever the key format (or anything about result
+// semantics) changes so stale content-addressed cache entries can never
+// alias new results; the golden-key regression test pins the current
+// addresses.
+const flowKeyVersion = "smartndr/flow/v4"
 
 // runKey is the canonical serialization of everything that determines a
 // RunSpecEdits result: the benchmark spec, the full technology and buffer
@@ -465,7 +461,7 @@ type runKey struct {
 // the content address covers. The edits (nil for a plain run) are
 // canonicalized first, so every edit sequence reaching the same state
 // serializes — and hashes — identically. With no surviving edits the
-// serialization and version stamp are a plain run's.
+// serialization is a plain run's.
 func (f *Flow) CanonicalRunEdits(spec BenchSpec, scheme Scheme, edits []Edit) ([]byte, error) {
 	k := runKey{
 		V:       flowKeyVersion,
@@ -479,9 +475,6 @@ func (f *Flow) CanonicalRunEdits(spec BenchSpec, scheme Scheme, edits []Edit) ([
 		Opt:     f.cfg.Opt,
 		Hier:    f.cfg.Hier,
 		Edits:   core.CanonicalEdits(edits),
-	}
-	if len(k.Edits) > 0 {
-		k.V = flowKeyVersionEdits
 	}
 	// Zero the non-semantic fields (a nil and a live tracer must
 	// serialize identically).
@@ -575,7 +568,7 @@ func (f *Flow) Evaluate(t *Tree) (Metrics, error) {
 // Timing exposes the underlying STA result of a tree (arrivals, slews,
 // stage loads) for inspection and custom reports.
 func (f *Flow) Timing(t *Tree) (*sta.Result, error) {
-	return sta.AnalyzeTr(t, f.cfg.Tech, f.cfg.Library, f.cfg.InSlew, nil, f.cfg.Tracer)
+	return sta.NewIncremental(f.cfg.Tech, f.cfg.Library).Full(t, f.cfg.InSlew, nil, f.cfg.Tracer)
 }
 
 // MonteCarlo runs process-variation analysis on a tree. When the params

@@ -10,7 +10,7 @@ import (
 // TestRepairSkewAllocBound guards the hot-path refactor that hoisted
 // the repair loop's working arrays (stage ownership, driver
 // resistances, slew budgets, snapshots) out of the iteration loop and
-// replaced the per-iteration driver map with the analyzer's Drivers
+// replaced the per-iteration driver map with the STA result's Drivers
 // slice. Allocation count per RepairSkew call must stay small and, in
 // particular, must not scale with iteration count — each measured run
 // resets the tree and repairs from scratch across several iterations,

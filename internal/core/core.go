@@ -88,11 +88,6 @@ type Config struct {
 	// width floors are computed up front and no edge is downgraded below
 	// its floor. Nil reproduces the slew/skew-only optimization.
 	EM *EMLimit
-	// DisableIncrementalSTA pins every timing query to a from-scratch
-	// analysis instead of the dirty-region update path. The two modes
-	// produce byte-identical results (the incremental engine is bitwise
-	// exact); this knob exists for A/B measurement and as a safety valve.
-	DisableIncrementalSTA bool
 	// Tracer, when non-nil, records per-phase spans and optimizer
 	// counters (downgrades, upgrades, repair rounds). Nil disables
 	// instrumentation at no cost.
@@ -165,7 +160,7 @@ func Evaluate(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64) (
 func EvaluateTr(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64, tr *obs.Tracer) (Metrics, *sta.Result, error) {
 	sp := tr.Start("core.evaluate")
 	defer sp.End()
-	res, err := sta.AnalyzeTr(t, te, lib, inSlew, nil, tr)
+	res, err := sta.NewIncremental(te, lib).Full(t, inSlew, nil, tr)
 	if err != nil {
 		return Metrics{}, nil, err
 	}

@@ -50,6 +50,7 @@ func EvaluateCorners(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew flo
 		}
 	}
 	arr := make([][]float64, 0, len(corners))
+	eng := sta.NewIncremental(te, lib)
 	for _, c := range corners {
 		if err := c.Validate(); err != nil {
 			return nil, err
@@ -65,9 +66,9 @@ func EvaluateCorners(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew flo
 			}
 			bufScale[i] = c.BufFactor
 		}
-		res, err := sta.AnalyzeOv(t, te, lib, inSlew, &sta.Overrides{
+		res, err := eng.Full(t, inSlew, &sta.Overrides{
 			EdgeR: edgeR, EdgeC: edgeC, BufScale: bufScale,
-		})
+		}, nil)
 		if err != nil {
 			return nil, err
 		}

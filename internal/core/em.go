@@ -67,7 +67,7 @@ func EMFloors(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64, l
 // emFloors is EMFloors against a caller-supplied timing engine: called
 // right after another analysis of the same tree state (as Optimize does
 // per pass), the timing query is served from cache.
-func emFloors(tim *sta.Incremental, t *ctree.Tree, te *tech.Tech, inSlew float64, l EMLimit) ([]float64, error) {
+func emFloors(tim timer, t *ctree.Tree, te *tech.Tech, inSlew float64, l EMLimit) ([]float64, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}

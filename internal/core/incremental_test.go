@@ -28,11 +28,26 @@ func sameTree(t *testing.T, tag string, a, b *ctree.Tree) {
 	}
 }
 
-// TestOptimizeIncrementalInvariance: the incremental-STA knob must not
-// change a single optimizer decision — Stats (including every per-pass
-// table) and the final tree are byte-identical with it on and off. This
-// is the strong form of the ≤1e-12 contract: the incremental engine is
-// bitwise exact, so the flows cannot diverge.
+// fullTimer is the reference timing engine: every query is a from-scratch
+// pass, so no optimizer decision can depend on the dirty-region path. The
+// passes never leave state to update from, so the promoted Touch is a
+// no-op; Stats counts each query as a full run.
+type fullTimer struct{ *sta.Incremental }
+
+func newFullTimer(te *tech.Tech, lib *cell.Library) fullTimer {
+	return fullTimer{sta.NewIncremental(te, lib)}
+}
+
+func (f fullTimer) Analyze(t *ctree.Tree, inSlew float64) (*sta.Result, error) {
+	return f.Full(t, inSlew, nil, nil)
+}
+
+// TestOptimizeIncrementalInvariance: answering the optimizer's timing
+// queries incrementally must not change a single decision — Stats
+// (including every per-pass table) and the final tree are byte-identical
+// to a run against the full-pass reference engine. This is the strong
+// form of the ≤1e-12 contract: the incremental engine is bitwise exact,
+// so the flows cannot diverge.
 func TestOptimizeIncrementalInvariance(t *testing.T) {
 	te := tech.Tech45()
 	lib := cell.Default45()
@@ -53,14 +68,11 @@ func TestOptimizeIncrementalInvariance(t *testing.T) {
 			base := buildBlanket(t, tc.n, tc.seed, float64(tc.n)*10, te, lib)
 			incTree, fullTree := base.Clone(), base.Clone()
 
-			cfgInc := tc.cfg
-			stInc, err := Optimize(incTree, te, lib, cfgInc)
+			stInc, err := Optimize(incTree, te, lib, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfgFull := tc.cfg
-			cfgFull.DisableIncrementalSTA = true
-			stFull, err := Optimize(fullTree, te, lib, cfgFull)
+			stFull, err := optimize(fullTree, te, lib, tc.cfg, newFullTimer(te, lib))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,13 +84,14 @@ func TestOptimizeIncrementalInvariance(t *testing.T) {
 	}
 }
 
-// optimizeVisits runs Optimize on a fresh copy of the benchmark testcase
-// and returns the STA node-visit count reported through the tracer.
-func optimizeVisits(t *testing.T, tree *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config) float64 {
+// optimizeVisits runs the optimizer against tim on a fresh copy of the
+// benchmark testcase and returns the STA node-visit count reported
+// through the tracer.
+func optimizeVisits(t *testing.T, tree *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config, tim timer) float64 {
 	t.Helper()
 	tr := obs.New(obs.NewCollector())
 	cfg.Tracer = tr
-	if _, err := Optimize(tree, te, lib, cfg); err != nil {
+	if _, err := optimize(tree, te, lib, cfg, tim); err != nil {
 		t.Fatal(err)
 	}
 	return tr.Registry().Counter("sta.node_visits")
@@ -99,10 +112,8 @@ func TestOptimizeNodeVisitReduction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	full := cfg
-	full.DisableIncrementalSTA = true
-	fullVisits := optimizeVisits(t, base.Clone(), te, lib, full)
-	incVisits := optimizeVisits(t, base.Clone(), te, lib, cfg)
+	fullVisits := optimizeVisits(t, base.Clone(), te, lib, cfg, newFullTimer(te, lib))
+	incVisits := optimizeVisits(t, base.Clone(), te, lib, cfg, sta.NewIncremental(te, lib))
 	if fullVisits == 0 || incVisits == 0 {
 		t.Fatalf("missing visit counters: full=%v inc=%v", fullVisits, incVisits)
 	}
@@ -194,8 +205,8 @@ func TestDeepChainTraversals(t *testing.T) {
 }
 
 // BenchmarkOptimize is the benchmark testcase for the incremental-STA
-// numbers in docs/performance.md: the 300-sink EM-aware optimization,
-// incremental path on (the default).
+// numbers in docs/performance.md: the 300-sink EM-aware optimization
+// through Optimize's own engine.
 func BenchmarkOptimize(b *testing.B) {
 	benchOptimize(b, false)
 }
@@ -206,7 +217,7 @@ func BenchmarkOptimizeFullSTA(b *testing.B) {
 	benchOptimize(b, true)
 }
 
-func benchOptimize(b *testing.B, disableInc bool) {
+func benchOptimize(b *testing.B, full bool) {
 	te := tech.Tech45()
 	lib := cell.Default45()
 	em := DefaultEMLimit()
@@ -219,15 +230,22 @@ func benchOptimize(b *testing.B, disableInc bool) {
 		b.StopTimer()
 		tr := base.Clone()
 		b.StartTimer()
-		cfg := Config{EM: &em, DisableIncrementalSTA: disableInc}
-		if _, err := Optimize(tr, te, lib, cfg); err != nil {
+		cfg := Config{EM: &em}
+		var err error
+		if full {
+			_, err = optimize(tr, te, lib, cfg, newFullTimer(te, lib))
+		} else {
+			_, err = Optimize(tr, te, lib, cfg)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkRepairSkew measures the skew-repair loop through the shared
-// incremental engine; BenchmarkRepairSkewFullSTA pins it to full analyses.
+// incremental engine; BenchmarkRepairSkewFullSTA answers every query with
+// a full pass.
 func BenchmarkRepairSkew(b *testing.B) {
 	benchRepairSkew(b, false)
 }
@@ -236,7 +254,7 @@ func BenchmarkRepairSkewFullSTA(b *testing.B) {
 	benchRepairSkew(b, true)
 }
 
-func benchRepairSkew(b *testing.B, disableInc bool) {
+func benchRepairSkew(b *testing.B, full bool) {
 	te := tech.Tech45()
 	lib := cell.Default45()
 	base := buildBlanket(b, 300, 55, 3000, te, lib)
@@ -244,9 +262,11 @@ func benchRepairSkew(b *testing.B, disableInc bool) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		tr := base.Clone()
-		tim := sta.NewIncremental(te, lib)
-		if disableInc {
-			tim.Disable()
+		var tim timer
+		if full {
+			tim = newFullTimer(te, lib)
+		} else {
+			tim = sta.NewIncremental(te, lib)
 		}
 		b.StartTimer()
 		if _, err := repairToTargets(tim, tr, te, lib, 40e-12, nil, te.MaxSkew, 30); err != nil {

@@ -63,10 +63,10 @@ func RepairToTargets(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew flo
 }
 
 // repairToTargets runs the repair loop against a caller-supplied timing
-// engine, so Optimize's repair rounds share one analyzer (and its
+// engine, so Optimize's repair rounds share one engine (and its
 // incremental state) with the rest of the run. Every edge edit — snakes
 // and rollback restores alike — is reported through tim.Touch.
-func repairToTargets(tim *sta.Incremental, t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64, targets []float64, tol float64, maxIters int) (RepairStats, error) {
+func repairToTargets(tim timer, t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64, targets []float64, tol float64, maxIters int) (RepairStats, error) {
 	if tol <= 0 {
 		return RepairStats{}, fmt.Errorf("core: non-positive tolerance %g", tol)
 	}
@@ -274,16 +274,12 @@ func repairToTargets(tim *sta.Incremental, t *ctree.Tree, te *tech.Tech, lib *ce
 	return st, nil
 }
 
-// snakeFor returns the extra wire length on an edge with the given rule
-// and within-stage downstream load that adds `delta` seconds of Elmore
-// delay:  r·e·(c·e/2 + load) = delta.
-func snakeFor(delta float64, rule int, load float64, te *tech.Tech) float64 {
-	return snakeForStage(delta, rule, load, 0, te)
-}
-
-// snakeForStage additionally charges the stage-driver loading term: the
-// snake's wire capacitance c·e raises the driver's delay by rdDrv·c·e,
-// which the targeted subtree experiences on top of the wire Elmore:
+// snakeForStage returns the extra wire length on an edge with the given
+// rule and within-stage downstream load that adds `delta` seconds of
+// delay. Besides the snake's own Elmore term r·e·(c·e/2 + load), it
+// charges the stage-driver loading term: the snake's wire capacitance c·e
+// raises the driver's delay by rdDrv·c·e, which the targeted subtree
+// experiences on top of the wire Elmore:
 //
 //	(r·c/2)·e² + (r·load + rdDrv·c)·e = delta
 func snakeForStage(delta float64, rule int, load, rdDrv float64, te *tech.Tech) float64 {
@@ -296,23 +292,4 @@ func snakeForStage(delta float64, rule int, load, rdDrv float64, te *tech.Tech) 
 	B := r*load + rdDrv*c
 	disc := B*B + 4*A*delta
 	return (-B + math.Sqrt(disc)) / (2 * A)
-}
-
-// elmoreOf returns the Elmore delay a snake of length dl adds.
-func elmoreOf(dl float64, rule int, load float64, te *tech.Tech) float64 {
-	r := te.Layer.RPerUm(te.Rule(rule))
-	c := te.Layer.CPerUm(te.Rule(rule))
-	return r * dl * (c*dl/2 + load)
-}
-
-// maxSnakeForSlew returns the longest snake on an edge (rule, load) that
-// keeps hypot(curSlew, ln9·elmore(dl)) ≤ ceil. Zero when the pin is
-// already at or over the ceiling.
-func maxSnakeForSlew(curSlew, ceil float64, rule int, load float64, te *tech.Tech) float64 {
-	if curSlew >= ceil {
-		return 0
-	}
-	// Allowed extra step slew in RSS.
-	extra := math.Sqrt(ceil*ceil - curSlew*curSlew)
-	return snakeFor(extra/rctree.Ln9, rule, load, te)
 }

@@ -38,9 +38,6 @@ type Stats struct {
 	RecoverRounds int
 }
 
-// debugOptimize enables diagnostic prints (tests only).
-var debugOptimize = false
-
 // sinkSpan maps tree nodes to contiguous ranges of DFS-ordered sinks, so a
 // subtree arrival shift is one segment-tree range-add.
 type sinkSpan struct {
@@ -96,6 +93,26 @@ func newSinkSpan(t *ctree.Tree) *sinkSpan {
 // (4) a final skew repair absorbs the residue. Rules and edge lengths are
 // modified in place.
 func Optimize(t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config) (*Stats, error) {
+	// One timing engine for the whole run: every analysis shares its
+	// buffers, and each query recomputes only the region the preceding
+	// edits dirtied.
+	return optimize(t, te, lib, cfg, sta.NewIncremental(te, lib))
+}
+
+// timer is the timing engine the optimizer queries: Analyze returns the
+// exact analysis of the tree's current state, Touch reports an accepted
+// edit to node v since the last Analyze, and Stats reads the cost
+// counters. *sta.Incremental implements it; the tests substitute an
+// engine that answers every query with a full pass, the reference the
+// optimizer's decisions must not depend on.
+type timer interface {
+	Analyze(t *ctree.Tree, inSlew float64) (*sta.Result, error)
+	Touch(v int)
+	Stats() sta.IncStats
+}
+
+// optimize is Optimize against a caller-supplied timing engine.
+func optimize(t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config, tim timer) (*Stats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -104,14 +121,6 @@ func Optimize(t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config) (*Sta
 	sp := tr.Start("core.optimize", obs.I("nodes", len(t.Nodes)))
 	defer sp.End()
 	stats := &Stats{}
-	// One timing engine for the whole run: every analysis below shares its
-	// buffers, and with the incremental path enabled (the default) each
-	// query recomputes only the region the preceding edits dirtied. The
-	// two modes are bitwise identical, so the knob never changes a result.
-	tim := sta.NewIncremental(te, lib)
-	if cfg.DisableIncrementalSTA {
-		tim.Disable()
-	}
 	res, err := tim.Analyze(t, cfg.InSlew)
 	if err != nil {
 		return nil, err
@@ -297,8 +306,9 @@ func Optimize(t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config) (*Sta
 	tr.Add("core.upgrades", float64(stats.Upgrades))
 	tr.Add("core.repair_wire_um", stats.RepairWire)
 	// STA cost telemetry (see sta.IncStats for the visit metric). These go
-	// to the tracer, not Stats, so Stats stays byte-identical across the
-	// incremental on/off knob while the cost difference stays observable.
+	// to the tracer, not Stats, so Stats stays byte-identical whichever
+	// engine answered the queries while the cost difference stays
+	// observable.
 	tst := tim.Stats()
 	tr.Add("sta.node_visits", float64(tst.NodeVisits))
 	tr.Add("sta.full_runs", float64(tst.FullRuns))
@@ -318,7 +328,7 @@ func Optimize(t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config) (*Sta
 // fresh analyses of the shared timing engine until clean or stuck. Returns
 // the upgrade count. enforceLimit is the per-stage target upgrades aim
 // for; exitLimit is the global transition level that counts as "clean".
-func recoverViolations(tim *sta.Incremental, t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config, enforceLimit, exitLimit float64, byCap []int) int {
+func recoverViolations(tim timer, t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config, enforceLimit, exitLimit float64, byCap []int) int {
 	total := 0
 	for round := 0; round < 5; round++ {
 		res, err := tim.Analyze(t, cfg.InSlew)
@@ -396,7 +406,7 @@ func (se *stageEval) candidateOrder(o Order, byCap []int) []int {
 // limit or no upgrade helps. Returns the number of upgrades applied.
 // Accepted edits are reported to tim; trial/revert probes are not (they
 // leave the tree unchanged).
-func (se *stageEval) upgradeUntilMet(tim *sta.Incremental, inSlew, slewLimit float64, byCap []int) int {
+func (se *stageEval) upgradeUntilMet(tim timer, inSlew, slewLimit float64, byCap []int) int {
 	n := 0
 	for guard := 0; guard < len(se.nodes)*len(byCap)+1; guard++ {
 		base := se.eval(inSlew)

@@ -202,7 +202,7 @@ func Build(ctx context.Context, sinks []ctree.Sink, src geom.Point, te *tech.Tec
 	trees := make([]*ctree.Tree, len(regions))
 	pseudo := make([]ctree.Sink, len(regions))
 	stats := make([]*core.Stats, len(regions))
-	analyzers := make([]*sta.Analyzer, workers)
+	analyzers := make([]*sta.Incremental, workers)
 	err := par.ForEachWorker(ctx, workers, len(regions), func(w, i int) error {
 		rs := regSpan.Child("region", obs.I("idx", i), obs.I("sinks", len(regions[i])))
 		defer rs.End()
@@ -225,9 +225,9 @@ func Build(ctx context.Context, sinks []ctree.Sink, src geom.Point, te *tech.Tec
 			stats[i] = st
 		}
 		if analyzers[w] == nil {
-			analyzers[w] = sta.NewAnalyzer(te, lib)
+			analyzers[w] = sta.NewIncremental(te, lib)
 		}
-		an, err := analyzers[w].Analyze(t, cfg.InSlew, nil)
+		an, err := analyzers[w].Full(t, cfg.InSlew, nil, nil)
 		if err != nil {
 			return fmt.Errorf("hier: region %d timing: %w", i, err)
 		}

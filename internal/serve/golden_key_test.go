@@ -8,14 +8,15 @@ import (
 	"smartndr/internal/workload"
 )
 
-// TestGoldenKeysUnchangedByEditSupport pins content addresses captured
-// before the session/edit feature landed (flow key version v2). Edit-free
-// requests must keep producing exactly these hashes: the edits field is
-// omitempty in the canonical serialization and the v3 version string is
-// stamped only when the canonical edit state is non-empty, so every
-// pre-existing flow, sweep, and batch cache entry stays addressable. If
-// this test fails, a serialization change silently invalidated every
-// deployed cache.
+// TestGoldenKeysUnchangedByEditSupport pins the content addresses of
+// edit-free flow, sweep, and batch requests under flow key version v4.
+// Edit-free requests must keep producing exactly these hashes: the edits
+// field is omitempty in the canonical serialization, so session support
+// never moves a plain run's address. The addresses were re-pinned once,
+// deliberately, when the result-neutral incremental-STA switch left the
+// serialized optimizer config and the key version went from v2 (plain) /
+// v3 (edited) to a single v4. If this test fails, a serialization change
+// silently invalidated every deployed cache.
 func TestGoldenKeysUnchangedByEditSupport(t *testing.T) {
 	fr := &FlowRunner{}
 	spec := workload.Spec{Name: "gold", Dist: workload.Uniform, Sinks: 48,
@@ -25,13 +26,13 @@ func TestGoldenKeysUnchangedByEditSupport(t *testing.T) {
 		want string
 	}{
 		{&FlowRequest{Bench: "cns01", Scheme: "smart-ndr"},
-			"c99f758fd4e2ea7238f19777dc4a852234335be67fa8bf3a29368a3a558ae227"},
+			"e8c100f5f03f82f3906a987e656d5948fbb8a507b77d1b5551516a1b74194397"},
 		{&FlowRequest{Bench: "cns03", Scheme: "blanket-ndr", Tech: "tech65", TopK: 3, InSlewPS: 60},
-			"19599aeab93466c924ee19eeb6286cb94bc82ee06920ab43cff6cc4ccbdc6e16"},
+			"cf7962be2e51a8a98728b534b86c02588642c2c0aa3d56bb2147041532f95b24"},
 		{&FlowRequest{Spec: &spec, Scheme: "top-k", TopK: 4},
-			"45317fdc6d721c0ad99fa5ce0ffa36db0bd444ebce41d050eb27836b22addd30"},
+			"d8b92d53777c62e6c3aa904cb6f0a0fa96fbf206c3806dcdbb8600d662f499e1"},
 		{&FlowRequest{Spec: &spec, Scheme: "smart-ndr", MaxRegionSinks: 32, SkewSplit: 0.6},
-			"cf0bc7cbdf48fa9abe4336a0ba92d31630f34c22ea6f5220c05c3e1ce200f55c"},
+			"f43b4e64eaa2ff7a814e97f2c85593af7d64d5b5998019fe962e95b32af74913"},
 	}
 	for i, c := range flows {
 		got, err := fr.FlowKey(c.req)
@@ -49,7 +50,7 @@ func TestGoldenKeysUnchangedByEditSupport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "919ddc789e27a496c87dc1498b79475d590bb9a4ff4843c8225fee9ed64f6272"; got != want {
+	if want := "48166e47dd71f00888e200fa97b98a42882582cbd194e4e7b5f9594d96ab7bf0"; got != want {
 		t.Errorf("sweep key = %s, want golden %s", got, want)
 	}
 
@@ -62,16 +63,16 @@ func TestGoldenKeysUnchangedByEditSupport(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := batchKey([]string{k0, k2}),
-		"5f1022cea353a47bf5a6c5ebc8277fa83583ae2445e7fbf65afba4f07358d9c6"; got != want {
+		"19b0b0b7873212cc29b93849da7607c6877dfa17aedb4d646ebba1dc83638051"; got != want {
 		t.Errorf("batch key = %s, want golden %s", got, want)
 	}
 }
 
 // TestEditKeysVersioned checks the other half of the key contract: an
-// absent, nil, or canonically-empty edit list all land on the frozen v2
-// address, while any real edit state moves to a distinct v3 address that
-// is itself insensitive to edit-list spelling (ordering, shadowed
-// duplicates).
+// absent, nil, or canonically-empty edit list all land on the plain run's
+// address, while any real edit state moves to a distinct address (the
+// edits field is serialized only when non-empty) that is itself
+// insensitive to edit-list spelling (ordering, shadowed duplicates).
 func TestEditKeysVersioned(t *testing.T) {
 	fr := &FlowRunner{}
 	base := FlowRequest{Bench: "cns01", Scheme: "smart-ndr"}

@@ -2,26 +2,33 @@ package sta
 
 import (
 	"container/heap"
-	"fmt"
 	"math"
 
 	"smartndr/internal/cell"
 	"smartndr/internal/ctree"
+	"smartndr/internal/obs"
 	"smartndr/internal/rctree"
 	"smartndr/internal/tech"
 )
 
-// Incremental is an Analyzer with a dirty-region update path: callers
-// report tree edits through Touch, and the next Analyze recomputes only
-// the stages those edits can reach instead of re-walking the whole tree.
+// Incremental is the timing engine. It answers two kinds of query on
+// storage it reuses across calls (no per-call allocation once sized):
 //
-// The contract is exactness, not approximation: an incremental Analyze
-// returns results bitwise identical to a from-scratch Analyze of the same
-// tree. That is what lets the optimizer flip between incremental and full
-// analysis without changing a single decision (see the invariance tests
-// in internal/core). The engine achieves it by re-running the *same*
-// arithmetic the full pass runs, in the same per-node order, over the
-// dirty region only:
+//   - Full runs a from-scratch pass, optionally under electrical
+//     overrides (corners, Monte Carlo trials) and with tracing. It is the
+//     oracle: sta.Analyze is a fresh engine's Full.
+//   - Analyze does the least work that gives Full's exact answer for the
+//     tree's current state: the cached Result when nothing changed, a
+//     dirty-region update over the edits reported through Touch, or a
+//     full pass.
+//
+// The dirty-region contract is exactness, not approximation: an
+// incremental Analyze returns results bitwise identical to a from-scratch
+// pass over the same tree. That is what lets the optimizer, sessions and
+// the cold flow share results without changing a single decision (see the
+// invariance tests in internal/core). The engine achieves it by re-running
+// the *same* arithmetic the full pass runs, in the same per-node order,
+// over the dirty region only:
 //
 //   - a rule or edge-length edit re-derives that edge's parasitics and
 //     marks its owning stage cap-dirty; the stage's downstream caps and
@@ -46,23 +53,38 @@ import (
 //     rather than a float offset-add so the result stays bitwise exact.
 //
 // When the dirty region is too large for the update to win — the visit
-// budget, a structural edit (buffer added/removed), a new tree, or a
-// changed input slew — Analyze falls back to one full pass, which also
-// refreshes every cache. Zero pending edits return the cached Result for
-// free.
+// budget, a structural edit (buffer added/removed), a new tree, a changed
+// input slew, or a preceding Full call — Analyze falls back to one full
+// pass, which also refreshes every cache. Zero pending edits return the
+// cached Result for free.
 //
-// An Incremental is not safe for concurrent use.
+// An Incremental is not safe for concurrent use — give each worker
+// goroutine its own.
 type Incremental struct {
-	an  *Analyzer
 	te  *tech.Tech
 	lib *cell.Library
+	res Result
 
-	// crossCheck re-runs a full analysis after every incremental update
-	// and verifies the two agree (debug mode; see SetCrossCheck).
-	crossCheck bool
-	checker    *Analyzer
+	// Full-pass storage, rewritten by every pass and patched in place by
+	// the dirty-region update.
+	edgeR, edgeC []float64 // per-edge parasitics under assigned rules
+	endCap       []float64 // L[v]: endpoint cap v presents to its stage
+	downCap      []float64 // D[v]: π-lumped cap at-and-below v in-stage
+	elm          []float64 // Elmore delay from stage driver output to v
+	drv          []int     // owning stage driver per node
+	// Stage driver outputs, indexed by driver node (written in startStage
+	// before any descendant reads them — no clearing needed).
+	stageOutArr, stageOutSlew []float64
+	// stageDelay[v] is the driver delay computed for buffered node v by the
+	// most recent pass (before any BufScale override). The update path
+	// reuses it to re-derive stageOutArr for stages whose input slew and
+	// load did not change, bitwise-identically to a fresh startStage.
+	stageDelay []float64
+	// Traversal stacks, reused so the tree walks stay allocation-free
+	// (ctree's PostOrder/PreOrder allocate their stacks per call).
+	postStack []postFrame
+	preStack  []int
 
-	disabled bool
 	valid    bool
 	tree     *ctree.Tree
 	n        int
@@ -97,44 +119,44 @@ const (
 	modeFull
 )
 
-// IncStats counts what the incremental layer did. NodeVisits is the STA
-// cost metric: one unit per node touched by a tree-traversal pass — a
-// full analysis costs 2n (cap pass + timing pass), an incremental update
-// costs the dirty-region stage walks it actually performs (arrival-only
-// visits included). Flat inventory re-sums (one add per node, no
-// traversal) are not counted; docs/performance.md records the definition.
+// IncStats counts what the engine did. NodeVisits is the STA cost metric:
+// one unit per node touched by a tree-traversal pass — a full pass costs
+// 2n (cap pass + timing pass), an incremental update costs the
+// dirty-region stage walks it actually performs (arrival-only visits
+// included). Flat inventory re-sums (one add per node, no traversal) are
+// not counted; docs/performance.md records the definition.
 type IncStats struct {
-	FullRuns   int   // from-scratch analyses (first run, invalidation, fallback)
+	FullRuns   int   // from-scratch passes (every Full call; Analyze's first run, invalidation, fallback)
 	IncRuns    int   // dirty-region updates that committed
 	CachedRuns int   // zero-edit analyses served from cache
 	Fallbacks  int   // updates abandoned for a full run
 	NodeVisits int64 // total node visits under the metric above
 }
 
-// NewIncremental returns an incremental analyzer for the technology and
-// library. The first Analyze runs full; subsequent ones are incremental
-// over the edits reported via Touch.
+// NewIncremental returns a timing engine for the technology and library.
+// The first query sizes its storage; later queries on same-sized trees
+// are allocation-free.
 func NewIncremental(te *tech.Tech, lib *cell.Library) *Incremental {
-	return &Incremental{an: NewAnalyzer(te, lib), te: te, lib: lib}
+	return &Incremental{te: te, lib: lib}
 }
 
-// Disable pins the analyzer to the always-full path: every Analyze runs a
-// from-scratch pass (still allocation-free across calls). This is the
-// reference mode the differential and invariance tests compare against.
-func (inc *Incremental) Disable() {
-	inc.disabled = true
-	inc.valid = false
-}
-
-// SetCrossCheck toggles debug cross-checking: after every committed
-// incremental update, a from-scratch analysis runs on a shadow analyzer
-// and the two results are compared field by field (1e-12 absolute).
-// Mismatches surface as Analyze errors. Expensive — tests only.
-func (inc *Incremental) SetCrossCheck(on bool) {
-	inc.crossCheck = on
-	if on && inc.checker == nil {
-		inc.checker = NewAnalyzer(inc.te, inc.lib)
+// Full runs a from-scratch analysis on the engine's reused storage. ov
+// optionally replaces the electrical view (see Overrides); a non-nil
+// tracer splits the run into an "rc_build" span (parasitic extraction and
+// load accumulation) and a "propagate" span (the timing walk) under
+// "sta.analyze". Full counts as a full run in Stats and leaves no state
+// for Analyze to update from: the next Analyze runs a full pass. The
+// returned Result is owned by the engine and overwritten by the next
+// query — clone whatever must outlive it.
+func (inc *Incremental) Full(t *ctree.Tree, inSlew float64, ov *Overrides, tr *obs.Tracer) (*Result, error) {
+	inc.Invalidate()
+	res, err := inc.pass(t, inSlew, ov, tr)
+	if err != nil {
+		return nil, err
 	}
+	inc.stats.FullRuns++
+	inc.stats.NodeVisits += int64(2 * len(t.Nodes))
+	return res, nil
 }
 
 // Stats returns the run counters accumulated so far.
@@ -168,25 +190,17 @@ func (inc *Incremental) Touch(v int) {
 	}
 }
 
-// Analyze evaluates the tree, incrementally when possible. The returned
-// Result is owned by the analyzer and overwritten by the next call, like
-// Analyzer.Analyze. Overrides are not supported on the incremental path;
-// use a plain Analyzer for corner or variation analysis.
+// Analyze evaluates the tree at nominal parasitics, incrementally when
+// possible. The returned Result is owned by the engine and overwritten by
+// the next query, like Full's. Overrides are not supported on the
+// incremental path; corner and variation analysis use Full.
 func (inc *Incremental) Analyze(t *ctree.Tree, inSlew float64) (*Result, error) {
-	if inc.disabled {
-		res, err := inc.an.analyze(t, inSlew, nil, nil)
-		if err == nil {
-			inc.stats.FullRuns++
-			inc.stats.NodeVisits += int64(2 * len(t.Nodes))
-		}
-		return res, err
-	}
 	if !inc.valid || t != inc.tree || len(t.Nodes) != inc.n || inSlew != inc.lastSlew {
 		return inc.full(t, inSlew)
 	}
 	if len(inc.pending) == 0 {
 		inc.stats.CachedRuns++
-		return &inc.an.res, nil
+		return &inc.res, nil
 	}
 	if !inc.update(t) {
 		inc.stats.Fallbacks++
@@ -194,32 +208,24 @@ func (inc *Incremental) Analyze(t *ctree.Tree, inSlew float64) (*Result, error) 
 	}
 	inc.stats.IncRuns++
 	inc.clearPending()
-	if inc.crossCheck {
-		if err := inc.runCrossCheck(t, inSlew); err != nil {
-			inc.valid = false
-			return nil, err
-		}
-	}
-	return &inc.an.res, nil
+	return &inc.res, nil
 }
 
-// full runs a from-scratch analysis and refreshes every incremental cache.
+// full runs a nominal from-scratch pass and refreshes every incremental
+// cache.
 func (inc *Incremental) full(t *ctree.Tree, inSlew float64) (*Result, error) {
-	res, err := inc.an.analyze(t, inSlew, nil, nil)
+	res, err := inc.Full(t, inSlew, nil, nil)
 	if err != nil {
-		inc.valid = false
-		inc.clearPending()
 		return nil, err
 	}
-	inc.stats.FullRuns++
-	inc.stats.NodeVisits += int64(2 * len(t.Nodes))
 	inc.capture(t, inSlew)
 	return res, nil
 }
 
-// capture snapshots the per-node state the update path diffs against.
+// capture snapshots the per-node state the update path diffs against. It
+// runs right after Full, which has already cleared the pending marks
+// (they may index the old tree, so they must go before resizing).
 func (inc *Incremental) capture(t *ctree.Tree, inSlew float64) {
-	inc.clearPending() // before resizing: marks may index the old tree
 	n := len(t.Nodes)
 	inc.tree, inc.n, inc.lastSlew = t, n, inSlew
 	if cap(inc.bufIdx) < n {
@@ -239,7 +245,7 @@ func (inc *Incremental) capture(t *ctree.Tree, inSlew float64) {
 		inc.delayDirty = inc.delayDirty[:n]
 		inc.mode = inc.mode[:n]
 	}
-	drv := inc.an.drv
+	drv := inc.drv
 	for i := range t.Nodes {
 		inc.bufIdx[i] = t.Nodes[i].BufIdx
 		inc.stageSize[i] = 0
@@ -324,8 +330,8 @@ func (inc *Incremental) schedule(d int, m uint8) {
 // buffers are safe because the full pass overwrites everything.
 func (inc *Incremental) update(t *ctree.Tree) bool {
 	defer inc.clearDirty()
-	a, te, lib := inc.an, inc.te, inc.lib
-	res := &a.res
+	te, lib := inc.te, inc.lib
+	res := &inc.res
 	n := inc.n
 	// A full pass costs 2n node visits, so that is the break-even budget:
 	// past it an update stops paying for itself. The pre-check below
@@ -346,10 +352,10 @@ func (inc *Incremental) update(t *ctree.Tree) bool {
 		// A sink pin-cap edit changes the endpoint cap an unbuffered leaf
 		// presents to its stage — exactly the L[v] the full pass reads.
 		if nd.BufIdx == ctree.NoBuf && nd.SinkIdx != ctree.NoSink && t.IsLeaf(v) {
-			if c := t.Sinks[nd.SinkIdx].Cap; c != a.endCap[v] {
-				a.endCap[v] = c
+			if c := t.Sinks[nd.SinkIdx].Cap; c != inc.endCap[v] {
+				inc.endCap[v] = c
 				sinkDirty = true
-				inc.markCap(a.drv[v])
+				inc.markCap(inc.drv[v])
 			}
 		}
 		if nd.Parent != ctree.NoNode {
@@ -359,32 +365,32 @@ func (inc *Incremental) update(t *ctree.Tree) bool {
 			er := te.WireR(nd.EdgeLen, nd.Rule)
 			ec := te.WireC(nd.EdgeLen, nd.Rule)
 			edited := false
-			if er != a.edgeR[v] {
-				a.edgeR[v] = er
+			if er != inc.edgeR[v] {
+				inc.edgeR[v] = er
 				edited = true
 			}
-			if ec != a.edgeC[v] {
-				a.edgeC[v] = ec
+			if ec != inc.edgeC[v] {
+				inc.edgeC[v] = ec
 				wireDirty = true
 				edited = true
 			}
 			if edited {
-				inc.markCap(a.drv[v])
+				inc.markCap(inc.drv[v])
 			}
 		}
 		if nd.BufIdx != inc.bufIdx[v] {
 			if nd.BufIdx < 0 || nd.BufIdx >= len(lib.Buffers) {
 				return false // full pass reports the error
 			}
-			a.endCap[v] = lib.Buffers[nd.BufIdx].InputCap
+			inc.endCap[v] = lib.Buffers[nd.BufIdx].InputCap
 			inc.bufIdx[v] = nd.BufIdx
 			bufDirty = true
 			if nd.Parent != ctree.NoNode {
-				inc.markCap(a.drv[v]) // new input cap loads the parent stage
+				inc.markCap(inc.drv[v]) // new input cap loads the parent stage
 			} else {
 				// Root resize: no parent stage rebuild walks the root, so
 				// refresh its own lumped cap here (buffered ⇒ no kid term).
-				a.downCap[v] = a.endCap[v] + a.edgeC[v]/2
+				inc.downCap[v] = inc.endCap[v] + inc.edgeC[v]/2
 			}
 			inc.markDelay(v) // its own stage re-reads the NLDM tables
 		}
@@ -441,20 +447,20 @@ func (inc *Incremental) update(t *ctree.Tree) bool {
 		for i := len(stage) - 1; i >= 0; i-- {
 			v := stage[i]
 			nd := &t.Nodes[v]
-			dv := a.endCap[v] + a.edgeC[v]/2
+			dv := inc.endCap[v] + inc.edgeC[v]/2
 			if nd.BufIdx == ctree.NoBuf {
 				for _, k := range nd.Kids {
 					if k != ctree.NoNode {
-						dv += a.downCap[k] + a.edgeC[k]/2
+						dv += inc.downCap[k] + inc.edgeC[k]/2
 					}
 				}
 			}
-			a.downCap[v] = dv
+			inc.downCap[v] = dv
 		}
 		load := 0.0
 		for _, k := range t.Nodes[d].Kids {
 			if k != ctree.NoNode {
-				load += a.downCap[k] + a.edgeC[k]/2
+				load += inc.downCap[k] + inc.edgeC[k]/2
 			}
 		}
 		res.StageCap[d] = load
@@ -477,13 +483,13 @@ func (inc *Incremental) update(t *ctree.Tree) bool {
 			b := &lib.Buffers[t.Nodes[d].BufIdx]
 			load := res.StageCap[d]
 			delay := b.DelayAt(res.Slew[d], load)
-			a.stageDelay[d] = delay
-			a.stageOutArr[d] = res.Arrival[d] + delay
-			a.stageOutSlew[d] = b.OutSlewAt(res.Slew[d], load)
+			inc.stageDelay[d] = delay
+			inc.stageOutArr[d] = res.Arrival[d] + delay
+			inc.stageOutSlew[d] = b.OutSlewAt(res.Slew[d], load)
 		} else {
 			// Arrival-only: input slew, load, and buffer unchanged, so the
 			// cached delay is exactly what DelayAt would return.
-			a.stageOutArr[d] = res.Arrival[d] + a.stageDelay[d]
+			inc.stageOutArr[d] = res.Arrival[d] + inc.stageDelay[d]
 		}
 		w := inc.walk[:0]
 		for _, k := range t.Nodes[d].Kids {
@@ -505,14 +511,14 @@ func (inc *Incremental) update(t *ctree.Tree) bool {
 			if m == modeFull {
 				base := 0.0
 				if p := nd.Parent; p != d {
-					base = a.elm[p]
+					base = inc.elm[p]
 				}
-				e := base + a.edgeR[v]*a.downCap[v]
-				a.elm[v] = e
-				arr = a.stageOutArr[d] + e
-				sl = math.Hypot(a.stageOutSlew[d], rctree.Ln9*e)
+				e := base + inc.edgeR[v]*inc.downCap[v]
+				inc.elm[v] = e
+				arr = inc.stageOutArr[d] + e
+				sl = math.Hypot(inc.stageOutSlew[d], rctree.Ln9*e)
 			} else {
-				arr = a.stageOutArr[d] + a.elm[v]
+				arr = inc.stageOutArr[d] + inc.elm[v]
 				sl = res.Slew[v]
 			}
 			if nd.BufIdx != ctree.NoBuf {
@@ -547,7 +553,7 @@ func (inc *Incremental) update(t *ctree.Tree) bool {
 		wc := 0.0
 		for i := range t.Nodes {
 			if t.Nodes[i].Parent != ctree.NoNode {
-				wc += a.edgeC[i]
+				wc += inc.edgeC[i]
 			}
 		}
 		res.WireCap = wc
@@ -576,43 +582,6 @@ func (inc *Incremental) update(t *ctree.Tree) bool {
 		res.SinkCap = sc
 	}
 	return true
-}
-
-// runCrossCheck verifies the freshly committed incremental state against a
-// from-scratch analysis on a shadow analyzer (1e-12 absolute tolerance).
-func (inc *Incremental) runCrossCheck(t *ctree.Tree, inSlew float64) error {
-	want, err := inc.checker.analyze(t, inSlew, nil, nil)
-	if err != nil {
-		return fmt.Errorf("sta: cross-check analysis failed: %w", err)
-	}
-	got := &inc.an.res
-	const tol = 1e-12
-	diff := func(a, b float64) bool { return math.Abs(a-b) > tol }
-	for i := range t.Nodes {
-		if diff(got.Arrival[i], want.Arrival[i]) || diff(got.Slew[i], want.Slew[i]) ||
-			diff(got.DownCap[i], want.DownCap[i]) {
-			return fmt.Errorf("sta: incremental cross-check mismatch at node %d: arrival %g vs %g, slew %g vs %g, downcap %g vs %g",
-				i, got.Arrival[i], want.Arrival[i], got.Slew[i], want.Slew[i], got.DownCap[i], want.DownCap[i])
-		}
-	}
-	if len(got.Drivers) != len(want.Drivers) {
-		return fmt.Errorf("sta: incremental cross-check mismatch: %d drivers vs %d", len(got.Drivers), len(want.Drivers))
-	}
-	for k, d := range want.Drivers {
-		if got.Drivers[k] != d {
-			return fmt.Errorf("sta: incremental cross-check mismatch: driver[%d] %d vs %d", k, got.Drivers[k], d)
-		}
-		if diff(got.StageCap[d], want.StageCap[d]) {
-			return fmt.Errorf("sta: incremental cross-check mismatch: StageCap[%d] %g vs %g", d, got.StageCap[d], want.StageCap[d])
-		}
-	}
-	if diff(got.WireCap, want.WireCap) || diff(got.SinkCap, want.SinkCap) ||
-		diff(got.BufInCap, want.BufInCap) ||
-		diff(got.BufIntCap, want.BufIntCap) || diff(got.LeakageTot, want.LeakageTot) ||
-		got.BufferCount != want.BufferCount {
-		return fmt.Errorf("sta: incremental cross-check mismatch in inventory sums")
-	}
-	return nil
 }
 
 // hDriver is a stage driver queued for timing re-propagation.

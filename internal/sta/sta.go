@@ -120,56 +120,18 @@ type Overrides struct {
 	BufScale []float64 // delay multiplier per buffered node; nil → 1
 }
 
-// Analyze evaluates the tree. inSlew is the transition of the clock signal
-// arriving at the root buffer's input. The root node must carry a buffer
-// (the source driver); every other buffer must lie on a path below it.
-func Analyze(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64) (*Result, error) {
-	return AnalyzeTr(t, te, lib, inSlew, nil, nil)
-}
-
-// AnalyzeOv is Analyze with electrical overrides (see Overrides).
-func AnalyzeOv(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64, ov *Overrides) (*Result, error) {
-	return AnalyzeTr(t, te, lib, inSlew, ov, nil)
-}
-
-// AnalyzeTr is AnalyzeOv with instrumentation: the run is split into an
-// "rc_build" span (parasitic extraction and load accumulation) and a
-// "propagate" span (the timing walk), so profiles show where analysis
-// time goes. A nil tracer adds no overhead.
+// Analyze evaluates the tree from scratch. inSlew is the transition of
+// the clock signal arriving at the root buffer's input. The root node must
+// carry a buffer (the source driver); every other buffer must lie on a
+// path below it.
 //
-// Every call allocates a fresh Result. Callers analyzing the same tree
-// repeatedly (Monte Carlo trials, optimizer inner loops) should hold an
-// Analyzer instead, which reuses all working storage.
-func AnalyzeTr(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64, ov *Overrides, tr *obs.Tracer) (*Result, error) {
-	return NewAnalyzer(te, lib).analyze(t, inSlew, ov, tr)
-}
-
-// Analyzer runs repeated analyses without per-call allocation: the
-// working buffers and the Result itself are preallocated once and reused
-// on every Analyze call. An Analyzer is not safe for concurrent use —
-// give each worker goroutine its own.
-type Analyzer struct {
-	te  *tech.Tech
-	lib *cell.Library
-	res Result
-
-	edgeR, edgeC []float64 // per-edge parasitics under assigned rules
-	endCap       []float64 // L[v]: endpoint cap v presents to its stage
-	downCap      []float64 // D[v]: π-lumped cap at-and-below v in-stage
-	elm          []float64 // Elmore delay from stage driver output to v
-	drv          []int     // owning stage driver per node
-	// Stage driver outputs, indexed by driver node (written in startStage
-	// before any descendant reads them — no clearing needed).
-	stageOutArr, stageOutSlew []float64
-	// stageDelay[v] is the driver delay computed for buffered node v by the
-	// most recent analysis (before any BufScale override). The incremental
-	// engine reuses it to re-derive stageOutArr for stages whose input slew
-	// and load did not change, bitwise-identically to a fresh startStage.
-	stageDelay []float64
-	// Traversal stacks, reused so the tree walks stay allocation-free
-	// (ctree's PostOrder/PreOrder allocate their stacks per call).
-	postStack []postFrame
-	preStack  []int
+// It is the one-shot oracle the engine's other paths are tested against:
+// a fresh engine's Full pass, with a freshly allocated Result. Callers
+// analyzing trees repeatedly (Monte Carlo trials, optimizer inner loops,
+// sessions) should hold an Incremental instead, which reuses all working
+// storage.
+func Analyze(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64) (*Result, error) {
+	return NewIncremental(te, lib).Full(t, inSlew, nil, nil)
 }
 
 type postFrame struct {
@@ -177,61 +139,49 @@ type postFrame struct {
 	kid  int
 }
 
-// NewAnalyzer returns an analyzer for the technology and library. The
-// first Analyze call sizes the buffers; later calls on same-sized trees
-// are allocation-free.
-func NewAnalyzer(te *tech.Tech, lib *cell.Library) *Analyzer {
-	return &Analyzer{te: te, lib: lib}
-}
-
-// Analyze evaluates the tree, reusing the analyzer's storage. The
-// returned Result (including its DownCap and StageCap slices) is
-// owned by the analyzer and overwritten by the next call — clone
-// whatever must outlive it.
-func (a *Analyzer) Analyze(t *ctree.Tree, inSlew float64, ov *Overrides) (*Result, error) {
-	return a.analyze(t, inSlew, ov, nil)
-}
-
-// resize readies the analyzer's buffers for an n-node tree.
-func (a *Analyzer) resize(n int) {
-	if cap(a.edgeR) < n {
-		a.edgeR = make([]float64, n)
-		a.edgeC = make([]float64, n)
-		a.endCap = make([]float64, n)
-		a.downCap = make([]float64, n)
-		a.elm = make([]float64, n)
-		a.drv = make([]int, n)
-		a.stageOutArr = make([]float64, n)
-		a.stageOutSlew = make([]float64, n)
-		a.stageDelay = make([]float64, n)
-		a.res.Arrival = make([]float64, n)
-		a.res.Slew = make([]float64, n)
-		a.res.StageCap = make([]float64, n)
+// resize readies the engine's full-pass buffers for an n-node tree.
+func (inc *Incremental) resize(n int) {
+	if cap(inc.edgeR) < n {
+		inc.edgeR = make([]float64, n)
+		inc.edgeC = make([]float64, n)
+		inc.endCap = make([]float64, n)
+		inc.downCap = make([]float64, n)
+		inc.elm = make([]float64, n)
+		inc.drv = make([]int, n)
+		inc.stageOutArr = make([]float64, n)
+		inc.stageOutSlew = make([]float64, n)
+		inc.stageDelay = make([]float64, n)
+		inc.res.Arrival = make([]float64, n)
+		inc.res.Slew = make([]float64, n)
+		inc.res.StageCap = make([]float64, n)
 	} else {
-		a.edgeR = a.edgeR[:n]
-		a.edgeC = a.edgeC[:n]
-		a.endCap = a.endCap[:n]
-		a.downCap = a.downCap[:n]
-		a.elm = a.elm[:n]
-		a.drv = a.drv[:n]
-		a.stageOutArr = a.stageOutArr[:n]
-		a.stageOutSlew = a.stageOutSlew[:n]
-		a.stageDelay = a.stageDelay[:n]
-		a.res.Arrival = a.res.Arrival[:n]
-		a.res.Slew = a.res.Slew[:n]
-		a.res.StageCap = a.res.StageCap[:n]
-		clear(a.res.StageCap)
+		inc.edgeR = inc.edgeR[:n]
+		inc.edgeC = inc.edgeC[:n]
+		inc.endCap = inc.endCap[:n]
+		inc.downCap = inc.downCap[:n]
+		inc.elm = inc.elm[:n]
+		inc.drv = inc.drv[:n]
+		inc.stageOutArr = inc.stageOutArr[:n]
+		inc.stageOutSlew = inc.stageOutSlew[:n]
+		inc.stageDelay = inc.stageDelay[:n]
+		inc.res.Arrival = inc.res.Arrival[:n]
+		inc.res.Slew = inc.res.Slew[:n]
+		inc.res.StageCap = inc.res.StageCap[:n]
+		clear(inc.res.StageCap)
 	}
-	a.res.Drivers = a.res.Drivers[:0]
-	a.res.DownCap = nil
-	a.res.sinkNodes = a.res.sinkNodes[:0]
-	a.res.WireCap, a.res.SinkCap, a.res.BufInCap, a.res.BufIntCap = 0, 0, 0, 0
-	a.res.LeakageTot = 0
-	a.res.BufferCount = 0
+	inc.res.Drivers = inc.res.Drivers[:0]
+	inc.res.DownCap = nil
+	inc.res.sinkNodes = inc.res.sinkNodes[:0]
+	inc.res.WireCap, inc.res.SinkCap, inc.res.BufInCap, inc.res.BufIntCap = 0, 0, 0, 0
+	inc.res.LeakageTot = 0
+	inc.res.BufferCount = 0
 }
 
-func (a *Analyzer) analyze(t *ctree.Tree, inSlew float64, ov *Overrides, tr *obs.Tracer) (*Result, error) {
-	te, lib := a.te, a.lib
+// pass is the from-scratch analysis every other path must match: it
+// rewrites all of the engine's full-pass storage and its Result. A nil
+// tracer adds no overhead.
+func (inc *Incremental) pass(t *ctree.Tree, inSlew float64, ov *Overrides, tr *obs.Tracer) (*Result, error) {
+	te, lib := inc.te, inc.lib
 	if t.Root == ctree.NoNode {
 		return nil, errors.New("sta: tree has no root")
 	}
@@ -246,11 +196,11 @@ func (a *Analyzer) analyze(t *ctree.Tree, inSlew float64, ov *Overrides, tr *obs
 	rcSpan := tr.Start("rc_build")
 	defer rcSpan.End() // error paths; no-op after the explicit End below
 	n := len(t.Nodes)
-	a.resize(n)
-	res := &a.res
+	inc.resize(n)
+	res := &inc.res
 
 	// Per-edge parasitics under the assigned rules.
-	edgeR, edgeC := a.edgeR, a.edgeC
+	edgeR, edgeC := inc.edgeR, inc.edgeC
 	for i := range t.Nodes {
 		nd := &t.Nodes[i]
 		if nd.Parent == ctree.NoNode {
@@ -276,8 +226,8 @@ func (a *Analyzer) analyze(t *ctree.Tree, inSlew float64, ov *Overrides, tr *obs
 	// L[v]: endpoint cap v presents to its parent's stage.
 	// D[v]: π-model lumped cap at-and-below v within the stage owning v's
 	// feeding edge.
-	L := a.endCap
-	D := a.downCap
+	L := inc.endCap
+	D := inc.downCap
 	for i := range t.Nodes {
 		nd := &t.Nodes[i]
 		L[i] = 0
@@ -300,7 +250,7 @@ func (a *Analyzer) analyze(t *ctree.Tree, inSlew float64, ov *Overrides, tr *obs
 	}
 	// Post-order walk (children before parents), inlined on the reusable
 	// stack — semantically identical to ctree.PostOrder.
-	post := append(a.postStack[:0], postFrame{t.Root, 0})
+	post := append(inc.postStack[:0], postFrame{t.Root, 0})
 	for len(post) > 0 {
 		f := &post[len(post)-1]
 		advanced := false
@@ -338,7 +288,7 @@ func (a *Analyzer) analyze(t *ctree.Tree, inSlew float64, ov *Overrides, tr *obs
 			}
 		}
 	}
-	a.postStack = post[:0]
+	inc.postStack = post[:0]
 
 	rcSpan.End()
 
@@ -346,15 +296,15 @@ func (a *Analyzer) analyze(t *ctree.Tree, inSlew float64, ov *Overrides, tr *obs
 	// owning stage driver's output pin to v; stageOutArr/stageOutSlew are
 	// indexed by driver node.
 	propSpan := tr.Start("propagate")
-	elm := a.elm
-	stageOutArr := a.stageOutArr
-	stageOutSlew := a.stageOutSlew
-	drv := a.drv
+	elm := inc.elm
+	stageOutArr := inc.stageOutArr
+	stageOutSlew := inc.stageOutSlew
+	drv := inc.drv
 	startStage := func(v int) {
 		b := &lib.Buffers[t.Nodes[v].BufIdx]
 		load := res.StageCap[v]
 		d := b.DelayAt(res.Slew[v], load)
-		a.stageDelay[v] = d
+		inc.stageDelay[v] = d
 		if ov != nil && ov.BufScale != nil {
 			d *= ov.BufScale[v]
 		}
@@ -368,7 +318,7 @@ func (a *Analyzer) analyze(t *ctree.Tree, inSlew float64, ov *Overrides, tr *obs
 	startStage(t.Root)
 	// Pre-order walk (parents before children), inlined on the reusable
 	// stack — semantically identical to ctree.PreOrder.
-	pre := append(a.preStack[:0], t.Root)
+	pre := append(inc.preStack[:0], t.Root)
 	for len(pre) > 0 {
 		v := pre[len(pre)-1]
 		pre = pre[:len(pre)-1]
@@ -398,7 +348,7 @@ func (a *Analyzer) analyze(t *ctree.Tree, inSlew float64, ov *Overrides, tr *obs
 			startStage(v)
 		}
 	}
-	a.preStack = pre[:0]
+	inc.preStack = pre[:0]
 	for i := range t.Nodes {
 		if t.Nodes[i].SinkIdx != ctree.NoSink {
 			res.sinkNodes = append(res.sinkNodes, i)

@@ -184,7 +184,7 @@ func MonteCarlo(t *ctree.Tree, te *tech.Tech, lib *cell.Library, p Params) (*Sta
 }
 
 // trialScratch is the per-worker reusable state: Gaussian fields, the
-// override buffers, the trial RNG, and an STA analyzer with preallocated
+// override buffers, the trial RNG, and a timing engine with preallocated
 // storage. One worker runs one trial at a time, so nothing here needs
 // locking.
 type trialScratch struct {
@@ -192,7 +192,7 @@ type trialScratch struct {
 	ov     sta.Overrides
 	src    par.Source
 	rng    *rand.Rand
-	an     *sta.Analyzer
+	an     *sta.Incremental
 }
 
 // MonteCarloTr is MonteCarlo with instrumentation: each trial records a
@@ -234,7 +234,7 @@ func MonteCarloTr(t *ctree.Tree, te *tech.Tech, lib *cell.Library, p Params, tr 
 					EdgeC:    make([]float64, n),
 					BufScale: make([]float64, n),
 				},
-				an: sta.NewAnalyzer(te, lib),
+				an: sta.NewIncremental(te, lib),
 			}
 			sc.rng = rand.New(&sc.src)
 			scratch[w] = sc
@@ -266,7 +266,7 @@ func MonteCarloTr(t *ctree.Tree, te *tech.Tech, lib *cell.Library, p Params, tr 
 				sc.ov.BufScale[i] = math.Max(0.5, 1+p.BufSigma*g)
 			}
 		}
-		res, err := sc.an.Analyze(t, p.InSlew, &sc.ov)
+		res, err := sc.an.Full(t, p.InSlew, &sc.ov, nil)
 		if err != nil {
 			return err
 		}
