@@ -1,8 +1,8 @@
 GO ?= go
 
-# Third-party analyzers CI runs alongside the in-repo suite. Pinned here
-# (and mirrored in .github/workflows/ci.yml) because the module has no
-# tool dependencies — `go run pkg@version` fetches exactly this version.
+# Third-party analyzers CI runs alongside the in-repo suite (`make
+# lint-extra`). Pinned only here because the module has no tool
+# dependencies — `go run pkg@version` fetches exactly this version.
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
@@ -130,11 +130,11 @@ perfbench-check:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
-# What CI runs (.github/workflows/ci.yml): everything check does plus a
-# plain build, the full test suite, the benchmark module check, the
-# benchmark smoke pass, the scale canary, the fuzz smoke pass, and the
-# coverage floor. CI also runs lint-extra, which needs network access for
-# the pinned tools.
+# What CI runs (.github/workflows/ci.yml, one step per target): everything
+# check does plus a plain build, the full test suite, the benchmark module
+# check, the benchmark smoke pass, the scale canary, the fuzz smoke pass,
+# and the coverage floor. CI also runs lint-extra, which needs network
+# access for the pinned tools.
 ci: build vet fmt lint test race cluster-smoke perfbench-check bench-smoke bench-scale fuzz-smoke cover
 
 clean:

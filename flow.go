@@ -154,8 +154,12 @@ type FlowConfig struct {
 	// to the default of 2 — an explicit K=0 via Apply(b, SchemeTopK) is
 	// therefore not expressible here; use ApplyTopK(b, 0), which honors
 	// K=0 literally (every edge on the default rule), for K sweeps.
-	TopK   int
-	InSlew float64 // root input transition (default 40 ps)
+	TopK int
+	// InSlew is the root input transition (default 40 ps). It also
+	// resolves Opt.InSlew and a Monte Carlo run's InSlew left at 0, so
+	// the optimizer and the variation analysis see the slew the flow
+	// evaluates at.
+	InSlew float64
 	// Tracer, when non-nil, instruments every flow entry point with
 	// hierarchical spans (build phases, optimizer passes, STA splits,
 	// Monte Carlo trials) and run counters. See internal/obs; construct
@@ -206,6 +210,9 @@ func NewFlow(cfg *FlowConfig) *Flow {
 	}
 	if c.InSlew == 0 {
 		c.InSlew = 40e-12
+	}
+	if c.Opt.InSlew == 0 {
+		c.Opt.InSlew = c.InSlew
 	}
 	return &Flow{cfg: c}
 }
@@ -432,7 +439,7 @@ func (f *Flow) RunHier(ctx context.Context, sinks []Sink, src Point, scheme Sche
 // semantics) changes so stale content-addressed cache entries can never
 // alias new results; the golden-key regression test pins the current
 // addresses.
-const flowKeyVersion = "smartndr/flow/v4"
+const flowKeyVersion = "smartndr/flow/v5"
 
 // runKey is the canonical serialization of everything that determines a
 // RunSpecEdits result: the benchmark spec, the full technology and buffer
@@ -572,12 +579,15 @@ func (f *Flow) Timing(t *Tree) (*sta.Result, error) {
 }
 
 // MonteCarlo runs process-variation analysis on a tree. When the params
-// leave Workers at 0, the flow's configured Workers applies.
+// leave Workers or InSlew at 0, the flow's configured value applies.
 func (f *Flow) MonteCarlo(t *Tree, p VariationParams) (*VariationStats, error) {
 	if p.Workers == 0 {
 		p.Workers = f.cfg.Workers
 	}
-	return variation.MonteCarloTr(t, f.cfg.Tech, f.cfg.Library, p, f.cfg.Tracer)
+	if p.InSlew == 0 {
+		p.InSlew = f.cfg.InSlew
+	}
+	return variation.MonteCarlo(t, f.cfg.Tech, f.cfg.Library, p, f.cfg.Tracer)
 }
 
 // MaxTopK returns the deepest meaningful K for TopK sweeps on a built

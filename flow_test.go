@@ -287,6 +287,40 @@ func TestFlowTimingAndMonteCarlo(t *testing.T) {
 	}
 }
 
+// TestFlowInSlewReachesOptimizer checks that a non-default root input
+// slew reaches every stage of the flow, not only the final evaluation:
+// the flat optimizer's own worst slew equals the evaluated one, and the
+// hierarchical optimizer and the Monte Carlo trials both see at least
+// the 120 ps root transition.
+func TestFlowInSlewReachesOptimizer(t *testing.T) {
+	const inSlew = 120e-12
+	bm := testutil.Named(t, "cns01")
+	flow, built := testutil.BuildFlow(t, &smartndr.FlowConfig{InSlew: inSlew}, bm)
+	res := testutil.Apply(t, flow, built, smartndr.SchemeSmart)
+	if res.Stats.FinalSlew != res.Metrics.WorstSlew {
+		t.Errorf("flat: optimizer final slew %.2f ps, evaluated worst slew %.2f ps",
+			res.Stats.FinalSlew*1e12, res.Metrics.WorstSlew*1e12)
+	}
+
+	p := smartndr.VariationParams{WidthSigma: 0.004, BufSigma: 0.02, SpatialFrac: 0.5, Samples: 10, Seed: 3}
+	mc, err := flow.MonteCarlo(res.Tree, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mc.WorstSlew < inSlew {
+		t.Errorf("Monte Carlo worst slew %.2f ps below the %.0f ps input slew", mc.WorstSlew*1e12, inSlew*1e12)
+	}
+
+	hflow := smartndr.NewFlow(&smartndr.FlowConfig{InSlew: inSlew, Hier: smartndr.HierConfig{MaxRegionSinks: 400}})
+	_, hres, err := hflow.RunHier(context.Background(), bm.Sinks, bm.Src, smartndr.SchemeSmart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hres.Stats.FinalSlew < inSlew {
+		t.Errorf("hier: optimizer final slew %.2f ps below the %.0f ps input slew", hres.Stats.FinalSlew*1e12, inSlew*1e12)
+	}
+}
+
 func TestFlowRepairSkewPublic(t *testing.T) {
 	bm := testutil.SmallBench(t, 60, 1000)
 	flow, built := testutil.BuildFlow(t, nil, bm)

@@ -1,136 +1,19 @@
-// Package buffering provides the buffer-insertion toolbox of the flow:
-// greedy cap-limited insertion (Insert) used as an ablation baseline, long-
-// edge splitting, NLDM linearization and repeated-line planning for the
-// hierarchical builder in package cts, and a classical van Ginneken DP.
+// Package buffering provides the repeater model behind the hierarchical
+// builder in package cts: long-edge splitting (SplitLongEdges), NLDM
+// linearization (Linearize) and repeated-line planning (PlanRepeatedLine).
 //
-// Insert is a two-step greedy scheme:
-//
-//  1. Long edges are split into chains of unary nodes so that no single
-//     wire segment exceeds a fraction of the stage capacitance budget —
-//     otherwise a single top-level DME edge (which can run for millimetres)
-//     could never be repeated.
-//
-//  2. A bottom-up cap-limited pass places a buffer wherever the
-//     accumulated downstream capacitance would cross the stage budget,
-//     choosing per-site the smallest library cell that meets the slew
-//     target at its actual load. On a delay-balanced DME tree the
-//     accumulation is naturally similar across branches, so per-path
-//     buffer counts stay close; the residual insertion-delay skew is
-//     measured by STA and cleaned up by the optimizer's skew-repair pass.
-//
-// A classical van Ginneken dynamic program over a single wire (VanGinneken)
-// is included as an independently-testable baseline.
+// The builder plans one repeated line for the upper tree, balances its
+// merges against the line's linear delay model, and then splits every
+// upper edge at the planned spacing so that a repeater can sit at each
+// split node; final timing always comes from the full NLDM tables.
 package buffering
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
-	"smartndr/internal/cell"
 	"smartndr/internal/ctree"
 	"smartndr/internal/geom"
-	"smartndr/internal/tech"
 )
-
-// Options configure buffer insertion.
-type Options struct {
-	// CPerUm is the wire capacitance per micron used for stage-cap
-	// planning (the blanket rule's value during initial construction).
-	CPerUm float64
-	// MaxCapPerStage bounds the capacitance a buffer stage may accumulate.
-	MaxCapPerStage float64
-	// MaxSlew is the transition bound used for cell selection.
-	MaxSlew float64
-	// InSlew is the transition arriving at the clock root from the source.
-	InSlew float64
-}
-
-// Validate checks the options.
-func (o Options) Validate() error {
-	if o.CPerUm <= 0 {
-		return fmt.Errorf("buffering: non-positive wire cap %g", o.CPerUm)
-	}
-	if o.MaxCapPerStage <= 0 {
-		return fmt.Errorf("buffering: non-positive stage cap bound %g", o.MaxCapPerStage)
-	}
-	if o.MaxSlew <= 0 {
-		return fmt.Errorf("buffering: non-positive slew bound %g", o.MaxSlew)
-	}
-	if o.InSlew < 0 {
-		return errors.New("buffering: negative input slew")
-	}
-	return nil
-}
-
-// FromTech derives insertion options from a technology (planning under its
-// blanket rule).
-func FromTech(te *tech.Tech) Options {
-	return Options{
-		CPerUm:         te.Layer.CPerUm(te.Rule(te.BlanketRule)),
-		MaxCapPerStage: te.MaxCapPerStage,
-		MaxSlew:        te.MaxSlew,
-		InSlew:         40e-12,
-	}
-}
-
-// maxSegFrac is the fraction of the stage budget one wire segment may hold
-// after edge splitting.
-const maxSegFrac = 0.5
-
-// Insert places buffers and returns the number inserted (including the
-// root driver, which is always placed). The tree is modified: long edges
-// gain unary split nodes, and BufIdx fields are set. Existing buffer
-// assignments are discarded.
-func Insert(t *ctree.Tree, lib *cell.Library, opt Options) (int, error) {
-	if err := opt.Validate(); err != nil {
-		return 0, err
-	}
-	if err := lib.Validate(); err != nil {
-		return 0, err
-	}
-	if t.Root == ctree.NoNode {
-		return 0, errors.New("buffering: tree has no root")
-	}
-	for i := range t.Nodes {
-		t.Nodes[i].BufIdx = ctree.NoBuf
-	}
-	maxSegLen := maxSegFrac * opt.MaxCapPerStage / opt.CPerUm
-	SplitLongEdges(t, maxSegLen)
-
-	// Bottom-up cap-limited placement. downCap[v] is the capacitance a
-	// driver at v would see: subtree wire + sink pins, cut at buffered
-	// descendants (replaced by their input cap).
-	downCap := make([]float64, len(t.Nodes))
-	trigger := 0.8 * opt.MaxCapPerStage
-	count := 0
-	t.PostOrder(func(v int) {
-		n := &t.Nodes[v]
-		if t.IsLeaf(v) {
-			downCap[v] = t.Sinks[n.SinkIdx].Cap
-			return
-		}
-		sum := 0.0
-		for _, k := range n.Kids {
-			if k == ctree.NoNode {
-				continue
-			}
-			sum += downCap[k] + opt.CPerUm*t.Nodes[k].EdgeLen
-		}
-		downCap[v] = sum
-		edgeUp := 0.0
-		if n.Parent != ctree.NoNode {
-			edgeUp = opt.CPerUm * n.EdgeLen
-		}
-		if v == t.Root || sum >= trigger || sum+edgeUp > opt.MaxCapPerStage {
-			b, _ := lib.SmallestMeeting(opt.MaxSlew, sum, opt.MaxSlew)
-			n.BufIdx = indexOf(lib, b)
-			downCap[v] = b.InputCap
-			count++
-		}
-	})
-	return count, nil
-}
 
 // SplitLongEdges subdivides every edge longer than maxLen into equal
 // segments joined by unary nodes placed along the straight line between
@@ -206,50 +89,4 @@ func splitEdge(t *ctree.Tree, v, segs int) {
 	}
 	t.Nodes[v].Parent = prev
 	t.Nodes[v].EdgeLen = segLen
-}
-
-// StageCaps recomputes, for every buffered node, the capacitance of the
-// stage it drives (wire + sink pins + downstream buffer input caps). caps
-// is indexed by node (meaningful only at buffered nodes, zero elsewhere);
-// drivers lists the buffered nodes in ascending node order, giving a
-// deterministic iteration over the stages. Used by buffer sizing, tests,
-// and reports.
-func StageCaps(t *ctree.Tree, lib *cell.Library, cPerUm float64) (caps []float64, drivers []int) {
-	caps = make([]float64, len(t.Nodes))
-	downCap := make([]float64, len(t.Nodes))
-	t.PostOrder(func(v int) {
-		n := &t.Nodes[v]
-		if t.IsLeaf(v) {
-			downCap[v] = t.Sinks[n.SinkIdx].Cap
-			return
-		}
-		sum := 0.0
-		for _, k := range n.Kids {
-			if k == ctree.NoNode {
-				continue
-			}
-			sum += downCap[k] + cPerUm*t.Nodes[k].EdgeLen
-		}
-		if n.BufIdx != ctree.NoBuf {
-			caps[v] = sum
-			downCap[v] = lib.Buffers[n.BufIdx].InputCap
-			return
-		}
-		downCap[v] = sum
-	})
-	for v := range t.Nodes {
-		if t.Nodes[v].BufIdx != ctree.NoBuf && !t.IsLeaf(v) {
-			drivers = append(drivers, v)
-		}
-	}
-	return caps, drivers
-}
-
-func indexOf(lib *cell.Library, b *cell.Buffer) int {
-	for i := range lib.Buffers {
-		if lib.Buffers[i].Name == b.Name {
-			return i
-		}
-	}
-	return 0
 }

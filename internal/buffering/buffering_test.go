@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"smartndr/internal/cell"
 	"smartndr/internal/ctree"
 	"smartndr/internal/dme"
 	"smartndr/internal/geom"
@@ -37,143 +36,6 @@ func buildEmbedded(t testing.TB, n int, seed int64, spread float64) *ctree.Tree 
 	}
 	tr.SetAllRules(te.BlanketRule)
 	return tr
-}
-
-func TestInsertPlacesRootDriver(t *testing.T) {
-	tr := buildEmbedded(t, 16, 1, 500)
-	lib := cell.Default45()
-	n, err := Insert(tr, lib, FromTech(tech.Tech45()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Nodes[tr.Root].BufIdx == ctree.NoBuf {
-		t.Error("root must carry the source driver")
-	}
-	if n != tr.BufferCount() {
-		t.Errorf("returned count %d != BufferCount %d", n, tr.BufferCount())
-	}
-}
-
-func TestInsertTreeStaysValid(t *testing.T) {
-	for _, n := range []int{2, 5, 33, 128} {
-		tr := buildEmbedded(t, n, int64(n), 3000)
-		wlBefore := tr.TotalWirelength()
-		lib := cell.Default45()
-		if _, err := Insert(tr, lib, FromTech(tech.Tech45())); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if err := tr.CheckEmbedding(1e-6); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if math.Abs(tr.TotalWirelength()-wlBefore) > 1e-6*wlBefore {
-			t.Errorf("n=%d: edge splitting changed wirelength %g → %g",
-				n, wlBefore, tr.TotalWirelength())
-		}
-	}
-}
-
-func TestInsertStageCapBounded(t *testing.T) {
-	tr := buildEmbedded(t, 256, 3, 5000)
-	lib := cell.Default45()
-	te := tech.Tech45()
-	opt := FromTech(te)
-	if _, err := Insert(tr, lib, opt); err != nil {
-		t.Fatal(err)
-	}
-	caps, drivers := StageCaps(tr, lib, opt.CPerUm)
-	if len(drivers) == 0 {
-		t.Fatal("no stages found")
-	}
-	for _, v := range drivers {
-		c := caps[v]
-		if c > 2*opt.MaxCapPerStage {
-			t.Errorf("stage at node %d carries %g F, over 2× the %g F budget", v, c, opt.MaxCapPerStage)
-		}
-		if c < 0 {
-			t.Errorf("stage at node %d has negative cap", v)
-		}
-	}
-}
-
-func TestInsertNoLeafBuffers(t *testing.T) {
-	tr := buildEmbedded(t, 64, 9, 4000)
-	lib := cell.Default45()
-	if _, err := Insert(tr, lib, FromTech(tech.Tech45())); err != nil {
-		t.Fatal(err)
-	}
-	for i := range tr.Nodes {
-		if tr.IsLeaf(i) && tr.Nodes[i].BufIdx != ctree.NoBuf {
-			t.Fatalf("leaf %d carries a buffer", i)
-		}
-	}
-}
-
-func TestInsertPathBufferCounts(t *testing.T) {
-	// Characterizes the greedy cap-limited baseline: per-path buffer
-	// counts vary (it does not control insertion-delay balance — that is
-	// why the flow default is the hierarchical builder in package cts),
-	// but the spread must stay moderate relative to the path depth.
-	tr := buildEmbedded(t, 256, 4, 5000)
-	lib := cell.Default45()
-	if _, err := Insert(tr, lib, FromTech(tech.Tech45())); err != nil {
-		t.Fatal(err)
-	}
-	minB, maxB := math.MaxInt32, 0
-	for i := range tr.Nodes {
-		if !tr.IsLeaf(i) {
-			continue
-		}
-		count := 0
-		for v := i; v != ctree.NoNode; v = tr.Nodes[v].Parent {
-			if tr.Nodes[v].BufIdx != ctree.NoBuf {
-				count++
-			}
-		}
-		if count < minB {
-			minB = count
-		}
-		if count > maxB {
-			maxB = count
-		}
-	}
-	if maxB == 0 {
-		t.Fatal("no buffers on any path")
-	}
-	if maxB-minB > maxB/2+2 {
-		t.Errorf("path buffer counts range %d..%d — pathological imbalance", minB, maxB)
-	}
-}
-
-func TestInsertSmallTreeSingleDriver(t *testing.T) {
-	// A tiny, close-packed tree fits in one stage: only the root driver.
-	tr := buildEmbedded(t, 4, 4, 50)
-	lib := cell.Default45()
-	n, err := Insert(tr, lib, FromTech(tech.Tech45()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Errorf("50 µm spread should need only the root driver, got %d buffers", n)
-	}
-}
-
-func TestInsertOptionValidation(t *testing.T) {
-	tr := buildEmbedded(t, 4, 5, 100)
-	lib := cell.Default45()
-	bad := []Options{
-		{CPerUm: 0, MaxCapPerStage: 1, MaxSlew: 1},
-		{CPerUm: 1, MaxCapPerStage: 0, MaxSlew: 1},
-		{CPerUm: 1, MaxCapPerStage: 1, MaxSlew: 0},
-		{CPerUm: 1, MaxCapPerStage: 1, MaxSlew: 1, InSlew: -1},
-	}
-	for i, o := range bad {
-		if _, err := Insert(tr, lib, o); err == nil {
-			t.Errorf("bad options %d accepted", i)
-		}
-	}
 }
 
 func TestSplitLongEdges(t *testing.T) {
@@ -240,135 +102,5 @@ func TestSplitLongEdgesNoop(t *testing.T) {
 	SplitLongEdges(tr, 0) // guard: non-positive limit is a no-op
 	if len(tr.Nodes) != n {
 		t.Error("non-positive limit must be a no-op")
-	}
-}
-
-func TestVanGinnekenBeatsUnbuffered(t *testing.T) {
-	lib := cell.Default45()
-	te := tech.Tech45()
-	r := te.Layer.RPerUm(te.Rule(te.DefaultRule))
-	c := te.Layer.CPerUm(te.Rule(te.DefaultRule))
-	for _, length := range []float64{500, 1000, 3000, 8000} {
-		res, err := VanGinneken(length, r, c, 2e-15, lib, 50)
-		if err != nil {
-			t.Fatal(err)
-		}
-		unbuf := UnbufferedDelay(length, r, c, 2e-15, lib)
-		if length >= 1000 && res.Delay >= unbuf {
-			t.Errorf("length %g: buffered %g ≥ unbuffered %g", length, res.Delay, unbuf)
-		}
-		if res.Delay <= 0 {
-			t.Errorf("length %g: non-positive delay", length)
-		}
-		if len(res.Positions) != len(res.Cells) {
-			t.Error("positions and cells must be parallel")
-		}
-		for i := 1; i < len(res.Positions); i++ {
-			if res.Positions[i] <= res.Positions[i-1] {
-				t.Error("positions must ascend")
-			}
-		}
-	}
-}
-
-func TestVanGinnekenMoreBuffersOnLongerWires(t *testing.T) {
-	lib := cell.Default45()
-	te := tech.Tech45()
-	r := te.Layer.RPerUm(te.Rule(te.DefaultRule))
-	c := te.Layer.CPerUm(te.Rule(te.DefaultRule))
-	short, err := VanGinneken(1000, r, c, 2e-15, lib, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	long, err := VanGinneken(10000, r, c, 2e-15, lib, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(long.Positions) <= len(short.Positions) {
-		t.Errorf("10 mm wire should need more buffers than 1 mm: %d vs %d",
-			len(long.Positions), len(short.Positions))
-	}
-}
-
-func TestVanGinnekenDelayScalesLinearlyWhenBuffered(t *testing.T) {
-	lib := cell.Default45()
-	te := tech.Tech45()
-	r := te.Layer.RPerUm(te.Rule(te.DefaultRule))
-	c := te.Layer.CPerUm(te.Rule(te.DefaultRule))
-	d4, err := VanGinneken(4000, r, c, 2e-15, lib, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d8, err := VanGinneken(8000, r, c, 2e-15, lib, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := d8.Delay / d4.Delay
-	if ratio > 2.6 || ratio < 1.4 {
-		t.Errorf("buffered delay ratio 8mm/4mm = %g, want ≈2 (linear regime)", ratio)
-	}
-}
-
-func TestVanGinnekenNDRReducesDelay(t *testing.T) {
-	lib := cell.Default45()
-	te := tech.Tech45()
-	rD := te.Layer.RPerUm(te.Rule(te.DefaultRule))
-	cD := te.Layer.CPerUm(te.Rule(te.DefaultRule))
-	rN := te.Layer.RPerUm(te.Rule(te.BlanketRule))
-	cN := te.Layer.CPerUm(te.Rule(te.BlanketRule))
-	def, err := VanGinneken(5000, rD, cD, 2e-15, lib, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ndr, err := VanGinneken(5000, rN, cN, 2e-15, lib, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ndr.Delay >= def.Delay {
-		t.Errorf("NDR wire should be faster: %g vs %g", ndr.Delay, def.Delay)
-	}
-}
-
-func TestVanGinnekenInputValidation(t *testing.T) {
-	lib := cell.Default45()
-	for _, bad := range [][4]float64{
-		{0, 1, 1, 1}, {-5, 1, 1, 1}, {100, 0, 1, 1}, {100, 1, 0, 1}, {100, 1, 1, 0},
-	} {
-		if _, err := VanGinneken(bad[0], bad[1], bad[2], 1e-15, lib, bad[3]); err == nil {
-			t.Errorf("bad inputs %v accepted", bad)
-		}
-	}
-}
-
-func TestPrunePareto(t *testing.T) {
-	cands := []vgCandidate{
-		{cap: 3, delay: 1},
-		{cap: 1, delay: 3},
-		{cap: 2, delay: 2},
-		{cap: 2.5, delay: 2.5}, // dominated by {2,2}
-		{cap: 4, delay: 0.5},
-	}
-	out := prunePareto(cands)
-	if len(out) != 4 {
-		t.Fatalf("pruned to %d, want 4: %+v", len(out), out)
-	}
-	for i := 1; i < len(out); i++ {
-		if out[i].cap <= out[i-1].cap || out[i].delay >= out[i-1].delay {
-			t.Fatalf("not a Pareto front: %+v", out)
-		}
-	}
-}
-
-func BenchmarkInsert1k(b *testing.B) {
-	lib := cell.Default45()
-	opt := FromTech(tech.Tech45())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		tr := buildEmbedded(b, 1024, 8, 4000)
-		b.StartTimer()
-		if _, err := Insert(tr, lib, opt); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

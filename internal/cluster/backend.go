@@ -92,25 +92,16 @@ func marksDown(err error) bool {
 type HTTPTransport struct {
 	// Base is the worker's base URL, e.g. "http://10.0.0.7:8147".
 	Base string
-	// Client defaults to a dedicated client with sane pooling.
-	Client *http.Client
 }
 
-// defaultHTTPClient is shared across HTTPTransports that don't bring
-// their own, so connection pools are reused per-destination.
-var defaultHTTPClient = &http.Client{
+// httpClient is shared across HTTPTransports, so connection pools are
+// reused per destination.
+var httpClient = &http.Client{
 	Transport: &http.Transport{
 		MaxIdleConns:        64,
 		MaxIdleConnsPerHost: 16,
 		IdleConnTimeout:     90 * time.Second,
 	},
-}
-
-func (t *HTTPTransport) client() *http.Client {
-	if t.Client != nil {
-		return t.Client
-	}
-	return defaultHTTPClient
 }
 
 // post sends one JSON request and decodes the response into out,
@@ -126,7 +117,7 @@ func (t *HTTPTransport) post(ctx context.Context, path string, in, out any) (Met
 		return Meta{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := t.client().Do(req)
+	resp, err := httpClient.Do(req)
 	if err != nil {
 		return Meta{}, err
 	}
@@ -172,7 +163,7 @@ func (t *HTTPTransport) Check(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	resp, err := t.client().Do(req)
+	resp, err := httpClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -219,11 +210,8 @@ type latWindow struct {
 	i   int // next write position
 }
 
-func newLatWindow(size int) *latWindow {
-	if size < 1 {
-		size = 1
-	}
-	return &latWindow{buf: make([]float64, size)}
+func newLatWindow() *latWindow {
+	return &latWindow{buf: make([]float64, latWindowSize)}
 }
 
 // Observe records one latency in seconds.

@@ -24,10 +24,10 @@ import (
 // function is allowed to change).
 const ringVersion = "smartndr/ring/v1"
 
-// defaultReplicas is the virtual-node count per backend. 64 vnodes
+// ringReplicas is the virtual-node count per backend. 64 vnodes
 // keep the maximum shard imbalance within a few percent for small
 // fleets while the ring stays tiny (a few KB).
-const defaultReplicas = 64
+const ringReplicas = 64
 
 // Ring is a consistent-hash ring mapping canonical result keys to
 // backend indices. Placement depends only on the backend names and the
@@ -46,15 +46,11 @@ type ringPoint struct {
 
 // NewRing builds a ring over n backends named by names (placement is
 // name-derived, so names must be stable across the fleet — use the
-// backend's address or configured shard name). replicas <= 0 selects
-// the default vnode count.
-func NewRing(names []string, replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = defaultReplicas
-	}
-	r := &Ring{n: len(names), points: make([]ringPoint, 0, len(names)*replicas)}
+// backend's address or configured shard name).
+func NewRing(names []string) *Ring {
+	r := &Ring{n: len(names), points: make([]ringPoint, 0, len(names)*ringReplicas)}
 	for i, name := range names {
-		for j := 0; j < replicas; j++ {
+		for j := 0; j < ringReplicas; j++ {
 			h := ringHash(ringVersion + "|" + name + "|" + strconv.Itoa(j))
 			r.points = append(r.points, ringPoint{hash: h, backend: i})
 		}

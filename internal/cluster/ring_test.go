@@ -17,8 +17,8 @@ func TestRingPlacementIgnoresListOrder(t *testing.T) {
 	// Ownership must be a pure function of the name set: every frontend
 	// in a fleet computes the same placement no matter how its -backends
 	// flag happened to be ordered.
-	a := NewRing([]string{"w1", "w2", "w3"}, 0)
-	b := NewRing([]string{"w3", "w1", "w2"}, 0)
+	a := NewRing([]string{"w1", "w2", "w3"})
+	b := NewRing([]string{"w3", "w1", "w2"})
 	namesA := []string{"w1", "w2", "w3"}
 	namesB := []string{"w3", "w1", "w2"}
 	for _, key := range ringKeys(500) {
@@ -30,7 +30,7 @@ func TestRingPlacementIgnoresListOrder(t *testing.T) {
 }
 
 func TestRingOwnerIsDeterministic(t *testing.T) {
-	r := NewRing([]string{"w1", "w2", "w3"}, 0)
+	r := NewRing([]string{"w1", "w2", "w3"})
 	for _, key := range ringKeys(100) {
 		first := r.Owner(key)
 		for i := 0; i < 3; i++ {
@@ -44,7 +44,7 @@ func TestRingOwnerIsDeterministic(t *testing.T) {
 func TestRingBalance(t *testing.T) {
 	// With 64 vnodes per backend the arcs even out; no shard should own
 	// a wildly disproportionate share of a uniform keyspace.
-	r := NewRing([]string{"w1", "w2", "w3"}, 0)
+	r := NewRing([]string{"w1", "w2", "w3"})
 	counts := make([]int, 3)
 	keys := ringKeys(9000)
 	for _, key := range keys {
@@ -65,7 +65,7 @@ func TestRingSequenceCoversAllBackendsOnce(t *testing.T) {
 	for i := range names {
 		names[i] = fmt.Sprintf("w%d", i)
 	}
-	r := NewRing(names, 0)
+	r := NewRing(names)
 	var buf []int
 	for _, key := range ringKeys(200) {
 		buf = r.Sequence(key, buf)
@@ -88,8 +88,8 @@ func TestRingSequenceCoversAllBackendsOnce(t *testing.T) {
 func TestRingRemovalMovesOnlyTheRemovedArc(t *testing.T) {
 	// The consistent-hashing contract: dropping w3 reassigns only the
 	// keys w3 owned. Every key owned by w1 or w2 keeps its owner.
-	full := NewRing([]string{"w1", "w2", "w3"}, 0)
-	reduced := NewRing([]string{"w1", "w2"}, 0)
+	full := NewRing([]string{"w1", "w2", "w3"})
+	reduced := NewRing([]string{"w1", "w2"})
 	names := []string{"w1", "w2", "w3"}
 	moved := 0
 	for _, key := range ringKeys(2000) {
@@ -108,14 +108,14 @@ func TestRingRemovalMovesOnlyTheRemovedArc(t *testing.T) {
 }
 
 func TestRingDegenerateSizes(t *testing.T) {
-	empty := NewRing(nil, 0)
+	empty := NewRing(nil)
 	if got := empty.Owner("k"); got != -1 {
 		t.Errorf("empty ring Owner = %d, want -1", got)
 	}
 	if seq := empty.Sequence("k", nil); len(seq) != 0 {
 		t.Errorf("empty ring Sequence = %v, want empty", seq)
 	}
-	one := NewRing([]string{"solo"}, 0)
+	one := NewRing([]string{"solo"})
 	for _, key := range ringKeys(20) {
 		if got := one.Owner(key); got != 0 {
 			t.Errorf("single-backend ring Owner(%q) = %d, want 0", key, got)

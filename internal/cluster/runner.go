@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"sync/atomic"
 	"time"
 
@@ -36,8 +35,6 @@ type Config struct {
 	// Backends is the shard set. Empty means one in-process loopback
 	// shard, no HTTP anywhere.
 	Backends []BackendSpec
-	// Replicas is the consistent-hash vnode count per backend (default 64).
-	Replicas int
 	// BackendConcurrent caps in-flight calls per backend (default 4).
 	BackendConcurrent int
 	// BackendQueue caps callers waiting per backend before ErrSaturated
@@ -48,24 +45,8 @@ type Config struct {
 	DisableHedge bool
 	// HedgeAfter, when positive, is a fixed hedge delay. 0 selects the
 	// adaptive delay: the recent p95 of the fastest healthy backend's
-	// latency window, clamped to [HedgeMin, HedgeMax].
+	// latency window, clamped to [2ms, 2s].
 	HedgeAfter time.Duration
-	// HedgeMinSamples is how many window samples a backend needs before
-	// its p95 participates in the adaptive delay (default 8).
-	HedgeMinSamples int
-	// HedgeMin / HedgeMax clamp the adaptive delay (defaults 2ms / 2s).
-	HedgeMin time.Duration
-	HedgeMax time.Duration
-	// HedgeDefault is the delay used before any window is warm
-	// (default 100ms).
-	HedgeDefault time.Duration
-	// FailCooldown is how long a backend stays out of rotation after a
-	// retryable failure (default 2s). Probe can bring it back sooner.
-	FailCooldown time.Duration
-	// WindowSize bounds each backend's latency window (default 128).
-	WindowSize int
-	// Client overrides the HTTP client used for URL backends.
-	Client *http.Client
 	// Tracer contributes the cluster.* counters to the shared registry.
 	Tracer *obs.Tracer
 	// Now overrides the clock (tests). Nil uses the real clock.
@@ -102,13 +83,8 @@ type Runner struct {
 	reg      *obs.Registry
 	now      func() time.Time
 
-	disableHedge    bool
-	hedgeAfter      time.Duration
-	hedgeMinSamples int
-	hedgeMin        time.Duration
-	hedgeMax        time.Duration
-	hedgeDefault    time.Duration
-	failCooldown    time.Duration
+	disableHedge bool
+	hedgeAfter   time.Duration
 }
 
 // NewRunner builds a cluster runner over the configured shard set.
@@ -125,24 +101,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 	if cfg.BackendQueue <= 0 {
 		cfg.BackendQueue = 2 * cfg.BackendConcurrent
-	}
-	if cfg.HedgeMinSamples <= 0 {
-		cfg.HedgeMinSamples = 8
-	}
-	if cfg.HedgeMin <= 0 {
-		cfg.HedgeMin = 2 * time.Millisecond
-	}
-	if cfg.HedgeMax <= 0 {
-		cfg.HedgeMax = 2 * time.Second
-	}
-	if cfg.HedgeDefault <= 0 {
-		cfg.HedgeDefault = 100 * time.Millisecond
-	}
-	if cfg.FailCooldown <= 0 {
-		cfg.FailCooldown = 2 * time.Second
-	}
-	if cfg.WindowSize <= 0 {
-		cfg.WindowSize = 128
 	}
 	now := cfg.Now
 	if now == nil {
@@ -174,29 +132,24 @@ func NewRunner(cfg Config) (*Runner, error) {
 			if spec.URL == "" {
 				tr = &LocalTransport{Runner: cfg.Local}
 			} else {
-				tr = &HTTPTransport{Base: spec.URL, Client: cfg.Client}
+				tr = &HTTPTransport{Base: spec.URL}
 			}
 		}
 		backends[i] = &backend{
 			name:   name,
 			tr:     tr,
 			gate:   par.NewGate(cfg.BackendConcurrent, cfg.BackendQueue),
-			window: newLatWindow(cfg.WindowSize),
+			window: newLatWindow(),
 		}
 	}
 	return &Runner{
-		local:           cfg.Local,
-		backends:        backends,
-		ring:            NewRing(names, cfg.Replicas),
-		reg:             reg,
-		now:             now,
-		disableHedge:    cfg.DisableHedge,
-		hedgeAfter:      cfg.HedgeAfter,
-		hedgeMinSamples: cfg.HedgeMinSamples,
-		hedgeMin:        cfg.HedgeMin,
-		hedgeMax:        cfg.HedgeMax,
-		hedgeDefault:    cfg.HedgeDefault,
-		failCooldown:    cfg.FailCooldown,
+		local:        cfg.Local,
+		backends:     backends,
+		ring:         NewRing(names),
+		reg:          reg,
+		now:          now,
+		disableHedge: cfg.DisableHedge,
+		hedgeAfter:   cfg.HedgeAfter,
 	}, nil
 }
 
@@ -211,7 +164,7 @@ func (r *Runner) healthy(b *backend) bool {
 }
 
 func (r *Runner) markDown(b *backend) {
-	b.downUntilNS.Store(r.now().Add(r.failCooldown).UnixNano())
+	b.downUntilNS.Store(r.now().Add(failCooldown).UnixNano())
 	r.reg.Add("cluster.backend_down", 1)
 }
 
@@ -248,12 +201,29 @@ func (r *Runner) order(seq []int) []int {
 	return out
 }
 
+// Hedge timing and membership constants.
+const (
+	// hedgeMinSamples is how many window samples a backend needs before
+	// its p95 participates in the adaptive delay.
+	hedgeMinSamples = 8
+	// hedgeMin and hedgeMax clamp the adaptive delay.
+	hedgeMin = 2 * time.Millisecond
+	hedgeMax = 2 * time.Second
+	// hedgeDefault is the delay used before any window is warm.
+	hedgeDefault = 100 * time.Millisecond
+	// failCooldown is how long a backend stays out of rotation after a
+	// retryable failure. Probe can bring it back sooner.
+	failCooldown = 2 * time.Second
+	// latWindowSize bounds each backend's latency window.
+	latWindowSize = 128
+)
+
 // hedgeDelay resolves the current hedge delay: fixed when configured,
 // otherwise the recent p95 of the fastest healthy backend's window —
-// "how long should a well-placed call take" — clamped to the
-// configured band. Using the fastest replica's p95 (not the primary's)
-// is what lets hedging route around a degraded-but-alive backend: a
-// shard running 10× slow raises its own p95, not the delay.
+// "how long should a well-placed call take" — clamped to
+// [hedgeMin, hedgeMax]. Using the fastest replica's p95 (not the
+// primary's) is what lets hedging route around a degraded-but-alive
+// backend: a shard running 10× slow raises its own p95, not the delay.
 func (r *Runner) hedgeDelay() time.Duration {
 	if r.hedgeAfter > 0 {
 		return r.hedgeAfter
@@ -264,7 +234,7 @@ func (r *Runner) hedgeDelay() time.Duration {
 			continue
 		}
 		q, n := b.window.Quantile(0.95)
-		if n < r.hedgeMinSamples {
+		if n < hedgeMinSamples {
 			continue
 		}
 		d := time.Duration(q * float64(time.Second))
@@ -273,13 +243,13 @@ func (r *Runner) hedgeDelay() time.Duration {
 		}
 	}
 	if best < 0 {
-		best = r.hedgeDefault
+		best = hedgeDefault
 	}
-	if best < r.hedgeMin {
-		best = r.hedgeMin
+	if best < hedgeMin {
+		best = hedgeMin
 	}
-	if best > r.hedgeMax {
-		best = r.hedgeMax
+	if best > hedgeMax {
+		best = hedgeMax
 	}
 	return best
 }

@@ -357,8 +357,7 @@ func Build(sinks []ctree.Sink, src geom.Point, te *tech.Tech, lib *cell.Library,
 
 	// No post-hoc resizing: the cell choices above are exactly what the
 	// DME offsets and the delay model assumed; changing them here would
-	// reintroduce skew. SizeBuffers remains available for flows that trade
-	// skew for slew margin.
+	// reintroduce skew.
 
 	res := &Result{
 		Tree:        final,
@@ -448,19 +447,6 @@ func rebaseCluster(t *ctree.Tree, member []int, sinks []ctree.Sink, src geom.Poi
 	}
 	final.Root = paste(t.Root, ctree.NoNode)
 	return final
-}
-
-// SizeBuffers refits every placed buffer to the smallest library cell that
-// meets the slew bound at its actual stage load. Two passes let input-cap
-// changes settle.
-func SizeBuffers(t *ctree.Tree, lib *cell.Library, cPerUm, refSlew, maxSlew float64) {
-	for pass := 0; pass < 2; pass++ {
-		caps, drivers := buffering.StageCaps(t, lib, cPerUm)
-		for _, v := range drivers {
-			b, _ := lib.SmallestMeeting(refSlew, caps[v], maxSlew)
-			t.Nodes[v].BufIdx = cellIndex(lib, b)
-		}
-	}
 }
 
 func cellIndex(lib *cell.Library, b *cell.Buffer) int {

@@ -214,30 +214,6 @@ func TestBuildHugeSinkCapGetsOwnCluster(t *testing.T) {
 	}
 }
 
-func TestSizeBuffersFitsLoads(t *testing.T) {
-	te := tech.Tech45()
-	lib := cell.Default45()
-	res, err := Build(randomSinks(200, 23, 3000), geom.Point{X: 1500, Y: 1500}, te, lib, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// SizeBuffers is the optional slew-first repair: afterwards, every
-	// buffer meets the bound at its stage load per its own table.
-	blanketC := te.Layer.CPerUm(te.Rule(te.BlanketRule))
-	SizeBuffers(res.Tree, lib, blanketC, 50e-12, te.MaxSlew)
-	an, err := sta.Analyze(res.Tree, te, lib, 40e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range an.Drivers {
-		load := an.StageCap[v]
-		b := &lib.Buffers[res.Tree.Nodes[v].BufIdx]
-		if s := b.OutSlewAt(50e-12, load); s > te.MaxSlew*1.3 {
-			t.Errorf("node %d: cell %s slew %.1f ps at %.1f fF", v, b.Name, s*1e12, load*1e15)
-		}
-	}
-}
-
 func BenchmarkBuild1k(b *testing.B) {
 	te := tech.Tech45()
 	lib := cell.Default45()

@@ -211,7 +211,7 @@ func F3Variation(o Options) error {
 		if err != nil {
 			return err
 		}
-		st, err := variation.MonteCarloTr(t, te, lib, p, o.Tracer)
+		st, err := variation.MonteCarlo(t, te, lib, p, o.Tracer)
 		if err != nil {
 			return err
 		}

@@ -64,7 +64,7 @@ type Config struct {
 	CTS cts.Options
 	// Opt configures the per-region smart optimizer (Smart only). Its
 	// MaxSkew (or the technology bound when zero) is the *global* budget;
-	// regions receive SkewSplit × that.
+	// regions receive SkewSplit × that. Its InSlew defaults to InSlew.
 	Opt core.Config
 	// Tracer instruments the build phases (partition, regions, top_embed,
 	// stitch, balance). Nil disables instrumentation at no cost.
@@ -80,6 +80,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.InSlew == 0 {
 		c.InSlew = 40e-12
+	}
+	if c.Opt.InSlew == 0 {
+		c.Opt.InSlew = c.InSlew
 	}
 	if c.BalanceIters == 0 {
 		c.BalanceIters = 40

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 )
@@ -10,9 +9,9 @@ import (
 // observations fall into the first bucket whose upper bound is >= the
 // value (Prometheus "le" semantics), with one implicit overflow bucket
 // above the last bound. Boundaries are fixed at construction, so two
-// histograms with the same bounds merge exactly and two histograms fed
-// the same observations are byte-identical in any rendering — the
-// determinism contract the rest of the repo holds extends to telemetry.
+// histograms fed the same observations are byte-identical in any
+// rendering — the determinism contract the rest of the repo holds extends
+// to telemetry.
 //
 // A nil *Histogram ignores every call, matching the nil-tracer
 // convention: Registry.Histogram on a nil registry returns nil, and the
@@ -40,15 +39,9 @@ var defaultLatencyBounds = []float64{
 	10, 20, 50,
 }
 
-// DefaultLatencyBounds returns (a copy of) the standard bucket bounds
-// in seconds: a 1-2-5 log series per decade, 1µs through 50s.
-func DefaultLatencyBounds() []float64 {
-	return append([]float64(nil), defaultLatencyBounds...)
-}
-
 // NewHistogram returns a histogram over the given upper bounds, which
-// must be strictly increasing and non-empty (nil selects
-// DefaultLatencyBounds). Bounds are copied.
+// must be strictly increasing and non-empty (nil selects the default
+// latency bounds). Bounds are copied.
 func NewHistogram(bounds []float64) *Histogram {
 	if bounds == nil {
 		bounds = defaultLatencyBounds
@@ -78,32 +71,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 	h.count++
 	h.mu.Unlock()
-}
-
-// Merge folds o's observations into h. Both histograms must share the
-// same bounds; merging is exact (bucket counts and sums add), so
-// per-shard histograms aggregate without loss.
-func (h *Histogram) Merge(o *Histogram) error {
-	if h == nil || o == nil {
-		return nil
-	}
-	snap := o.Snapshot()
-	if len(snap.Bounds) != len(h.bounds) {
-		return fmt.Errorf("obs: merging histograms with %d and %d bounds", len(snap.Bounds), len(h.bounds))
-	}
-	for i, b := range h.bounds {
-		if snap.Bounds[i] != b {
-			return fmt.Errorf("obs: merging histograms with different bounds at bucket %d", i)
-		}
-	}
-	h.mu.Lock()
-	for i, c := range snap.Counts {
-		h.counts[i] += c
-	}
-	h.sum += snap.Sum
-	h.count += snap.Count
-	h.mu.Unlock()
-	return nil
 }
 
 // Snapshot returns a point-in-time copy. Safe on nil (zero snapshot).

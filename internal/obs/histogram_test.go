@@ -72,38 +72,9 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram([]float64{1, 2})
-	b := NewHistogram([]float64{1, 2})
-	a.Observe(0.5)
-	b.Observe(1.5)
-	b.Observe(3)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	s := a.Snapshot()
-	if s.Count != 3 || s.Counts[0] != 1 || s.Counts[1] != 1 || s.Counts[2] != 1 {
-		t.Errorf("merged snapshot = %+v", s)
-	}
-	if math.Abs(s.Sum-5) > 1e-12 {
-		t.Errorf("merged sum = %g, want 5", s.Sum)
-	}
-	// b is unchanged by the merge.
-	if bs := b.Snapshot(); bs.Count != 2 {
-		t.Errorf("source count = %d after merge, want 2", bs.Count)
-	}
-	c := NewHistogram([]float64{1, 3})
-	if err := a.Merge(c); err == nil {
-		t.Error("merge across different bounds did not fail")
-	}
-}
-
 func TestHistogramNilSafety(t *testing.T) {
 	var h *Histogram
 	h.Observe(1)
-	if err := h.Merge(NewHistogram(nil)); err != nil {
-		t.Errorf("nil merge: %v", err)
-	}
 	if s := h.Snapshot(); s.Count != 0 {
 		t.Errorf("nil snapshot count = %d", s.Count)
 	}

@@ -160,8 +160,8 @@ func (t *Tracer) Gauge(name string, v float64) {
 }
 
 // Observe records one value into the named histogram in the tracer's
-// registry (creating it with DefaultLatencyBounds). For latencies the
-// unit is seconds.
+// registry (creating it with the default latency bounds). For latencies
+// the unit is seconds.
 func (t *Tracer) Observe(name string, v float64) {
 	if t == nil {
 		return
@@ -405,8 +405,8 @@ func (r *Registry) Set(name string, v float64) {
 	r.mu.Unlock()
 }
 
-// Histogram returns the named histogram, creating it with
-// DefaultLatencyBounds on first use. Returns nil (whose methods all
+// Histogram returns the named histogram, creating it with the default
+// latency bounds on first use. Returns nil (whose methods all
 // no-op) on a nil registry or when name is already a counter or gauge
 // — the collision is recorded and the caller's Observe calls vanish
 // rather than corrupting another metric.

@@ -24,8 +24,8 @@ type PromSnapshot struct {
 	// LabeledCounters / LabeledGauges are multi-series families keyed by
 	// registry-convention names (pkg.snake_case); each family renders
 	// one line per series with its label set. They exist for
-	// small-cardinality dimensional series (cache stripes, cluster
-	// shards) that the flat Registry namespace cannot express.
+	// small-cardinality dimensional series (cluster shards) that the
+	// flat Registry namespace cannot express.
 	LabeledCounters map[string][]LabeledSeries
 	LabeledGauges   map[string][]LabeledSeries
 }

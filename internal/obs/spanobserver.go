@@ -26,7 +26,7 @@ type SpanObserver struct {
 }
 
 // NewSpanObserver returns an observer teeing into next (nil: aggregate
-// only). Histograms use DefaultLatencyBounds.
+// only). Histograms use the default latency bounds.
 func NewSpanObserver(next Sink) *SpanObserver {
 	return &SpanObserver{next: next, bounds: defaultLatencyBounds, hists: map[string]*Histogram{}}
 }

@@ -37,24 +37,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row of formatted values: each value is rendered with
-// its paired format verb.
-func (t *Table) AddRowf(pairs ...any) error {
-	if len(pairs)%2 != 0 {
-		return fmt.Errorf("report: AddRowf needs format/value pairs")
-	}
-	cells := make([]string, 0, len(pairs)/2)
-	for i := 0; i < len(pairs); i += 2 {
-		f, ok := pairs[i].(string)
-		if !ok {
-			return fmt.Errorf("report: AddRowf pair %d: format is %T, want string", i/2, pairs[i])
-		}
-		cells = append(cells, fmt.Sprintf(f, pairs[i+1]))
-	}
-	t.AddRow(cells...)
-	return nil
-}
-
 // Render writes the table.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.headers))

@@ -49,22 +49,6 @@ func TestAddRowPads(t *testing.T) {
 	}
 }
 
-func TestAddRowf(t *testing.T) {
-	tb := NewTable("", "v", "p")
-	if err := tb.AddRowf("%.2f", 1.2345, "%d", 42); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(tb.String(), "1.23") || !strings.Contains(tb.String(), "42") {
-		t.Errorf("formatted row missing: %s", tb.String())
-	}
-	if err := tb.AddRowf("%.2f"); err == nil {
-		t.Error("odd pair count must fail")
-	}
-	if err := tb.AddRowf(3, 4); err == nil {
-		t.Error("non-string format must fail")
-	}
-}
-
 func TestTimingTable(t *testing.T) {
 	// A root span (0–10 ms) holding two "pass" calls (3 ms + 2 ms) plus
 	// the synthetic metrics event, delivered innermost-first as a real

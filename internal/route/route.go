@@ -3,9 +3,9 @@
 // electrical length exceeds their Manhattan distance (zero-skew wire
 // snaking) get a serpentine detour that makes up exactly the surplus.
 //
-// The realized geometry feeds three consumers: the RC netlist builder
-// (which only needs lengths, already exact in the tree), the
-// routing-resource report (track area per rule class), and debug dumps.
+// The realized geometry feeds the SVG renderer in package viz. Timing and
+// the routing-resource metrics (core.Metrics' LenByRule and TrackArea)
+// need only the electrical lengths, which are already exact in the tree.
 package route
 
 import (
@@ -14,7 +14,6 @@ import (
 
 	"smartndr/internal/ctree"
 	"smartndr/internal/geom"
-	"smartndr/internal/tech"
 )
 
 // Path is the realized geometry of one tree edge (parent → node).
@@ -132,29 +131,4 @@ func direction(a, b geom.Point) int {
 		return 1
 	}
 	return 0
-}
-
-// Usage summarizes routing-resource consumption of a realized tree under
-// its per-edge rule assignment.
-type Usage struct {
-	// LenByRule[ri] is the total wirelength routed under rule ri, µm.
-	LenByRule []float64
-	// TrackArea is Σ length × track pitch over all edges, µm² — the metric
-	// the router's congestion model charges for the clock net.
-	TrackArea float64
-	// Vias approximates via count as 2 bends per direction change.
-	Vias int
-}
-
-// ComputeUsage tallies routing-resource usage for the tree (electrical
-// lengths and per-edge rules) against the technology's rule pitches.
-func ComputeUsage(t *ctree.Tree, te *tech.Tech, paths []Path) Usage {
-	u := Usage{LenByRule: make([]float64, te.NumRules())}
-	for _, p := range paths {
-		ri := t.Nodes[p.Node].Rule
-		u.LenByRule[ri] += p.Length
-		u.TrackArea += p.Length * te.Layer.TrackPitch(te.Rule(ri))
-		u.Vias += 2 * p.Bends
-	}
-	return u
 }

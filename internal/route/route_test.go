@@ -8,7 +8,6 @@ import (
 	"smartndr/internal/ctree"
 	"smartndr/internal/dme"
 	"smartndr/internal/geom"
-	"smartndr/internal/tech"
 	"smartndr/internal/topo"
 )
 
@@ -122,38 +121,6 @@ func TestRealizeWholeTree(t *testing.T) {
 	}
 	if !geom.ApproxEq(total, tr.TotalWirelength(), 1e-4) {
 		t.Errorf("realized total %g != tree wirelength %g", total, tr.TotalWirelength())
-	}
-}
-
-func TestComputeUsage(t *testing.T) {
-	te := tech.Tech45()
-	sinks := []ctree.Sink{
-		{Loc: geom.Point{X: 0, Y: 0}, Cap: 1e-15},
-		{Loc: geom.Point{X: 100, Y: 0}, Cap: 1e-15},
-	}
-	tr, _ := topo.Build(topo.Bipartition, sinks, geom.Point{X: 50, Y: 50})
-	if err := dme.Embed(tr, dme.Params{RPerUm: 3, CPerUm: 0.2e-15}); err != nil {
-		t.Fatal(err)
-	}
-	tr.SetAllRules(te.BlanketRule)
-	paths, err := Realize(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := ComputeUsage(tr, te, paths)
-	if !geom.ApproxEq(u.LenByRule[te.BlanketRule], tr.TotalWirelength(), 1e-6) {
-		t.Errorf("LenByRule = %v, wirelength %g", u.LenByRule, tr.TotalWirelength())
-	}
-	wantArea := tr.TotalWirelength() * te.Layer.TrackPitch(te.Rule(te.BlanketRule))
-	if !geom.ApproxEq(u.TrackArea, wantArea, 1e-6) {
-		t.Errorf("TrackArea = %g, want %g", u.TrackArea, wantArea)
-	}
-
-	// Default rule uses less track area for the same length.
-	tr.SetAllRules(te.DefaultRule)
-	u2 := ComputeUsage(tr, te, paths)
-	if u2.TrackArea >= u.TrackArea {
-		t.Error("default rule must use less track area than blanket NDR")
 	}
 }
 

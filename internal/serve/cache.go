@@ -3,9 +3,7 @@ package serve
 import (
 	"container/list"
 	"context"
-	"hash/fnv"
 	"sync"
-	"sync/atomic"
 
 	"smartndr/internal/obs"
 )
@@ -16,43 +14,21 @@ import (
 // serialized response bytes — a hit replays a prior run byte for byte,
 // which is only sound because the engine is deterministic.
 //
-// Internally the cache is lock-striped into shards (each with its own
-// LRU list and flight table) so concurrent hits on different keys
-// don't serialize on one mutex. Small caches use a single shard, which
-// keeps the LRU bound globally exact; large caches trade exactness of
-// the global bound (each shard bounds its own slice of the keyspace)
-// for parallelism.
+// One mutex guards one LRU list, the item map and the flight table, so
+// the entry bound is exact: the cache never holds more than Cap entries
+// and evicts only when a new entry would exceed it.
 //
 // Three counters land in the registry: serve.cache_hits,
 // serve.cache_misses (each Do that ran the loader), and
-// serve.cache_evictions (entries displaced by the LRU bound). The same
-// events are also tallied per shard for /v1/statsz and /metricsz.
+// serve.cache_evictions (entries displaced by the LRU bound).
 type Cache struct {
-	reg    *obs.Registry // nil-safe; shared with the server's tracer
-	max    int
-	shards []*cacheShard
-}
+	reg *obs.Registry // nil-safe; shared with the server's tracer
+	max int
 
-// shardThreshold is the smallest cache capacity that gets striped.
-// Below it a single shard keeps eviction order globally exact — the
-// contract small-capacity tests (and small deployments) rely on.
-const shardThreshold = 64
-
-// cacheShardCount is the stripe count for caches at or above the
-// threshold. 8 stripes are plenty to take lock contention off the hit
-// path at the service's admission-bounded concurrency.
-const cacheShardCount = 8
-
-type cacheShard struct {
 	mu      sync.Mutex
-	max     int
 	ll      *list.List // front = most recently used
 	items   map[string]*list.Element
 	flights map[string]*flight
-
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
 }
 
 type cacheEntry struct {
@@ -81,45 +57,25 @@ func NewCache(max int, reg *obs.Registry) *Cache {
 	if max < 1 {
 		max = 1
 	}
-	n := 1
-	if max >= shardThreshold {
-		n = cacheShardCount
+	return &Cache{
+		reg:     reg,
+		max:     max,
+		ll:      list.New(),
+		items:   make(map[string]*list.Element),
+		flights: make(map[string]*flight),
 	}
-	c := &Cache{reg: reg, max: max, shards: make([]*cacheShard, n)}
-	perShard := (max + n - 1) / n
-	for i := range c.shards {
-		c.shards[i] = &cacheShard{
-			max:     perShard,
-			ll:      list.New(),
-			items:   make(map[string]*list.Element),
-			flights: make(map[string]*flight),
-		}
-	}
-	return c
-}
-
-// shard maps a key to its stripe. Keys are already uniform hashes, but
-// FNV keeps the mapping correct for arbitrary strings too.
-func (c *Cache) shard(key string) *cacheShard {
-	if len(c.shards) == 1 {
-		return c.shards[0]
-	}
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return c.shards[h.Sum32()%uint32(len(c.shards))]
 }
 
 // Get returns the cached body for key, if present, bumping its
 // recency. The returned slice is shared — callers must not mutate it.
 func (c *Cache) Get(key string) ([]byte, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
 	if !ok {
 		return nil, false
 	}
-	s.ll.MoveToFront(el)
+	c.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry).body, true
 }
 
@@ -131,21 +87,18 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 // A follower whose ctx ends while waiting returns ctx's error; the
 // leader's load keeps running under its own context.
 func (c *Cache) Do(ctx context.Context, key string, load func() ([]byte, error)) ([]byte, string, error) {
-	s := c.shard(key)
-	s.mu.Lock()
-	if el, ok := s.items[key]; ok {
-		s.ll.MoveToFront(el)
+	c.mu.Lock()
+	if el, ok := c.items[key]; ok {
+		c.ll.MoveToFront(el)
 		body := el.Value.(*cacheEntry).body
-		s.mu.Unlock()
-		s.hits.Add(1)
+		c.mu.Unlock()
 		c.reg.Add("serve.cache_hits", 1)
 		return body, CacheHit, nil
 	}
-	if f, ok := s.flights[key]; ok {
-		s.mu.Unlock()
+	if f, ok := c.flights[key]; ok {
+		c.mu.Unlock()
 		select {
 		case <-f.done:
-			s.hits.Add(1)
 			c.reg.Add("serve.cache_hits", 1)
 			return f.body, CacheShared, f.err
 		case <-ctx.Done():
@@ -153,108 +106,49 @@ func (c *Cache) Do(ctx context.Context, key string, load func() ([]byte, error))
 		}
 	}
 	f := &flight{done: make(chan struct{})}
-	s.flights[key] = f
-	s.mu.Unlock()
+	c.flights[key] = f
+	c.mu.Unlock()
 
-	s.misses.Add(1)
 	c.reg.Add("serve.cache_misses", 1)
 	f.body, f.err = load()
 
-	s.mu.Lock()
-	delete(s.flights, key)
+	c.mu.Lock()
+	delete(c.flights, key)
 	if f.err == nil {
-		evicted := s.insertLocked(key, f.body)
-		if evicted > 0 {
-			s.evictions.Add(uint64(evicted))
+		if evicted := c.insertLocked(key, f.body); evicted > 0 {
 			c.reg.Add("serve.cache_evictions", float64(evicted))
 		}
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 	close(f.done)
 	return f.body, CacheMiss, f.err
 }
 
 // insertLocked adds or refreshes an entry and returns how many entries
-// the shard's LRU bound displaced.
-func (s *cacheShard) insertLocked(key string, body []byte) int {
-	if el, ok := s.items[key]; ok {
-		s.ll.MoveToFront(el)
+// the LRU bound displaced.
+func (c *Cache) insertLocked(key string, body []byte) int {
+	if el, ok := c.items[key]; ok {
+		c.ll.MoveToFront(el)
 		el.Value.(*cacheEntry).body = body
 		return 0
 	}
-	s.items[key] = s.ll.PushFront(&cacheEntry{key: key, body: body})
+	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, body: body})
 	evicted := 0
-	for s.ll.Len() > s.max {
-		oldest := s.ll.Back()
-		s.ll.Remove(oldest)
-		delete(s.items, oldest.Value.(*cacheEntry).key)
+	for c.ll.Len() > c.max {
+		oldest := c.ll.Back()
+		c.ll.Remove(oldest)
+		delete(c.items, oldest.Value.(*cacheEntry).key)
 		evicted++
 	}
 	return evicted
 }
 
-// Len returns the current entry count across all shards.
+// Len returns the current entry count.
 func (c *Cache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.ll.Len()
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
 }
 
 // Cap returns the configured entry bound.
 func (c *Cache) Cap() int { return c.max }
-
-// Shards returns the stripe count.
-func (c *Cache) Shards() int { return len(c.shards) }
-
-// CacheShardStat is one stripe's occupancy and hit/miss/eviction
-// tallies, exported via /v1/statsz and as labeled series on /metricsz.
-type CacheShardStat struct {
-	Shard     int    `json:"shard"`
-	Len       int    `json:"len"`
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-}
-
-// ShardStats returns per-stripe stats in shard order.
-func (c *Cache) ShardStats() []CacheShardStat {
-	out := make([]CacheShardStat, len(c.shards))
-	for i, s := range c.shards {
-		s.mu.Lock()
-		n := s.ll.Len()
-		s.mu.Unlock()
-		out[i] = CacheShardStat{
-			Shard:     i,
-			Len:       n,
-			Hits:      s.hits.Load(),
-			Misses:    s.misses.Load(),
-			Evictions: s.evictions.Load(),
-		}
-	}
-	return out
-}
-
-// Balance returns the occupancy-balance ratio: the fullest shard's
-// entry count over the mean (1.0 = perfectly even, 0 when empty). A
-// single-shard cache is always 1.0 when non-empty.
-func (c *Cache) Balance() float64 {
-	total, max := 0, 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n := s.ll.Len()
-		s.mu.Unlock()
-		total += n
-		if n > max {
-			max = n
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	mean := float64(total) / float64(len(c.shards))
-	return float64(max) / mean
-}

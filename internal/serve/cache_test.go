@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -65,6 +67,39 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	if got := reg.Counter("serve.cache_evictions"); got != 1 {
 		t.Errorf("cache_evictions = %v, want 1", got)
+	}
+}
+
+// TestCacheBoundExact fills the cache to exactly its bound with distinct
+// content-address-shaped keys: every entry stays resident and nothing is
+// evicted until one more key arrives.
+func TestCacheBoundExact(t *testing.T) {
+	const entries = 256
+	reg := &obs.Registry{}
+	c := NewCache(entries, reg)
+	ctx := context.Background()
+	put := func(i int) {
+		sum := sha256.Sum256([]byte(fmt.Sprintf("design-%d", i)))
+		k := hex.EncodeToString(sum[:])
+		if _, _, err := c.Do(ctx, k, func() ([]byte, error) { return []byte(k), nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < entries; i++ {
+		put(i)
+	}
+	if got := c.Len(); got != entries {
+		t.Errorf("Len() = %d after %d distinct keys, want %d", got, entries, entries)
+	}
+	if got := reg.Counter("serve.cache_evictions"); got != 0 {
+		t.Errorf("cache_evictions = %v at the bound, want 0", got)
+	}
+	put(entries)
+	if got := c.Len(); got != entries {
+		t.Errorf("Len() = %d past the bound, want %d", got, entries)
+	}
+	if got := reg.Counter("serve.cache_evictions"); got != 1 {
+		t.Errorf("cache_evictions = %v past the bound, want 1", got)
 	}
 }
 

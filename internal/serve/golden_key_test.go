@@ -9,14 +9,16 @@ import (
 )
 
 // TestGoldenKeysUnchangedByEditSupport pins the content addresses of
-// edit-free flow, sweep, and batch requests under flow key version v4.
+// edit-free flow, sweep, and batch requests under flow key version v5.
 // Edit-free requests must keep producing exactly these hashes: the edits
 // field is omitempty in the canonical serialization, so session support
-// never moves a plain run's address. The addresses were re-pinned once,
-// deliberately, when the result-neutral incremental-STA switch left the
+// never moves a plain run's address. The addresses were re-pinned twice,
+// deliberately: when the result-neutral incremental-STA switch left the
 // serialized optimizer config and the key version went from v2 (plain) /
-// v3 (edited) to a single v4. If this test fails, a serialization change
-// silently invalidated every deployed cache.
+// v3 (edited) to a single v4, and when the optimizer's input slew began
+// resolving from the flow's (so the serialized optimizer config carries
+// it) and the version went to v5. If this test fails, a serialization
+// change silently invalidated every deployed cache.
 func TestGoldenKeysUnchangedByEditSupport(t *testing.T) {
 	fr := &FlowRunner{}
 	spec := workload.Spec{Name: "gold", Dist: workload.Uniform, Sinks: 48,
@@ -26,13 +28,13 @@ func TestGoldenKeysUnchangedByEditSupport(t *testing.T) {
 		want string
 	}{
 		{&FlowRequest{Bench: "cns01", Scheme: "smart-ndr"},
-			"e8c100f5f03f82f3906a987e656d5948fbb8a507b77d1b5551516a1b74194397"},
+			"685b829db41a98742c78200984f6c67b553e9c951e9e97693fd352c4a3b79d07"},
 		{&FlowRequest{Bench: "cns03", Scheme: "blanket-ndr", Tech: "tech65", TopK: 3, InSlewPS: 60},
-			"cf7962be2e51a8a98728b534b86c02588642c2c0aa3d56bb2147041532f95b24"},
+			"0069b48b4aa8f7867074e1bd885020cb4c5c9e464a10c7a35d38197b6ba8dd67"},
 		{&FlowRequest{Spec: &spec, Scheme: "top-k", TopK: 4},
-			"d8b92d53777c62e6c3aa904cb6f0a0fa96fbf206c3806dcdbb8600d662f499e1"},
+			"fbba4e22314792e97833fdf47228aabd302d37ea4a3bf480161a39320c606026"},
 		{&FlowRequest{Spec: &spec, Scheme: "smart-ndr", MaxRegionSinks: 32, SkewSplit: 0.6},
-			"f43b4e64eaa2ff7a814e97f2c85593af7d64d5b5998019fe962e95b32af74913"},
+			"6421e9813af1e2f5de18c8577440dde3d0380e4edcaa1d3a6a3a175b411061cc"},
 	}
 	for i, c := range flows {
 		got, err := fr.FlowKey(c.req)
@@ -50,7 +52,7 @@ func TestGoldenKeysUnchangedByEditSupport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "48166e47dd71f00888e200fa97b98a42882582cbd194e4e7b5f9594d96ab7bf0"; got != want {
+	if want := "58236027677d261a6007f2736851173fdced024bfbd098040e793cca8ec7f9b6"; got != want {
 		t.Errorf("sweep key = %s, want golden %s", got, want)
 	}
 
@@ -63,7 +65,7 @@ func TestGoldenKeysUnchangedByEditSupport(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := batchKey([]string{k0, k2}),
-		"19b0b0b7873212cc29b93849da7607c6877dfa17aedb4d646ebba1dc83638051"; got != want {
+		"22d38f7dbac16992baf398f1fa031fac030513cb983d58ffb108f74aad26fdf9"; got != want {
 		t.Errorf("batch key = %s, want golden %s", got, want)
 	}
 }

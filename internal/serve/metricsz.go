@@ -3,7 +3,6 @@ package serve
 import (
 	"net/http"
 	"runtime/metrics"
-	"strconv"
 
 	"smartndr/internal/obs"
 )
@@ -67,7 +66,6 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, nil, errMethod(r, http.MethodGet))
 		return
 	}
-	s.reg.Set("serve.cache_shard_balance", s.cache.Balance())
 	snap := s.reg.PromSnapshot()
 	readRuntimeMetrics(&snap)
 	snap.SpanHistograms = s.spanObs.Snapshot()
@@ -76,52 +74,41 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	_ = obs.WritePromText(w, "smartndr", snap)
 }
 
-// addShardSeries folds the dimensional shard views into the snapshot:
-// cache-stripe tallies labeled by stripe index, and — when the runner
-// routes across a fleet — per-backend cluster series labeled by shard
-// name. Families follow the registry naming convention even though
-// they bypass the flat Registry (it cannot express labels).
+// addShardSeries folds the cluster's per-backend view into the
+// snapshot as series labeled by shard name, when the runner routes
+// across a fleet. Families follow the registry naming convention even
+// though they bypass the flat Registry (it cannot express labels).
 func (s *Server) addShardSeries(snap *obs.PromSnapshot) {
+	ss, ok := s.runner.(ShardStatser)
+	if !ok {
+		return
+	}
 	counters := map[string][]obs.LabeledSeries{}
 	gauges := map[string][]obs.LabeledSeries{}
-
-	for _, cs := range s.cache.ShardStats() {
-		l := obs.PromLabel("shard", strconv.Itoa(cs.Shard))
-		counters["serve.cache_shard_hits"] = append(counters["serve.cache_shard_hits"],
-			obs.LabeledSeries{Labels: l, Value: float64(cs.Hits)})
-		counters["serve.cache_shard_misses"] = append(counters["serve.cache_shard_misses"],
-			obs.LabeledSeries{Labels: l, Value: float64(cs.Misses)})
-		counters["serve.cache_shard_evictions"] = append(counters["serve.cache_shard_evictions"],
-			obs.LabeledSeries{Labels: l, Value: float64(cs.Evictions)})
-		gauges["serve.cache_shard_len"] = append(gauges["serve.cache_shard_len"],
-			obs.LabeledSeries{Labels: l, Value: float64(cs.Len)})
-	}
-	if ss, ok := s.runner.(ShardStatser); ok {
-		for _, st := range ss.ShardStats() {
-			l := obs.PromLabel("shard", st.Shard)
-			healthy := 0.0
-			if st.Healthy {
-				healthy = 1.0
-			}
-			counters["cluster.shard_requests"] = append(counters["cluster.shard_requests"],
-				obs.LabeledSeries{Labels: l, Value: float64(st.Requests)})
-			counters["cluster.shard_errors"] = append(counters["cluster.shard_errors"],
-				obs.LabeledSeries{Labels: l, Value: float64(st.Errors)})
-			counters["cluster.shard_hedges"] = append(counters["cluster.shard_hedges"],
-				obs.LabeledSeries{Labels: l, Value: float64(st.Hedges)})
-			counters["cluster.shard_hedge_wins"] = append(counters["cluster.shard_hedge_wins"],
-				obs.LabeledSeries{Labels: l, Value: float64(st.HedgeWins)})
-			counters["cluster.shard_remote_hits"] = append(counters["cluster.shard_remote_hits"],
-				obs.LabeledSeries{Labels: l, Value: float64(st.RemoteHits)})
-			counters["cluster.shard_remote_misses"] = append(counters["cluster.shard_remote_misses"],
-				obs.LabeledSeries{Labels: l, Value: float64(st.RemoteMisses)})
-			gauges["cluster.shard_healthy"] = append(gauges["cluster.shard_healthy"],
-				obs.LabeledSeries{Labels: l, Value: healthy})
-			gauges["cluster.shard_inflight"] = append(gauges["cluster.shard_inflight"],
-				obs.LabeledSeries{Labels: l, Value: float64(st.InFlight)})
-			gauges["cluster.shard_p95_seconds"] = append(gauges["cluster.shard_p95_seconds"],
-				obs.LabeledSeries{Labels: l, Value: st.P95MS / 1e3})
+	for _, st := range ss.ShardStats() {
+		l := obs.PromLabel("shard", st.Shard)
+		healthy := 0.0
+		if st.Healthy {
+			healthy = 1.0
 		}
+		counters["cluster.shard_requests"] = append(counters["cluster.shard_requests"],
+			obs.LabeledSeries{Labels: l, Value: float64(st.Requests)})
+		counters["cluster.shard_errors"] = append(counters["cluster.shard_errors"],
+			obs.LabeledSeries{Labels: l, Value: float64(st.Errors)})
+		counters["cluster.shard_hedges"] = append(counters["cluster.shard_hedges"],
+			obs.LabeledSeries{Labels: l, Value: float64(st.Hedges)})
+		counters["cluster.shard_hedge_wins"] = append(counters["cluster.shard_hedge_wins"],
+			obs.LabeledSeries{Labels: l, Value: float64(st.HedgeWins)})
+		counters["cluster.shard_remote_hits"] = append(counters["cluster.shard_remote_hits"],
+			obs.LabeledSeries{Labels: l, Value: float64(st.RemoteHits)})
+		counters["cluster.shard_remote_misses"] = append(counters["cluster.shard_remote_misses"],
+			obs.LabeledSeries{Labels: l, Value: float64(st.RemoteMisses)})
+		gauges["cluster.shard_healthy"] = append(gauges["cluster.shard_healthy"],
+			obs.LabeledSeries{Labels: l, Value: healthy})
+		gauges["cluster.shard_inflight"] = append(gauges["cluster.shard_inflight"],
+			obs.LabeledSeries{Labels: l, Value: float64(st.InFlight)})
+		gauges["cluster.shard_p95_seconds"] = append(gauges["cluster.shard_p95_seconds"],
+			obs.LabeledSeries{Labels: l, Value: st.P95MS / 1e3})
 	}
 	snap.LabeledCounters = counters
 	snap.LabeledGauges = gauges

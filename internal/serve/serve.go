@@ -550,11 +550,6 @@ type Statsz struct {
 	Slots    int   `json:"slots"`
 	CacheLen int   `json:"cache_len"`
 	CacheCap int   `json:"cache_cap"`
-	// CacheShards is the per-stripe occupancy and hit/miss/eviction
-	// view of the result cache; CacheBalance is the fullest stripe
-	// over the mean (1.0 = even).
-	CacheShards  []CacheShardStat `json:"cache_shards,omitempty"`
-	CacheBalance float64          `json:"cache_balance,omitempty"`
 	// Shards is the cluster backend view, present when the runner
 	// routes across a fleet (see ShardStatser).
 	Shards []ShardStat `json:"shards,omitempty"`
@@ -606,22 +601,17 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, nil, errMethod(r, http.MethodGet))
 		return
 	}
-	// Refresh the balance gauge on read so scrapes of /v1/statsz and
-	// /metricsz agree on the same definition.
-	s.reg.Set("serve.cache_shard_balance", s.cache.Balance())
 	st := Statsz{
-		UptimeMS:     s.now().Sub(s.start).Milliseconds(),
-		Draining:     s.Draining(),
-		InFlight:     s.gate.Held(),
-		Waiting:      s.gate.Waiting(),
-		Slots:        s.gate.Slots(),
-		CacheLen:     s.cache.Len(),
-		CacheCap:     s.cache.Cap(),
-		CacheShards:  s.cache.ShardStats(),
-		CacheBalance: s.cache.Balance(),
-		Sessions:     s.sessions.stats(),
-		Counters:     s.reg.Snapshot(),
-		Latency:      s.latencySummaries(),
+		UptimeMS: s.now().Sub(s.start).Milliseconds(),
+		Draining: s.Draining(),
+		InFlight: s.gate.Held(),
+		Waiting:  s.gate.Waiting(),
+		Slots:    s.gate.Slots(),
+		CacheLen: s.cache.Len(),
+		CacheCap: s.cache.Cap(),
+		Sessions: s.sessions.stats(),
+		Counters: s.reg.Snapshot(),
+		Latency:  s.latencySummaries(),
 	}
 	if ss, ok := s.runner.(ShardStatser); ok {
 		st.Shards = ss.ShardStats()

@@ -1,85 +1,13 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"smartndr/internal/obs"
 )
-
-func TestCacheStripesAboveThreshold(t *testing.T) {
-	reg := &obs.Registry{}
-	small := NewCache(shardThreshold-1, reg)
-	if got := small.Shards(); got != 1 {
-		t.Errorf("cap %d uses %d stripes, want 1 (exact global LRU below the threshold)", shardThreshold-1, got)
-	}
-	big := NewCache(shardThreshold, reg)
-	if got := big.Shards(); got != cacheShardCount {
-		t.Errorf("cap %d uses %d stripes, want %d", shardThreshold, got, cacheShardCount)
-	}
-}
-
-func TestCacheShardStatsAccount(t *testing.T) {
-	reg := &obs.Registry{}
-	c := NewCache(256, reg)
-	ctx := context.Background()
-	load := func(v string) func() ([]byte, error) {
-		return func() ([]byte, error) { return []byte(v), nil }
-	}
-	const keys = 40
-	for i := 0; i < keys; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if _, oc, err := c.Do(ctx, k, load(k)); err != nil || oc != CacheMiss {
-			t.Fatalf("cold Do(%s) = %q, %v", k, oc, err)
-		}
-		if _, oc, err := c.Do(ctx, k, load(k)); err != nil || oc != CacheHit {
-			t.Fatalf("warm Do(%s) = %q, %v", k, oc, err)
-		}
-	}
-	stats := c.ShardStats()
-	if len(stats) != cacheShardCount {
-		t.Fatalf("ShardStats len = %d, want %d", len(stats), cacheShardCount)
-	}
-	var lenSum int
-	var hits, misses uint64
-	striped := 0
-	for i, st := range stats {
-		if st.Shard != i {
-			t.Errorf("stats[%d].Shard = %d", i, st.Shard)
-		}
-		lenSum += st.Len
-		hits += st.Hits
-		misses += st.Misses
-		if st.Len > 0 {
-			striped++
-		}
-	}
-	if lenSum != c.Len() || lenSum != keys {
-		t.Errorf("stripe lens sum to %d, want Len() = %d = %d", lenSum, c.Len(), keys)
-	}
-	if hits != keys || misses != keys {
-		t.Errorf("per-stripe tallies hits=%d misses=%d, want %d each", hits, misses, keys)
-	}
-	if striped < 2 {
-		t.Errorf("all %d keys landed in one stripe; the hash is not spreading", keys)
-	}
-	if b := c.Balance(); b < 1.0 {
-		t.Errorf("Balance() = %v, want >= 1 when occupied (max/mean)", b)
-	}
-}
-
-func TestCacheBalanceEmpty(t *testing.T) {
-	c := NewCache(256, &obs.Registry{})
-	if b := c.Balance(); b != 0 {
-		t.Errorf("empty cache Balance() = %v, want 0", b)
-	}
-}
 
 // shardStatsRunner makes a stub runner double as a serve.ShardStatser,
 // standing in for the cluster runner without an import cycle.
@@ -95,41 +23,20 @@ func TestStatszAndMetricszExposeShards(t *testing.T) {
 		{Shard: "w0", Healthy: true, Requests: 12, Hedges: 3, HedgeWins: 2, RemoteHits: 5, RemoteMisses: 7, P95MS: 41.5},
 		{Shard: "w1", Healthy: false, Requests: 4, Errors: 4},
 	}}
-	ts := httptest.NewServer(New(Config{Runner: runner, CacheEntries: 256}).Handler())
+	ts := httptest.NewServer(New(Config{Runner: runner}).Handler())
 	defer ts.Close()
 
-	// Prime the cache stripes so per-shard cache series are non-trivial.
-	resp := postFlow(t, ts, `{"bench":"cns01"}`)
-	readBody(t, resp)
-	resp = postFlow(t, ts, `{"bench":"cns01"}`)
-	readBody(t, resp)
-
-	// /v1/statsz carries both shard views.
+	// /v1/statsz carries the runner's shard view.
 	stResp, err := http.Get(ts.URL + "/v1/statsz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	stBody := readBody(t, stResp)
 	var st struct {
-		CacheShards  []CacheShardStat `json:"cache_shards"`
-		CacheBalance float64          `json:"cache_balance"`
-		Shards       []ShardStat      `json:"shards"`
+		Shards []ShardStat `json:"shards"`
 	}
 	if err := json.Unmarshal(stBody, &st); err != nil {
 		t.Fatalf("statsz not JSON: %v", err)
-	}
-	if len(st.CacheShards) != cacheShardCount {
-		t.Errorf("statsz cache_shards len = %d, want %d", len(st.CacheShards), cacheShardCount)
-	}
-	var hits uint64
-	for _, cs := range st.CacheShards {
-		hits += cs.Hits
-	}
-	if hits != 1 {
-		t.Errorf("statsz cache_shards hits = %d, want 1", hits)
-	}
-	if st.CacheBalance <= 0 {
-		t.Errorf("statsz cache_balance = %v, want > 0 with a resident entry", st.CacheBalance)
 	}
 	if len(st.Shards) != 2 || st.Shards[0].Shard != "w0" || st.Shards[1].Healthy {
 		t.Errorf("statsz shards = %+v, want the runner's two shards verbatim", st.Shards)
@@ -138,7 +45,7 @@ func TestStatszAndMetricszExposeShards(t *testing.T) {
 		t.Errorf("statsz shard w0 = %+v", st.Shards[0])
 	}
 
-	// /metricsz renders the same views as labeled series.
+	// /metricsz renders the same view as labeled series.
 	mResp, err := http.Get(ts.URL + "/metricsz")
 	if err != nil {
 		t.Fatal(err)
@@ -150,9 +57,6 @@ func TestStatszAndMetricszExposeShards(t *testing.T) {
 	}
 	expo := string(expoBytes)
 	for _, want := range []string{
-		`smartndr_serve_cache_shard_hits_total{shard="`,
-		`smartndr_serve_cache_shard_len{shard="`,
-		"smartndr_serve_cache_shard_balance ",
 		`smartndr_cluster_shard_requests_total{shard="w0"} 12`,
 		`smartndr_cluster_shard_hedge_wins_total{shard="w0"} 2`,
 		`smartndr_cluster_shard_healthy{shard="w0"} 1`,

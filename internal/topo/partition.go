@@ -81,67 +81,3 @@ func partBipart(sinks []ctree.Sink, idx []int, maxSinks int, out *[][]int) {
 	partBipart(sinks, idx[:mid], maxSinks, out)
 	partBipart(sinks, idx[mid:], maxSinks, out)
 }
-
-// GridPartition splits the sink set by a uniform geometric grid sized so
-// the average cell holds about maxSinks sinks, then recursively bipartitions
-// any cell that still exceeds the bound (clustered inputs can overfill a
-// cell by an arbitrary factor). Empty cells are dropped. Regions are
-// ordered row-major by cell, then by recursion within an overfull cell,
-// and sink indices within a region are sorted ascending — all
-// deterministic in the sink coordinates.
-func GridPartition(sinks []ctree.Sink, maxSinks int) [][]int {
-	if len(sinks) == 0 {
-		return nil
-	}
-	if maxSinks <= 0 || len(sinks) <= maxSinks {
-		idx := make([]int, len(sinks))
-		for i := range idx {
-			idx[i] = i
-		}
-		return [][]int{idx}
-	}
-	bb := geom.NewEmptyBBox()
-	for i := range sinks {
-		bb.Extend(sinks[i].Loc)
-	}
-	// Aim for sqrt(n/max) cells per axis, at least 1.
-	cells := 1
-	for cells*cells*maxSinks < len(sinks) {
-		cells++
-	}
-	w, h := bb.Width(), bb.Height()
-	if w <= 0 {
-		w = 1
-	}
-	if h <= 0 {
-		h = 1
-	}
-	buckets := make([][]int, cells*cells)
-	for i := range sinks {
-		cx := int(float64(cells) * (sinks[i].Loc.X - bb.MinX) / w)
-		cy := int(float64(cells) * (sinks[i].Loc.Y - bb.MinY) / h)
-		if cx >= cells {
-			cx = cells - 1
-		}
-		if cy >= cells {
-			cy = cells - 1
-		}
-		b := cy*cells + cx
-		buckets[b] = append(buckets[b], i)
-	}
-	var regions [][]int
-	for _, b := range buckets {
-		if len(b) == 0 {
-			continue
-		}
-		if len(b) <= maxSinks {
-			regions = append(regions, b)
-			continue
-		}
-		partBipart(sinks, b, maxSinks, &regions)
-	}
-	for _, r := range regions {
-		sort.Ints(r)
-	}
-	return regions
-}

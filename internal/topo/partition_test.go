@@ -86,19 +86,9 @@ func TestPartitionDuplicatePoints(t *testing.T) {
 	}
 }
 
-func TestGridPartitionCoversAndBounds(t *testing.T) {
-	for _, n := range []int{1, 9, 300, 2048} {
-		for _, cap := range []int{1, 16, 256} {
-			sinks := randomSinks(n, int64(n*17+cap))
-			regions := GridPartition(sinks, cap)
-			checkPartition(t, sinks, regions, cap)
-		}
-	}
-}
-
-// A tight clump must still respect the bound: the overfull grid cell is
-// recursively bipartitioned.
-func TestGridPartitionClustered(t *testing.T) {
+// A tight Gaussian clump must still respect the bound and cover every
+// sink.
+func TestPartitionClustered(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	sinks := make([]ctree.Sink, 500)
 	for i := range sinks {
@@ -108,16 +98,17 @@ func TestGridPartitionClustered(t *testing.T) {
 			Cap:  1e-15,
 		}
 	}
-	regions := GridPartition(sinks, 50)
+	regions := Partition(sinks, 50)
 	checkPartition(t, sinks, regions, 50)
 }
 
-func TestGridPartitionDegenerateLine(t *testing.T) {
-	// All sinks on one vertical line: width 0 must not divide-by-zero.
+func TestPartitionDegenerateLine(t *testing.T) {
+	// All sinks on one vertical line: a zero-width bounding box must split
+	// along y.
 	sinks := make([]ctree.Sink, 120)
 	for i := range sinks {
 		sinks[i] = ctree.Sink{Name: "l", Loc: geom.Point{X: 5, Y: float64(i)}, Cap: 1e-15}
 	}
-	regions := GridPartition(sinks, 10)
+	regions := Partition(sinks, 10)
 	checkPartition(t, sinks, regions, 10)
 }

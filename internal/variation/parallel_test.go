@@ -23,7 +23,7 @@ func TestMonteCarloWorkerCountInvariance(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		pw := p
 		pw.Workers = workers
-		st, err := MonteCarlo(tr, te, lib, pw)
+		st, err := MonteCarlo(tr, te, lib, pw, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -58,7 +58,7 @@ func TestMonteCarloSpanLeak(t *testing.T) {
 	p := Defaults(1)
 	p.Samples = 4
 	p.InSlew = -1 // forces sta to reject every trial's analysis
-	if _, err := MonteCarloTr(tree, te, lib, p, tr); err == nil {
+	if _, err := MonteCarlo(tree, te, lib, p, tr); err == nil {
 		t.Fatal("negative input slew must fail the run")
 	}
 	trials, runs := 0, 0
@@ -91,7 +91,7 @@ func TestMonteCarloTrialSpansWellFormed(t *testing.T) {
 	p := Defaults(3)
 	p.Samples = 24
 	p.Workers = 8
-	if _, err := MonteCarloTr(tree, te, lib, p, tr); err != nil {
+	if _, err := MonteCarlo(tree, te, lib, p, tr); err != nil {
 		t.Fatal(err)
 	}
 	trials := 0

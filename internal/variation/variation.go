@@ -121,12 +121,6 @@ type field struct {
 	invW, invH float64
 }
 
-func newField(rng *rand.Rand, cells int, bb geom.BBox) *field {
-	f := emptyField(cells, bb)
-	f.fill(rng)
-	return f
-}
-
 // emptyField allocates the grid without drawing values; fill redraws it
 // in place so per-trial scratch reuse skips the allocation.
 func emptyField(cells int, bb geom.BBox) *field {
@@ -172,17 +166,6 @@ func (f *field) at(p geom.Point) float64 {
 	return v00*(1-dx)*(1-dy) + v01*dx*(1-dy) + v10*(1-dx)*dy + v11*dx*dy
 }
 
-// MonteCarlo runs the analysis. The tree is not modified.
-//
-// Determinism contract: trial i draws every random number from a
-// dedicated substream seeded by par.SubstreamSeed(p.Seed, i), so the
-// sample sequence depends only on the Params — not on Workers, core
-// count, or scheduling. Two runs with equal Params produce identical
-// Stats.
-func MonteCarlo(t *ctree.Tree, te *tech.Tech, lib *cell.Library, p Params) (*Stats, error) {
-	return MonteCarloTr(t, te, lib, p, nil)
-}
-
 // trialScratch is the per-worker reusable state: Gaussian fields, the
 // override buffers, the trial RNG, and a timing engine with preallocated
 // storage. One worker runs one trial at a time, so nothing here needs
@@ -195,13 +178,21 @@ type trialScratch struct {
 	an     *sta.Incremental
 }
 
-// MonteCarloTr is MonteCarlo with instrumentation: each trial records a
-// span (so timing outliers are visible in a trace), and the run gauges
-// acceptance against the technology skew bound. A nil tracer adds no
-// overhead. Trial spans are attached to the run span explicitly — never
-// to the tracer's ambient span stack — so the span tree stays
-// well-formed when trials run on many goroutines.
-func MonteCarloTr(t *ctree.Tree, te *tech.Tech, lib *cell.Library, p Params, tr *obs.Tracer) (*Stats, error) {
+// MonteCarlo runs the analysis. The tree is not modified.
+//
+// Determinism contract: trial i draws every random number from a
+// dedicated substream seeded by par.SubstreamSeed(p.Seed, i), so the
+// sample sequence depends only on the Params — not on Workers, core
+// count, or scheduling. Two runs with equal Params produce identical
+// Stats.
+//
+// Instrumentation: each trial records a span (so timing outliers are
+// visible in a trace), and the run gauges acceptance against the
+// technology skew bound. A nil tracer adds no overhead. Trial spans are
+// attached to the run span explicitly — never to the tracer's ambient
+// span stack — so the span tree stays well-formed when trials run on
+// many goroutines.
+func MonteCarlo(t *ctree.Tree, te *tech.Tech, lib *cell.Library, p Params, tr *obs.Tracer) (*Stats, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

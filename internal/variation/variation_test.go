@@ -35,11 +35,11 @@ func TestMonteCarloDeterministic(t *testing.T) {
 	tr := builtTree(t, 60, 3, 1000, te, lib)
 	p := Defaults(7)
 	p.Samples = 20
-	a, err := MonteCarlo(tr, te, lib, p)
+	a, err := MonteCarlo(tr, te, lib, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MonteCarlo(tr, te, lib, p)
+	b, err := MonteCarlo(tr, te, lib, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestMonteCarloZeroSigmaMatchesNominal(t *testing.T) {
 	lib := cell.Default45()
 	tr := builtTree(t, 60, 5, 1000, te, lib)
 	p := Params{Samples: 3, Seed: 1}
-	st, err := MonteCarlo(tr, te, lib, p)
+	st, err := MonteCarlo(tr, te, lib, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestVariationIncreasesSkewSpread(t *testing.T) {
 	tr := builtTree(t, 120, 9, 2000, te, lib)
 	p := Defaults(11)
 	p.Samples = 100
-	st, err := MonteCarlo(tr, te, lib, p)
+	st, err := MonteCarlo(tr, te, lib, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,13 +101,13 @@ func TestNDRMoreRobustThanDefault(t *testing.T) {
 
 	blanket := tr.Clone()
 	core.AssignAll(blanket, te.BlanketRule)
-	sb, err := MonteCarlo(blanket, te, lib, p)
+	sb, err := MonteCarlo(blanket, te, lib, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	def := tr.Clone()
 	core.AssignAll(def, te.DefaultRule)
-	sd, err := MonteCarlo(def, te, lib, p)
+	sd, err := MonteCarlo(def, te, lib, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,8 @@ func TestParamsValidate(t *testing.T) {
 func TestFieldInterpolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	bb := geom.BBox{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
-	f := newField(rng, 4, bb)
+	f := emptyField(4, bb)
+	f.fill(rng)
 	// Continuity: nearby points give nearby values.
 	a := f.at(geom.Point{X: 50, Y: 50})
 	b := f.at(geom.Point{X: 50.1, Y: 50.1})
@@ -166,11 +167,11 @@ func TestSpatialCorrelationMatters(t *testing.T) {
 	spatial.SpatialFrac = 1
 	white := base
 	white.SpatialFrac = 0
-	ss, err := MonteCarlo(tr, te, lib, spatial)
+	ss, err := MonteCarlo(tr, te, lib, spatial, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := MonteCarlo(tr, te, lib, white)
+	sw, err := MonteCarlo(tr, te, lib, white, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
