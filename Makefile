@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build check vet fmt lint lint-extra test race bench bench-smoke bench-scale bench-json cover fuzz-smoke cluster-smoke perfbench-check loc ci clean
+.PHONY: all build check vet fmt lint lint-extra test race bench bench-smoke bench-scale cover fuzz-smoke cluster-smoke perfbench-check loc ci clean
 
 # Coverage floor (percent) enforced on internal/serve — the service
 # layer is pure coordination logic, so uncovered lines are usually
@@ -70,16 +70,6 @@ bench-smoke:
 # opt-in: SMARTNDR_BENCH_1M=1 make bench-scale.
 bench-scale:
 	$(GO) test -run '^$$' -bench 'FlowSmart100K|FlowSmart1M' -benchtime=1x -benchmem .
-
-# Machine-readable perf snapshot of the Monte Carlo worker-scaling, flow
-# (including the 100K-sink hierarchical point), incremental-STA, and
-# session benchmarks (see docs/performance.md). BENCH_PR10.json is
-# committed so perf regressions diff in review; earlier snapshots
-# (BENCH_PR2/PR3/PR7/PR8) stay as history.
-bench-json:
-	$(GO) test -bench='MonteCarlo|Flow|Optimize|RepairSkew|Session' -benchmem -run=^$$ . ./internal/core ./internal/serve \
-		| $(GO) run ./internal/tools/bench2json -out BENCH_PR10.json
-	@echo wrote BENCH_PR10.json
 
 # Per-package coverage summary plus an enforced floor on internal/serve.
 # Writes cover.out (uploaded as a CI artifact) and prints the func-level

@@ -1,13 +1,16 @@
 package smartndr
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
+	"sync"
 
 	"smartndr/internal/cell"
 	"smartndr/internal/core"
@@ -146,8 +149,12 @@ type HierConfig struct {
 // FlowConfig parameterizes a Flow. The zero value (or nil pointer to
 // NewFlow) selects the 45 nm-class defaults.
 type FlowConfig struct {
-	Tech    *Tech       // nil → tech.Tech45()
-	Library *Library    // nil → DefaultLibraryFor(Tech)
+	Tech *Tech // nil → tech.Tech45()
+	// Library is the buffer library; nil → DefaultLibraryFor(Tech), which
+	// is shared by every flow on the same node class. The engine only
+	// reads a library, and callers must treat one as read-only once a
+	// flow holds it.
+	Library *Library
 	CTS     cts.Options // tree construction knobs
 	Opt     core.Config // smart-optimizer knobs
 	// TopK is K for SchemeTopK. Zero is the "unset" sentinel and resolves
@@ -181,11 +188,46 @@ type FlowConfig struct {
 // technology: the 65 nm library for 65 nm-class nodes (Tech.Node == 65,
 // with a name-based fallback for legacy Tech values), the 45 nm library
 // otherwise.
+//
+// The returned library is one shared, read-only instance per node class,
+// generated once together with its canonical JSON, so content keys never
+// re-marshal it. Do not modify it; to vary a library, build a private one
+// with cell.Generate (or cell.Default45) and set FlowConfig.Library.
 func DefaultLibraryFor(te *Tech) *Library {
 	if te != nil && (te.Node == 65 || (te.Node == 0 && te.Name == "tech65")) {
-		return cell.Default65()
+		return default65().lib
 	}
-	return cell.Default45()
+	return default45().lib
+}
+
+// sharedLibrary is one built-in library and its canonical JSON.
+type sharedLibrary struct {
+	lib  *Library
+	json []byte
+}
+
+var (
+	default45 = sync.OnceValue(func() sharedLibrary { return newSharedLibrary(cell.Default45()) })
+	default65 = sync.OnceValue(func() sharedLibrary { return newSharedLibrary(cell.Default65()) })
+)
+
+func newSharedLibrary(lib *Library) sharedLibrary {
+	b, err := json.Marshal(lib)
+	if err != nil {
+		panic("smartndr: built-in library does not marshal: " + err.Error())
+	}
+	return sharedLibrary{lib: lib, json: b}
+}
+
+// libraryJSON returns json.Marshal(lib), reusing the memoized bytes when
+// lib is one of the shared default libraries.
+func libraryJSON(lib *Library) ([]byte, error) {
+	for _, shared := range [...]func() sharedLibrary{default45, default65} {
+		if sl := shared(); sl.lib == lib {
+			return sl.json, nil
+		}
+	}
+	return json.Marshal(lib)
 }
 
 // Flow runs clock-tree synthesis and rule assignment.
@@ -441,26 +483,104 @@ func (f *Flow) RunHier(ctx context.Context, sinks []Sink, src Point, scheme Sche
 // addresses.
 const flowKeyVersion = "smartndr/flow/v5"
 
-// runKey is the canonical serialization of everything that determines a
-// RunSpecEdits result: the benchmark spec, the full technology and buffer
-// library, the scheme, and every resolved engine knob. Tracer fields
-// and Workers are deliberately absent — instrumentation and throughput
-// knobs never change results (the determinism suite proves it), so two
-// requests differing only there must share a content address.
-type runKey struct {
-	V       string      `json:"v"`
-	Spec    BenchSpec   `json:"spec"`
-	Tech    *Tech       `json:"tech"`
-	Library *Library    `json:"library"`
-	Scheme  int         `json:"scheme"`
-	TopK    int         `json:"top_k"`
-	InSlew  float64     `json:"in_slew"`
-	CTS     cts.Options `json:"cts"`
-	Opt     core.Config `json:"opt"`
-	Hier    HierConfig  `json:"hier"`
+// The canonical serialization of everything that determines a
+// RunSpecEdits result is one JSON object with these fields, in order:
+//
+//	{"v", "spec", "tech", "library", "scheme", "top_k", "in_slew", "cts",
+//	 "opt", "hier", "edits"}
+//
+// the benchmark spec, the full technology and buffer library, the scheme,
+// and every resolved engine knob. Tracer fields and Workers are
+// deliberately absent — instrumentation and throughput knobs never change
+// results (the determinism suite proves it), so two requests differing
+// only there must share a content address. keyHead and keyTail marshal
+// the fields around the technology and library; writeKeyHead and
+// writeKeyTail splice the four parts into exactly the bytes one
+// json.Marshal of the whole object yields, so the shared library's
+// memoized JSON can stand in for a fresh marshal.
+type keyHead struct {
+	V    string    `json:"v"`
+	Spec BenchSpec `json:"spec"`
+}
+
+type keyTail struct {
+	Scheme int         `json:"scheme"`
+	TopK   int         `json:"top_k"`
+	InSlew float64     `json:"in_slew"`
+	CTS    cts.Options `json:"cts"`
+	Opt    core.Config `json:"opt"`
+	Hier   HierConfig  `json:"hier"`
 	// Edits is the canonical session edit state, nil for plain runs so
 	// the field vanishes from edit-free serializations.
 	Edits []core.Edit `json:"edits,omitempty"`
+}
+
+// writeRunKey writes the canonical run serialization to w.
+func (f *Flow) writeRunKey(w io.Writer, spec BenchSpec, scheme Scheme, edits []Edit) error {
+	if err := f.writeKeyHead(w, spec); err != nil {
+		return err
+	}
+	return f.writeKeyTail(w, scheme, edits)
+}
+
+// writeKeyHead writes the serialization up to and including the library:
+// the part a session fixes once it is open.
+func (f *Flow) writeKeyHead(w io.Writer, spec BenchSpec) error {
+	head, err := json.Marshal(keyHead{V: flowKeyVersion, Spec: spec})
+	if err != nil {
+		return err
+	}
+	te, err := json.Marshal(f.cfg.Tech)
+	if err != nil {
+		return err
+	}
+	lib, err := libraryJSON(f.cfg.Library)
+	if err != nil {
+		return err
+	}
+	// Drop head's closing brace; the tail closes the object.
+	return writeAll(w, head[:len(head)-1], []byte(`,"tech":`), te, []byte(`,"library":`), lib)
+}
+
+// writeKeyTail writes the rest of the serialization: the scheme, the
+// resolved knobs and the canonical edits.
+func (f *Flow) writeKeyTail(w io.Writer, scheme Scheme, edits []Edit) error {
+	tail := keyTail{
+		Scheme: int(scheme),
+		TopK:   f.cfg.TopK,
+		InSlew: f.cfg.InSlew,
+		CTS:    f.cfg.CTS,
+		Opt:    f.cfg.Opt,
+		Hier:   f.cfg.Hier,
+		Edits:  core.CanonicalEdits(edits),
+	}
+	// Zero the non-semantic fields (a nil and a live tracer must
+	// serialize identically).
+	tail.CTS.Tracer = nil
+	tail.Opt.Tracer = nil
+	rest, err := json.Marshal(tail)
+	if err != nil {
+		return err
+	}
+	rest[0] = ',' // the tail continues the head's object
+	return writeAll(w, rest)
+}
+
+func writeAll(w io.Writer, parts ...[]byte) error {
+	for _, p := range parts {
+		if _, err := w.Write(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// hexSum finishes a content-address hash.
+func hexSum(h hash.Hash) string {
+	var sum [sha256.Size]byte
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], h.Sum(sum[:0]))
+	return string(out[:])
 }
 
 // CanonicalRunEdits returns the canonical byte serialization hashed by
@@ -470,24 +590,11 @@ type runKey struct {
 // serializes — and hashes — identically. With no surviving edits the
 // serialization is a plain run's.
 func (f *Flow) CanonicalRunEdits(spec BenchSpec, scheme Scheme, edits []Edit) ([]byte, error) {
-	k := runKey{
-		V:       flowKeyVersion,
-		Spec:    spec,
-		Tech:    f.cfg.Tech,
-		Library: f.cfg.Library,
-		Scheme:  int(scheme),
-		TopK:    f.cfg.TopK,
-		InSlew:  f.cfg.InSlew,
-		CTS:     f.cfg.CTS,
-		Opt:     f.cfg.Opt,
-		Hier:    f.cfg.Hier,
-		Edits:   core.CanonicalEdits(edits),
+	var b bytes.Buffer
+	if err := f.writeRunKey(&b, spec, scheme, edits); err != nil {
+		return nil, err
 	}
-	// Zero the non-semantic fields (a nil and a live tracer must
-	// serialize identically).
-	k.CTS.Tracer = nil
-	k.Opt.Tracer = nil
-	return json.Marshal(k)
+	return b.Bytes(), nil
 }
 
 // CanonicalKeyEdits returns the content address of a RunSpecEdits
@@ -496,14 +603,14 @@ func (f *Flow) CanonicalRunEdits(spec BenchSpec, scheme Scheme, edits []Edit) ([
 // mean byte-identical results, which is what makes the address safe to
 // use as a cache key and a cross-run dedup handle. Every session state
 // has one — two sessions (or a session and a cold run) in the same edit
-// state share it.
+// state share it. The serialization streams into the hash; it is never
+// assembled in memory.
 func (f *Flow) CanonicalKeyEdits(spec BenchSpec, scheme Scheme, edits []Edit) (string, error) {
-	b, err := f.CanonicalRunEdits(spec, scheme, edits)
-	if err != nil {
+	h := sha256.New()
+	if err := f.writeRunKey(h, spec, scheme, edits); err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	return hexSum(h), nil
 }
 
 // ApplyTopK evaluates the TopK scheme at a specific K (for sweeps). K is

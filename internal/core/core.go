@@ -25,6 +25,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"smartndr/internal/cell"
 	"smartndr/internal/ctree"
@@ -160,18 +161,21 @@ func Evaluate(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64) (
 func EvaluateTr(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64, tr *obs.Tracer) (Metrics, *sta.Result, error) {
 	sp := tr.Start("core.evaluate")
 	defer sp.End()
-	res, err := sta.NewIncremental(te, lib).Full(t, inSlew, nil, tr)
+	eng := sta.NewIncremental(te, lib)
+	res, err := eng.Full(t, inSlew, nil, tr)
 	if err != nil {
 		return Metrics{}, nil, err
 	}
-	return extractMetrics(t, te, res, tr), res, nil
+	return extractMetrics(te, eng, res, tr), res, nil
 }
 
 // EvaluateInc is EvaluateTr with the analysis served by a shared
 // dirty-region engine instead of a from-scratch pass: the engine's
 // bitwise-exactness contract makes the two interchangeable, which is what
 // session responses being byte-identical to cold runs rests on. Edited
-// nodes must already have been reported via eng.Touch.
+// nodes must already have been reported via eng.Touch, and eng must be
+// the engine of te and lib. The metric extraction then costs what the
+// edits changed, not the tree (see sta.Incremental.Summary).
 func EvaluateInc(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64, eng *sta.Incremental, tr *obs.Tracer) (Metrics, *sta.Result, error) {
 	sp := tr.Start("core.evaluate_inc")
 	defer sp.End()
@@ -179,41 +183,32 @@ func EvaluateInc(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64
 	if err != nil {
 		return Metrics{}, nil, err
 	}
-	return extractMetrics(t, te, res, tr), res, nil
+	return extractMetrics(te, eng, res, tr), res, nil
 }
 
-// extractMetrics folds an analysis result and the tree geometry into the
-// experiment-table metric set. Shared by the cold and incremental
-// evaluate paths; must stay a pure function of (t, res) so both produce
-// identical bytes for identical inputs.
-func extractMetrics(t *ctree.Tree, te *tech.Tech, res *sta.Result, tr *obs.Tracer) Metrics {
+// extractMetrics folds an analysis result and the engine's whole-tree
+// summary into the experiment-table metric set. The cold and incremental
+// evaluate paths share it, and the engine computes the summary through
+// the same code either way, so both produce identical bytes for
+// identical trees.
+func extractMetrics(te *tech.Tech, eng *sta.Incremental, res *sta.Result, tr *obs.Tracer) Metrics {
 	exSpan := tr.Start("extract")
 	defer exSpan.End()
+	sum := eng.Summary()
 	m := Metrics{
 		Power:       power.Compute(res, te),
 		SwitchedCap: res.TotalSwitchedCap(),
-		Wirelength:  t.TotalWirelength(),
+		Wirelength:  sum.WireLen,
+		TrackArea:   sum.TrackArea,
 		Buffers:     res.BufferCount,
-		SlewViol:    res.SlewViolations(te.MaxSlew),
-		Skew:        res.Skew(),
-		MaxInsDelay: res.MaxSinkArrival(),
-		LenByRule:   make([]float64, te.NumRules()),
-	}
-	m.WorstSlew, _ = res.WorstSlew()
-	var ndrLen float64
-	for i := range t.Nodes {
-		n := &t.Nodes[i]
-		if n.Parent == ctree.NoNode {
-			continue
-		}
-		m.LenByRule[n.Rule] += n.EdgeLen
-		m.TrackArea += n.EdgeLen * te.Layer.TrackPitch(te.Rule(n.Rule))
-		if !te.Rule(n.Rule).IsDefault() {
-			ndrLen += n.EdgeLen
-		}
+		WorstSlew:   sum.WorstSlew,
+		SlewViol:    sum.SlewViol,
+		Skew:        sum.Skew,
+		MaxInsDelay: sum.MaxSinkArrival,
+		LenByRule:   slices.Clone(sum.LenByRule),
 	}
 	if m.Wirelength > 0 {
-		m.NDRFraction = ndrLen / m.Wirelength
+		m.NDRFraction = sum.NDRLen / m.Wirelength
 	}
 	return m
 }

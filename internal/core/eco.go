@@ -13,10 +13,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"smartndr/internal/ctree"
 	"smartndr/internal/geom"
@@ -76,6 +77,11 @@ type target struct {
 	idx  int
 }
 
+// cmpTarget orders targets by (op rank, index): the canonical order.
+func cmpTarget(a, b target) int {
+	return cmp.Or(cmp.Compare(a.rank, b.rank), cmp.Compare(a.idx, b.idx))
+}
+
 func (e Edit) target() target {
 	r := opRank(e.Op)
 	switch e.Op {
@@ -128,20 +134,22 @@ func (e Edit) Validate() error {
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // canonical strips the fields the op does not read, so two edits that
-// mean the same thing marshal to the same bytes.
+// mean the same thing marshal to the same bytes. Known ops are spelled
+// with the package constants, so a canonical edit retains no decoded
+// string (session histories keep many of them).
 func (e Edit) canonical() Edit {
-	c := Edit{Op: e.Op}
+	var c Edit
 	switch e.Op {
 	case OpMoveSink:
-		c.Sink, c.X, c.Y = e.Sink, e.X, e.Y
+		c.Op, c.Sink, c.X, c.Y = OpMoveSink, e.Sink, e.X, e.Y
 	case OpSinkCap:
-		c.Sink, c.Cap = e.Sink, e.Cap
+		c.Op, c.Sink, c.Cap = OpSinkCap, e.Sink, e.Cap
 	case OpSinkRule:
-		c.Sink, c.Rule = e.Sink, e.Rule
+		c.Op, c.Sink, c.Rule = OpSinkRule, e.Sink, e.Rule
 	case OpNodeRule:
-		c.Node, c.Rule = e.Node, e.Rule
+		c.Op, c.Node, c.Rule = OpNodeRule, e.Node, e.Rule
 	case OpInSlew:
-		c.InSlewPS = e.InSlewPS
+		c.Op, c.InSlewPS = OpInSlew, e.InSlewPS
 	default:
 		return e
 	}
@@ -167,13 +175,8 @@ func CanonicalEdits(edits []Edit) []Edit {
 	for _, e := range last { //lint:commutative — collected then sorted below
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		ti, tj := out[i].target(), out[j].target()
-		if ti.rank != tj.rank {
-			return ti.rank < tj.rank
-		}
-		return ti.idx < tj.idx
-	})
+	// Targets are unique, so the order is total and any sort gives it.
+	slices.SortFunc(out, func(a, b Edit) int { return cmpTarget(a.target(), b.target()) })
 	return out
 }
 
@@ -315,12 +318,7 @@ func (e *ECO) SetState(edits []Edit, touch func(node int)) error {
 			stale = append(stale, tg)
 		}
 	}
-	sort.Slice(stale, func(i, j int) bool {
-		if stale[i].rank != stale[j].rank {
-			return stale[i].rank < stale[j].rank
-		}
-		return stale[i].idx < stale[j].idx
-	})
+	slices.SortFunc(stale, cmpTarget)
 	for _, tg := range stale {
 		e.revert(e.live[tg], touch)
 		delete(e.live, tg)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -129,26 +130,49 @@ func (r *SessionDeltaRequest) Validate() error {
 	return nil
 }
 
-// sessionRev is one visited edit state. Only the canonical edit list and
-// its address are kept — rollback re-applies the state and re-evaluates,
-// which the engine's bitwise contract makes byte-equivalent to (and far
-// smaller than) storing response bodies.
+// sessionRev is one visited edit state, stored compactly. A delta rev
+// keeps only the canonical form of its own request edits and the rev it
+// extends; a full rev (base < 0) keeps the whole canonical state. Rev 0,
+// every checkpointEvery-th rev and every rollback rev are full, so
+// rebuilding any state replays at most checkpointEvery-1 deltas. Keys are
+// not stored: a key is a pure function of the state, and the handle
+// recomputes it when a rollback re-applies one.
 type sessionRev struct {
+	base  int
 	edits []smartndr.Edit
-	key   string
+}
+
+// checkpointEvery is the rev interval at which a delta stores its full
+// state instead of its own edits.
+const checkpointEvery = 32
+
+// Rev footprint estimate for the store's byte accounting, in the spirit
+// of SessionHandle.MemoryBytes: the rev's slot in the history slice plus
+// its edits (an Edit is 72 bytes; 80 with allocator rounding).
+const (
+	revSlotBytes = 32
+	editBytes    = 80
+)
+
+// revBytes estimates one rev's resident footprint.
+func revBytes(r sessionRev) int64 {
+	return revSlotBytes + int64(len(r.edits))*editBytes
 }
 
 // session is one store entry. The store's lock covers placement (map,
-// LRU list, byte accounting); mu covers the handle and rev history —
-// deltas take the write side (single writer per session), reads the read
-// side. An evicted session's in-flight delta still completes: eviction
-// only unlinks the entry, it never touches the handle.
+// LRU list, byte accounting); mu covers the handle, the live state and
+// the rev history — deltas take the write side (single writer per
+// session), reads the read side. An evicted session's in-flight delta
+// still completes: eviction only unlinks the entry, it never touches the
+// handle.
 type session struct {
 	id     string
 	handle SessionHandle
 
 	mu   sync.RWMutex
 	revs []sessionRev
+	live []smartndr.Edit // canonical state at the newest rev
+	key  string          // its content address
 
 	// The fields below are guarded by the store lock, not mu.
 	expiry time.Time
@@ -156,6 +180,25 @@ type session struct {
 	bytes  int64
 	elem   *list.Element
 	gone   bool // evicted or closed; kept for observability in tests
+}
+
+// state rebuilds the canonical edit state at rev: from the nearest full
+// rev at or before it, fold each later delta's edits in with
+// core.CanonicalEdits — the same fold that produced the state when the
+// rev was first visited, so the result is the identical edit list.
+// Callers hold mu.
+func (s *session) state(rev int) []smartndr.Edit {
+	r := s.revs[rev]
+	if r.base < 0 {
+		return r.edits
+	}
+	return extend(s.state(r.base), r.edits)
+}
+
+// extend is the state fold: the canonical state reached by applying
+// delta on top of state.
+func extend(state, delta []smartndr.Edit) []smartndr.Edit {
+	return core.CanonicalEdits(slices.Concat(state, delta))
 }
 
 // sessionStore owns the live sessions: TTL expiry (lazy, via the
@@ -233,7 +276,8 @@ func (st *sessionStore) add(h SessionHandle, ttl time.Duration, state []smartndr
 	defer st.mu.Unlock()
 	now := st.now()
 	st.expireLocked(now)
-	bytes := h.MemoryBytes()
+	// The handle's estimate covers rev 0's slot; its edits are extra.
+	bytes := h.MemoryBytes() + int64(len(state))*editBytes
 	for len(st.byID) > 0 &&
 		(len(st.byID) >= st.maxSessions || st.bytes+bytes > st.maxBytes) {
 		st.dropLocked(st.lru.Back().Value.(*session))
@@ -243,7 +287,9 @@ func (st *sessionStore) add(h SessionHandle, ttl time.Duration, state []smartndr
 	s := &session{
 		id:     fmt.Sprintf("s%d", st.seq),
 		handle: h,
-		revs:   []sessionRev{{edits: state, key: key}},
+		revs:   []sessionRev{{base: -1, edits: state}},
+		live:   state,
+		key:    key,
 		expiry: now.Add(ttl),
 		ttl:    ttl,
 		bytes:  bytes,
@@ -254,6 +300,20 @@ func (st *sessionStore) add(h SessionHandle, ttl time.Duration, state []smartndr
 	st.reg.Add("serve.session_created", 1)
 	st.gauges()
 	return s
+}
+
+// grow charges n more bytes to a live session's accounting. The budget
+// it counts toward is enforced when the next session is added; a delta
+// never evicts.
+func (st *sessionStore) grow(s *session, n int64) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if s.gone {
+		return // dropLocked already released this session's bytes
+	}
+	s.bytes += n
+	st.bytes += n
+	st.gauges()
 }
 
 // get returns a live session, refreshing its TTL and recency, or nil if
@@ -386,26 +446,35 @@ func (s *Server) sessionDelta(r *http.Request, body []byte, sp *obs.Span, rtr *o
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	var state []smartndr.Edit
+	next := len(sess.revs)
+	rev := sessionRev{base: -1}
 	if rb := req.RollbackTo; rb != nil {
-		if *rb >= len(sess.revs) {
-			return reply{}, fmt.Errorf("%w: rollback_to %d beyond rev %d", core.ErrEdit, *rb, len(sess.revs)-1)
+		if *rb >= next {
+			return reply{}, fmt.Errorf("%w: rollback_to %d beyond rev %d", core.ErrEdit, *rb, next-1)
 		}
-		state = sess.revs[*rb].edits
+		state = sess.state(*rb)
+		rev.edits = state
 		s.reg.Add("serve.session_rollbacks", 1)
 	} else {
-		cur := sess.revs[len(sess.revs)-1].edits
-		state = core.CanonicalEdits(append(append([]smartndr.Edit{}, cur...), req.Edits...))
+		delta := core.CanonicalEdits(req.Edits)
+		state = extend(sess.live, delta)
+		rev.edits = state
+		if next%checkpointEvery != 0 {
+			rev = sessionRev{base: next - 1, edits: delta}
+		}
 	}
 	result, key, err := sess.handle.Apply(ctx, state)
 	if err != nil {
 		return reply{}, err
 	}
-	sess.revs = append(sess.revs, sessionRev{edits: state, key: key})
+	sess.revs = append(sess.revs, rev)
+	sess.live, sess.key = state, key
+	s.sessions.grow(sess, revBytes(rev))
 	s.reg.Add("serve.session_deltas", 1)
 	return sessionReply(sp, &SessionResponse{
 		Session: sess.id,
-		Rev:     len(sess.revs) - 1,
-		Revs:    len(sess.revs),
+		Rev:     next,
+		Revs:    next + 1,
 		Key:     key,
 		Nodes:   sess.handle.Nodes(),
 		Result:  result,
@@ -422,12 +491,11 @@ func (s *Server) sessionRead(r *http.Request, _ []byte, sp *obs.Span, _ *obs.Tra
 	}
 	sess.mu.RLock()
 	defer sess.mu.RUnlock()
-	rev := len(sess.revs) - 1
 	return sessionReply(sp, &SessionResponse{
 		Session: sess.id,
-		Rev:     rev,
+		Rev:     len(sess.revs) - 1,
 		Revs:    len(sess.revs),
-		Key:     sess.revs[rev].key,
+		Key:     sess.key,
 		Nodes:   sess.handle.Nodes(),
 	}, CacheHit)
 }

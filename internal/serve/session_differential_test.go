@@ -269,3 +269,92 @@ func TestServeSessionEvictionRehydration(t *testing.T) {
 		t.Error("re-hydrated session reused an evicted ID")
 	}
 }
+
+// TestServeSessionDeepHistoryRollback extends the rollback property past
+// the rev checkpoint interval. Over a seeded history of more than 100
+// deltas — edits mixed with rollbacks to random earlier revs, rollback
+// revs included — every rollback returns the Result bytes and key
+// recorded when its target rev was first visited. A final sweep rolls
+// back to the revs on both sides of every checkpoint and to every
+// rollback rev, and checks each against a cold /v1/flow of the state the
+// client mirrored, so the rebuilt states are the folded ones.
+func TestServeSessionDeepHistoryRollback(t *testing.T) {
+	if testing.Short() {
+		t.Skip("deep rollback history is not a -short test")
+	}
+	warm := httptest.NewServer(New(Config{}).Handler())
+	defer warm.Close()
+	cold := httptest.NewServer(New(Config{CacheEntries: 1}).Handler())
+	defer cold.Close()
+
+	const seed = 9100
+	const deltas = 3*checkpointEvery + 12
+	spec := testutil.UniformSpec("deep", 24, 600, seed)
+	createResp, createBody := postJSON(t, warm, "/v1/session", &SessionCreateRequest{
+		FlowRequest: FlowRequest{Spec: &spec, Scheme: "smart-ndr"},
+	})
+	if createResp.StatusCode != http.StatusOK {
+		t.Fatalf("create status %d: %s", createResp.StatusCode, createBody)
+	}
+	sess := decodeSessionResponse(t, createBody)
+
+	rng := rand.New(rand.NewSource(seed))
+	recorded := [][]byte{sess.Result}
+	keys := []string{sess.Key}
+	states := [][]smartndr.Edit{nil}
+	var rollbackRevs []int
+	step := func(req *SessionDeltaRequest, target int) {
+		t.Helper()
+		rev := len(recorded)
+		resp, body := postJSON(t, warm, "/v1/session/"+sess.Session+"/delta", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("rev %d: status %d: %s", rev, resp.StatusCode, body)
+		}
+		out := decodeSessionResponse(t, body)
+		if out.Rev != rev || out.Revs != rev+1 {
+			t.Fatalf("rev %d: response rev %d of %d", rev, out.Rev, out.Revs)
+		}
+		state := states[len(states)-1]
+		if target >= 0 {
+			if !bytes.Equal(out.Result, recorded[target]) || out.Key != keys[target] {
+				t.Fatalf("rev %d: rollback to rev %d diverged from its first visit\ngot:  %s %s\nwant: %s %s",
+					rev, target, out.Key, out.Result, keys[target], recorded[target])
+			}
+			state = states[target]
+			rollbackRevs = append(rollbackRevs, rev)
+		} else {
+			state = core.CanonicalEdits(append(append([]smartndr.Edit(nil), state...), req.Edits...))
+		}
+		recorded = append(recorded, out.Result)
+		keys = append(keys, out.Key)
+		states = append(states, state)
+	}
+	for len(recorded) <= deltas {
+		if len(recorded) > 1 && rng.Intn(4) == 0 {
+			rb := rng.Intn(len(recorded))
+			step(&SessionDeltaRequest{RollbackTo: &rb}, rb)
+			continue
+		}
+		step(&SessionDeltaRequest{Edits: sessEdits(rng, spec.Sinks, sess.Nodes, spec.DieX, 1+rng.Intn(2))}, -1)
+	}
+	if len(rollbackRevs) < 10 {
+		t.Fatalf("only %d rollbacks in the random phase", len(rollbackRevs))
+	}
+
+	targets := append([]int(nil), rollbackRevs...)
+	for c := checkpointEvery; c <= deltas; c += checkpointEvery {
+		targets = append(targets, c-1, c, c+1)
+	}
+	for _, rb := range targets {
+		rb := rb
+		step(&SessionDeltaRequest{RollbackTo: &rb}, rb)
+		coldResp, coldBody := postJSON(t, cold, "/v1/flow",
+			&FlowRequest{Spec: &spec, Scheme: "smart-ndr", Edits: states[rb]})
+		if coldResp.StatusCode != http.StatusOK {
+			t.Fatalf("cold run of rev %d: status %d: %s", rb, coldResp.StatusCode, coldBody)
+		}
+		if !bytes.Equal(coldBody, recorded[rb]) || coldResp.Header.Get("X-Key") != keys[rb] {
+			t.Fatalf("rev %d differs from a cold run of its mirrored state", rb)
+		}
+	}
+}

@@ -340,8 +340,21 @@ func TestSessionConcurrentDeltaReadEvict(t *testing.T) {
 	if st.Live < 1 || st.Live > 2 {
 		t.Errorf("live sessions = %d, want 1..2", st.Live)
 	}
-	if st.Bytes != int64(st.Live)<<10 {
-		t.Errorf("bytes = %d for %d live 1-KiB sessions", st.Bytes, st.Live)
+	// Each live session is charged its 1-KiB handle plus every rev its
+	// deltas appended.
+	var want int64
+	s.sessions.mu.Lock()
+	for _, ss := range s.sessions.byID {
+		want += 1 << 10
+		ss.mu.RLock()
+		for _, r := range ss.revs[1:] {
+			want += revBytes(r)
+		}
+		ss.mu.RUnlock()
+	}
+	s.sessions.mu.Unlock()
+	if st.Bytes != want {
+		t.Errorf("bytes = %d for %d live 1-KiB sessions, want %d", st.Bytes, st.Live, want)
 	}
 }
 
@@ -495,6 +508,43 @@ func TestSessionEndpointErrors(t *testing.T) {
 	}
 }
 
+// TestSessionBytesCountRevs: every rev a delta appends is charged to the
+// store's byte accounting, so the statsz bytes, the session_bytes gauge
+// and the -session-max-bytes budget grow with a session's history.
+func TestSessionBytesCountRevs(t *testing.T) {
+	clock := newFakeClock()
+	s := New(Config{Runner: newStubSessionRunner(), Now: clock.Now})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	id := createStubSession(t, ts, stubCreateBody)
+	before := s.sessions.stats().Bytes
+	const deltas = 40
+	for i := 0; i < deltas; i++ {
+		body := fmt.Sprintf(`{"edits":[{"op":"in_slew","in_slew_ps":%d},{"op":"sink_cap","sink":0,"cap":%de-15}]}`, 30+i, 1+i)
+		if resp, out := postSession(t, ts, "/v1/session/"+id+"/delta", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("delta %d: %d: %s", i, resp.StatusCode, out)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Statsz
+	if err := json.Unmarshal(readBody(t, resp), &st); err != nil {
+		t.Fatal(err)
+	}
+	// The live state holds two edits throughout, so a delta rev and a
+	// checkpoint rev cost the same.
+	want := before + deltas*(revSlotBytes+2*editBytes)
+	if st.Sessions.Bytes != want {
+		t.Errorf("statsz bytes after %d deltas = %d, want %d (%d before)", deltas, st.Sessions.Bytes, want, before)
+	}
+	if got := s.reg.Gauges()["serve.session_bytes"]; got != float64(want) {
+		t.Errorf("serve.session_bytes = %v, want %d", got, want)
+	}
+}
+
 // TestSessionMetricsAndStatsz: the session counters, gauges, and the
 // statsz session block move with the lifecycle.
 func TestSessionMetricsAndStatsz(t *testing.T) {
@@ -525,7 +575,10 @@ func TestSessionMetricsAndStatsz(t *testing.T) {
 	if st.Sessions.Live != 1 || st.Sessions.MaxSessions != 8 {
 		t.Errorf("statsz sessions = %+v", st.Sessions)
 	}
-	if st.Sessions.Bytes != 1<<10 || st.Sessions.MaxBytes != 1<<20 {
+	// The handle's 1 KiB plus the two revs the deltas appended: a
+	// one-edit delta rev and the rollback's full (empty) state.
+	wantBytes := int64(1<<10) + revSlotBytes + editBytes + revSlotBytes
+	if st.Sessions.Bytes != wantBytes || st.Sessions.MaxBytes != 1<<20 {
 		t.Errorf("statsz session bytes = %+v", st.Sessions)
 	}
 	// Both delta requests count as deltas; the rollback one additionally
@@ -540,7 +593,7 @@ func TestSessionMetricsAndStatsz(t *testing.T) {
 		}
 	}
 	gauges := s.reg.Gauges()
-	if gauges["serve.session_live"] != 1 || gauges["serve.session_bytes"] != 1<<10 {
+	if gauges["serve.session_live"] != 1 || gauges["serve.session_bytes"] != float64(wantBytes) {
 		t.Errorf("session gauges = live %v bytes %v",
 			gauges["serve.session_live"], gauges["serve.session_bytes"])
 	}

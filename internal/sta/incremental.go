@@ -52,6 +52,11 @@ import (
 //     dirty-region design, realized as a recompute from the cached delay
 //     rather than a float offset-add so the result stays bitwise exact.
 //
+// The same update keeps the whole-tree aggregates a metric report reads
+// (see Summary) current from the nodes it rewrote, and re-sums the
+// capacitance inventory from contiguous per-node arrays only when one of
+// its inputs changed.
+//
 // When the dirty region is too large for the update to win — the visit
 // budget, a structural edit (buffer added/removed), a new tree, a changed
 // input slew, or a preceding Full call — Analyze falls back to one full
@@ -86,7 +91,7 @@ type Incremental struct {
 	preStack  []int
 
 	valid    bool
-	tree     *ctree.Tree
+	tree     *ctree.Tree // the tree of the latest full pass
 	n        int
 	lastSlew float64
 
@@ -107,6 +112,20 @@ type Incremental struct {
 	driverHeap driverHeap
 	walk       []int // stage DFS stack
 	stageBuf   []int // gathered stage nodes (cap phase)
+
+	// Aggregates behind Summary. A stale flag means the cached value must
+	// be recomputed before it is read; see Summary.
+	sum                            Summary
+	sinkLo, sinkHi                 float64
+	arrStale, slewStale, wireStale bool
+	// Feeding-edge length and rule per node (zeros where parentless): the
+	// length sums' inputs, copied from the tree by the first Summary after
+	// a full pass (lenValid) and kept current by the update from then on.
+	wlen     []float64
+	rule     []int
+	lenValid bool
+	pitch    []float64 // per rule, sumWire scratch
+	ndr      []bool    // per rule, sumWire scratch
 
 	stats IncStats
 }
@@ -227,7 +246,7 @@ func (inc *Incremental) full(t *ctree.Tree, inSlew float64) (*Result, error) {
 // (they may index the old tree, so they must go before resizing).
 func (inc *Incremental) capture(t *ctree.Tree, inSlew float64) {
 	n := len(t.Nodes)
-	inc.tree, inc.n, inc.lastSlew = t, n, inSlew
+	inc.n, inc.lastSlew = n, inSlew
 	if cap(inc.bufIdx) < n {
 		inc.bufIdx = make([]int, n)
 		inc.depth = make([]int, n)
@@ -361,6 +380,10 @@ func (inc *Incremental) update(t *ctree.Tree) bool {
 		if nd.Parent != ctree.NoNode {
 			if nd.Rule < 0 || nd.Rule >= te.NumRules() {
 				return false // full pass reports the error
+			}
+			if inc.lenValid && (nd.EdgeLen != inc.wlen[v] || nd.Rule != inc.rule[v]) {
+				inc.wlen[v], inc.rule[v] = nd.EdgeLen, nd.Rule
+				inc.wireStale = true
 			}
 			er := te.WireR(nd.EdgeLen, nd.Rule)
 			ec := te.WireC(nd.EdgeLen, nd.Rule)
@@ -521,6 +544,10 @@ func (inc *Incremental) update(t *ctree.Tree) bool {
 				arr = inc.stageOutArr[d] + inc.elm[v]
 				sl = res.Slew[v]
 			}
+			if nd.SinkIdx != ctree.NoSink {
+				inc.noteArrival(res.Arrival[v], arr)
+			}
+			inc.noteSlew(res.Slew[v], sl)
 			if nd.BufIdx != ctree.NoBuf {
 				arrChanged := arr != res.Arrival[v]
 				slChanged := sl != res.Slew[v]
@@ -548,35 +575,34 @@ func (inc *Incremental) update(t *ctree.Tree) bool {
 
 	// Inventory sums: re-sum in node-index order (the full pass's order)
 	// rather than patching deltas — float addition is not associative, and
-	// the contract is bitwise equality. One add per node, no traversal.
+	// the contract is bitwise equality. One add per term, over contiguous
+	// arrays; a parentless node's edgeC is 0 and adds nothing.
 	if wireDirty {
 		wc := 0.0
-		for i := range t.Nodes {
-			if t.Nodes[i].Parent != ctree.NoNode {
-				wc += inc.edgeC[i]
-			}
+		for _, c := range inc.edgeC {
+			wc += c
 		}
 		res.WireCap = wc
 	}
 	if bufDirty {
-		inCap, intCap, leak, count := 0.0, 0.0, 0.0, 0
-		for i := range t.Nodes {
-			if bi := t.Nodes[i].BufIdx; bi != ctree.NoBuf {
-				b := &lib.Buffers[bi]
-				inCap += b.InputCap
-				intCap += b.InternalCap
-				leak += b.Leakage
-				count++
-			}
+		// A buffer cannot appear or vanish here (that falls back), so the
+		// buffered nodes are still exactly the Drivers, in node order.
+		inCap, intCap, leak := 0.0, 0.0, 0.0
+		for _, d := range res.Drivers {
+			b := &lib.Buffers[inc.bufIdx[d]]
+			inCap += b.InputCap
+			intCap += b.InternalCap
+			leak += b.Leakage
 		}
 		res.BufInCap, res.BufIntCap, res.LeakageTot = inCap, intCap, leak
-		res.BufferCount = count
 	}
 	if sinkDirty {
+		// The unbuffered sink leaves carry their pin caps; any other
+		// unbuffered sink node is internal, and its endpoint cap is 0.
 		sc := 0.0
-		for i := range t.Nodes {
-			if nd := &t.Nodes[i]; nd.BufIdx == ctree.NoBuf && t.IsLeaf(i) {
-				sc += t.Sinks[nd.SinkIdx].Cap
+		for _, v := range res.sinkNodes {
+			if inc.bufIdx[v] == ctree.NoBuf {
+				sc += inc.endCap[v]
 			}
 		}
 		res.SinkCap = sc

@@ -49,6 +49,44 @@ func compareExact(t *testing.T, tag string, tree *ctree.Tree, got, want *sta.Res
 	}
 }
 
+// checkSummary asserts the engine's maintained Summary equals scans of
+// its latest result and of the tree: the Result's own accessors for the
+// timing aggregates, and node-order loops over the Node structs for the
+// length inventory — the computations the summary replaces.
+func checkSummary(t *testing.T, tag string, tree *ctree.Tree, te *tech.Tech, inc *sta.Incremental, res *sta.Result) {
+	t.Helper()
+	sum := inc.Summary()
+	worst, _ := res.WorstSlew()
+	if sum.Skew != res.Skew() || sum.MaxSinkArrival != res.MaxSinkArrival() ||
+		sum.WorstSlew != worst || sum.SlewViol != res.SlewViolations(te.MaxSlew) {
+		t.Fatalf("%s: timing summary skew %.17g/%.17g max %.17g/%.17g worst %.17g/%.17g viol %d/%d",
+			tag, sum.Skew, res.Skew(), sum.MaxSinkArrival, res.MaxSinkArrival(),
+			sum.WorstSlew, worst, sum.SlewViol, res.SlewViolations(te.MaxSlew))
+	}
+	lbr := make([]float64, te.NumRules())
+	var area, ndr float64
+	for i := range tree.Nodes {
+		n := &tree.Nodes[i]
+		if n.Parent == ctree.NoNode {
+			continue
+		}
+		lbr[n.Rule] += n.EdgeLen
+		area += n.EdgeLen * te.Layer.TrackPitch(te.Rule(n.Rule))
+		if !te.Rule(n.Rule).IsDefault() {
+			ndr += n.EdgeLen
+		}
+	}
+	if sum.WireLen != tree.TotalWirelength() || sum.TrackArea != area || sum.NDRLen != ndr {
+		t.Fatalf("%s: length summary wl %.17g/%.17g area %.17g/%.17g ndr %.17g/%.17g",
+			tag, sum.WireLen, tree.TotalWirelength(), sum.TrackArea, area, sum.NDRLen, ndr)
+	}
+	for r := range lbr {
+		if sum.LenByRule[r] != lbr[r] {
+			t.Fatalf("%s: LenByRule[%d] %.17g, want %.17g", tag, r, sum.LenByRule[r], lbr[r])
+		}
+	}
+}
+
 // mutate applies one random edit to the tree and reports it to inc.
 // Kind mix: rule changes and edge-length growth dominate (the optimizer's
 // edits), with occasional buffer resizes, sink pin-cap edits (the design
@@ -111,6 +149,9 @@ func TestIncrementalDifferential(t *testing.T) {
 	}{{25, 11}, {60, 12}, {120, 13}, {250, 14}} {
 		tree := synthTree(t, tc.sinks, tc.seed, te, lib)
 		rng := rand.New(rand.NewSource(tc.seed * 1000))
+		// The summary is read on a random third of the rounds, so its
+		// patches also accumulate across several updates between reads.
+		readRNG := rand.New(rand.NewSource(tc.seed))
 		inc := sta.NewIncremental(te, lib)
 		for round := 0; round < 60; round++ {
 			// Edit batches from 0 (cached path) through localized (1–3)
@@ -138,6 +179,10 @@ func TestIncrementalDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			compareExact(t, "differential", tree, got, want)
+			if readRNG.Intn(3) == 0 {
+				checkSummary(t, "differential", tree, te, inc, got)
+				checkSummary(t, "differential full", tree, te, ref, want)
+			}
 		}
 		st := inc.Stats()
 		if st.IncRuns == 0 {

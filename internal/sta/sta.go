@@ -172,6 +172,7 @@ func (inc *Incremental) resize(n int) {
 	inc.res.Drivers = inc.res.Drivers[:0]
 	inc.res.DownCap = nil
 	inc.res.sinkNodes = inc.res.sinkNodes[:0]
+	inc.arrStale, inc.slewStale, inc.wireStale, inc.lenValid = true, true, true, false
 	inc.res.WireCap, inc.res.SinkCap, inc.res.BufInCap, inc.res.BufIntCap = 0, 0, 0, 0
 	inc.res.LeakageTot = 0
 	inc.res.BufferCount = 0
@@ -197,6 +198,7 @@ func (inc *Incremental) pass(t *ctree.Tree, inSlew float64, ov *Overrides, tr *o
 	defer rcSpan.End() // error paths; no-op after the explicit End below
 	n := len(t.Nodes)
 	inc.resize(n)
+	inc.tree = t
 	res := &inc.res
 
 	// Per-edge parasitics under the assigned rules.

@@ -2,6 +2,8 @@ package smartndr
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding"
 
 	"smartndr/internal/core"
 	"smartndr/internal/obs"
@@ -32,6 +34,9 @@ type FlowSession struct {
 	result *Result
 	eco    *core.ECO
 	eng    *sta.Incremental
+	// keyHead is the SHA-256 state after the key serialization's fixed
+	// head (spec, technology, library), so Key hashes only the tail.
+	keyHead []byte
 }
 
 // OpenSession runs the spec cold and wraps the result in a session. The
@@ -48,14 +53,23 @@ func (f *Flow) OpenSession(ctx context.Context, spec BenchSpec, scheme Scheme) (
 	if err != nil {
 		return nil, err
 	}
+	h := sha256.New()
+	if err := f.writeKeyHead(h, spec); err != nil {
+		return nil, err
+	}
+	keyHead, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
 	s := &FlowSession{
-		flow:   f,
-		spec:   spec,
-		scheme: scheme,
-		built:  built,
-		result: res,
-		eco:    eco,
-		eng:    sta.NewIncremental(f.cfg.Tech, f.cfg.Library),
+		flow:    f,
+		spec:    spec,
+		scheme:  scheme,
+		built:   built,
+		result:  res,
+		eco:     eco,
+		eng:     sta.NewIncremental(f.cfg.Tech, f.cfg.Library),
+		keyHead: keyHead,
 	}
 	// Prime the engine with a full pass now so the first delta already
 	// takes the dirty-region path.
@@ -94,8 +108,17 @@ var ErrEdit = core.ErrEdit
 
 // Key returns the content address the session would have at the given
 // canonical edit state — equal to CanonicalKeyEdits(spec, scheme, edits).
+// It resumes the hash after the serialization's fixed head, which the
+// session hashed once at open.
 func (s *FlowSession) Key(edits []Edit) (string, error) {
-	return s.flow.CanonicalKeyEdits(s.spec, s.scheme, edits)
+	h := sha256.New()
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(s.keyHead); err != nil {
+		return "", err
+	}
+	if err := s.flow.writeKeyTail(h, s.scheme, edits); err != nil {
+		return "", err
+	}
+	return hexSum(h), nil
 }
 
 // Result returns the session's current result (tree, metrics at the live
