@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build check vet fmt lint lint-extra test race bench bench-smoke bench-scale cover fuzz-smoke cluster-smoke perfbench-check loc ci clean
+.PHONY: all build check vet fmt lint lint-extra test race bench bench-smoke bench-scale cover fuzz-smoke cluster-smoke perfbench-check experiments-check loc ci clean
 
 # Coverage floor (percent) enforced on internal/serve — the service
 # layer is pure coordination logic, so uncovered lines are usually
@@ -115,6 +115,28 @@ cluster-smoke:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
+# Re-run the full experiment suite and compare it with the committed
+# archive: stdout with docs/experiments_full.txt, and every CSV with its
+# copy in data/. T3's build/optimize/total columns and t3_runtime.csv are
+# wall-clock measurements, so T3_MASK keeps only T3's sinks and nodes
+# columns and the CSV is skipped. About 15 s on a 2-vCPU box.
+T3_MASK = /^T3:/ { t3 = 1 } /^$$/ { t3 = 0 } t3 && $$1 ~ /^[0-9]+$$/ { print $$1, $$2; next } { print }
+
+experiments-check:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/experiments -exp all -data "$$tmp" > "$$tmp/stdout.txt" || exit 1; \
+	awk '$(T3_MASK)' docs/experiments_full.txt > "$$tmp/want.txt"; \
+	awk '$(T3_MASK)' "$$tmp/stdout.txt" > "$$tmp/got.txt"; \
+	diff "$$tmp/want.txt" "$$tmp/got.txt" || \
+		{ echo "experiments-check: tables differ from docs/experiments_full.txt"; exit 1; }; \
+	for f in data/*.csv "$$tmp"/*.csv; do \
+		b="$$(basename "$$f")"; \
+		[ "$$b" = t3_runtime.csv ] && continue; \
+		cmp "data/$$b" "$$tmp/$$b" || \
+			{ echo "experiments-check: $$b differs from data/$$b"; exit 1; }; \
+	done; \
+	echo "experiments-check: tables and CSVs match the archive"
+
 # Non-test Go lines, the size figure the ROADMAP tracks next to ns/op
 # and allocs/op. perfbench (its own module) and testdata are excluded.
 loc:
@@ -122,10 +144,10 @@ loc:
 
 # What CI runs (.github/workflows/ci.yml, one step per target): everything
 # check does plus a plain build, the full test suite, the benchmark module
-# check, the benchmark smoke pass, the scale canary, the fuzz smoke pass,
-# and the coverage floor. CI also runs lint-extra, which needs network
-# access for the pinned tools.
-ci: build vet fmt lint test race cluster-smoke perfbench-check bench-smoke bench-scale fuzz-smoke cover
+# check, the experiment archive check, the benchmark smoke pass, the scale
+# canary, the fuzz smoke pass, and the coverage floor. CI also runs
+# lint-extra, which needs network access for the pinned tools.
+ci: build vet fmt lint test race cluster-smoke perfbench-check experiments-check bench-smoke bench-scale fuzz-smoke cover
 
 clean:
 	$(GO) clean ./...

@@ -3,10 +3,10 @@
 //
 // Usage:
 //
-//	experiments [-exp all|t1|t2|t3|f1|f2|f3|f4|a1|a2|a3] [-data DIR] [-quick]
+//	experiments [-exp all|t1|t2|t3|f1|f2|f3|f4|a1|a2|a3|t4|t5|a4] [-data DIR] [-quick] [-workers N]
 //
 // Tables render to stdout; with -data, the figure series are also written
-// as CSV files into DIR. -timing prints a per-experiment phase breakdown
+// as CSV files into DIR. -list prints the ids with their titles. -timing prints a per-experiment phase breakdown
 // to stderr, -trace streams every span as a JSONL event, and -pprof
 // serves net/http/pprof for live profiling (see docs/observability.md).
 package main

@@ -34,7 +34,7 @@ import (
 func main() {
 	bench := flag.String("bench", "", "built-in benchmark name (cns01…cns08)")
 	in := flag.String("in", "", "benchmark JSON produced by ctsgen")
-	schemeName := flag.String("scheme", "all", "all|all-default|blanket|trunk|smart")
+	schemeName := flag.String("scheme", "all", "all, or one scheme: all-default|blanket|trunk|smart|top-k (or its -ndr name)")
 	techName := flag.String("tech", "tech45", "technology: tech45|tech65")
 	save := flag.String("save", "", "save the (last) scheme's tree as JSON")
 	svg := flag.String("svg", "", "render the (last) scheme's tree as SVG")
@@ -203,24 +203,20 @@ func loadBench(bench, in string) (*workload.Benchmark, error) {
 	}
 }
 
+// pickSchemes resolves -scheme: "all" compares the four schemes on one
+// tree; any other value is one scheme name as smartndr.ParseScheme reads it.
 func pickSchemes(name string) ([]smartndr.Scheme, error) {
-	switch name {
-	case "all":
+	if name == "all" {
 		return []smartndr.Scheme{
 			smartndr.SchemeAllDefault, smartndr.SchemeBlanket,
 			smartndr.SchemeTrunk, smartndr.SchemeSmart,
 		}, nil
-	case "all-default":
-		return []smartndr.Scheme{smartndr.SchemeAllDefault}, nil
-	case "blanket":
-		return []smartndr.Scheme{smartndr.SchemeBlanket}, nil
-	case "trunk":
-		return []smartndr.Scheme{smartndr.SchemeTrunk}, nil
-	case "smart":
-		return []smartndr.Scheme{smartndr.SchemeSmart}, nil
-	default:
-		return nil, fmt.Errorf("unknown scheme %q", name)
 	}
+	s, err := smartndr.ParseScheme(name)
+	if err != nil {
+		return nil, err
+	}
+	return []smartndr.Scheme{s}, nil
 }
 
 func fatal(err error) {

@@ -7,7 +7,7 @@ func TestPickSchemes(t *testing.T) {
 	if err != nil || len(all) != 4 {
 		t.Fatalf("all: %v %v", all, err)
 	}
-	for _, name := range []string{"all-default", "blanket", "trunk", "smart"} {
+	for _, name := range []string{"all-default", "blanket", "trunk", "smart", "smart-ndr", "blanket-ndr", "top-k"} {
 		s, err := pickSchemes(name)
 		if err != nil || len(s) != 1 {
 			t.Errorf("%s: %v %v", name, s, err)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"strings"
 	"sync"
 
 	"smartndr/internal/cell"
@@ -131,6 +132,26 @@ func (s Scheme) String() string {
 	}
 }
 
+// ParseScheme maps a scheme name to its Scheme. It accepts the String
+// names (smart-ndr, blanket-ndr, …) and the short aliases (smart,
+// blanket, …) in any case; empty selects SchemeSmart.
+func ParseScheme(name string) (Scheme, error) {
+	switch strings.ToLower(name) {
+	case "", "smart", "smart-ndr":
+		return SchemeSmart, nil
+	case "all-default", "default":
+		return SchemeAllDefault, nil
+	case "blanket", "blanket-ndr":
+		return SchemeBlanket, nil
+	case "top-k", "topk":
+		return SchemeTopK, nil
+	case "trunk", "trunk-ndr":
+		return SchemeTrunk, nil
+	default:
+		return 0, fmt.Errorf("smartndr: unknown scheme %q", name)
+	}
+}
+
 // HierConfig opts a flow into partitioned hierarchical construction for
 // large sink sets. The zero value disables it: every RunSpecEdits
 // builds one flat tree regardless of size.
@@ -162,10 +183,10 @@ type FlowConfig struct {
 	// therefore not expressible here; use ApplyTopK(b, 0), which honors
 	// K=0 literally (every edge on the default rule), for K sweeps.
 	TopK int
-	// InSlew is the root input transition (default 40 ps). It also
-	// resolves Opt.InSlew and a Monte Carlo run's InSlew left at 0, so
-	// the optimizer and the variation analysis see the slew the flow
-	// evaluates at.
+	// InSlew is the root input transition (default sta.DefaultInSlew,
+	// 40 ps). It also resolves Opt.InSlew left at 0, and every Monte Carlo
+	// run uses it, so the optimizer and the variation analysis see the
+	// slew the flow evaluates at.
 	InSlew float64
 	// Tracer, when non-nil, instruments every flow entry point with
 	// hierarchical spans (build phases, optimizer passes, STA splits,
@@ -251,7 +272,7 @@ func NewFlow(cfg *FlowConfig) *Flow {
 		c.TopK = 2
 	}
 	if c.InSlew == 0 {
-		c.InSlew = 40e-12
+		c.InSlew = sta.DefaultInSlew
 	}
 	if c.Opt.InSlew == 0 {
 		c.Opt.InSlew = c.InSlew
@@ -685,16 +706,14 @@ func (f *Flow) Timing(t *Tree) (*sta.Result, error) {
 	return sta.NewIncremental(f.cfg.Tech, f.cfg.Library).Full(t, f.cfg.InSlew, nil, f.cfg.Tracer)
 }
 
-// MonteCarlo runs process-variation analysis on a tree. When the params
-// leave Workers or InSlew at 0, the flow's configured value applies.
+// MonteCarlo runs process-variation analysis on a tree at the flow's
+// input slew. When the params leave Workers at 0, the flow's configured
+// value applies.
 func (f *Flow) MonteCarlo(t *Tree, p VariationParams) (*VariationStats, error) {
 	if p.Workers == 0 {
 		p.Workers = f.cfg.Workers
 	}
-	if p.InSlew == 0 {
-		p.InSlew = f.cfg.InSlew
-	}
-	return variation.MonteCarlo(t, f.cfg.Tech, f.cfg.Library, p, f.cfg.Tracer)
+	return variation.MonteCarlo(t, f.cfg.Tech, f.cfg.Library, f.cfg.InSlew, p, f.cfg.Tracer)
 }
 
 // MaxTopK returns the deepest meaningful K for TopK sweeps on a built

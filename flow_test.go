@@ -136,6 +136,38 @@ func TestSchemeString(t *testing.T) {
 	}
 }
 
+func TestParseScheme(t *testing.T) {
+	cases := map[string]smartndr.Scheme{
+		"":            smartndr.SchemeSmart,
+		"smart":       smartndr.SchemeSmart,
+		"smart-ndr":   smartndr.SchemeSmart,
+		"SMART":       smartndr.SchemeSmart,
+		"all-default": smartndr.SchemeAllDefault,
+		"default":     smartndr.SchemeAllDefault,
+		"blanket":     smartndr.SchemeBlanket,
+		"blanket-ndr": smartndr.SchemeBlanket,
+		"top-k":       smartndr.SchemeTopK,
+		"topk":        smartndr.SchemeTopK,
+		"trunk":       smartndr.SchemeTrunk,
+		"trunk-ndr":   smartndr.SchemeTrunk,
+	}
+	for name, want := range cases {
+		got, err := smartndr.ParseScheme(name)
+		if err != nil || got != want {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	// Every scheme's String name parses back to it.
+	for s := smartndr.SchemeAllDefault; s <= smartndr.SchemeTrunk; s++ {
+		if got, err := smartndr.ParseScheme(s.String()); err != nil || got != s {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	if _, err := smartndr.ParseScheme("psychic"); err == nil {
+		t.Error("ParseScheme accepted psychic")
+	}
+}
+
 func TestDefaultLibraryFor(t *testing.T) {
 	cases := []struct {
 		name string

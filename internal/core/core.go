@@ -68,7 +68,7 @@ type Config struct {
 	MaxSlew float64
 	MaxSkew float64
 	// InSlew is the clock transition at the root driver input
-	// (default 40 ps).
+	// (default sta.DefaultInSlew).
 	InSlew float64
 	// SlewSafety derates the slew bound during optimization so the final
 	// network keeps headroom (default 0.98).
@@ -103,7 +103,7 @@ func (c Config) withDefaults(te *tech.Tech) Config {
 		c.MaxSkew = te.MaxSkew
 	}
 	if c.InSlew == 0 {
-		c.InSlew = 40e-12
+		c.InSlew = sta.DefaultInSlew
 	}
 	if c.SlewSafety == 0 {
 		c.SlewSafety = 0.98
@@ -151,13 +151,9 @@ type Metrics struct {
 	NDRFraction float64 `json:"ndr_fraction"`
 }
 
-// Evaluate analyzes the tree and extracts the full metric set.
-func Evaluate(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64) (Metrics, *sta.Result, error) {
-	return EvaluateTr(t, te, lib, inSlew, nil)
-}
-
-// EvaluateTr is Evaluate with instrumentation: the STA and the metric
-// extraction record separate spans under "core.evaluate".
+// EvaluateTr analyzes the tree and extracts the full metric set. The STA
+// and the metric extraction record separate spans under "core.evaluate";
+// a nil tracer disables them.
 func EvaluateTr(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64, tr *obs.Tracer) (Metrics, *sta.Result, error) {
 	sp := tr.Start("core.evaluate")
 	defer sp.End()

@@ -102,7 +102,7 @@ func TestOptimizeReducesPower(t *testing.T) {
 		if _, err := RepairSkew(tr, te, lib, 40e-12, te.MaxSkew, 30); err != nil {
 			t.Fatal(err)
 		}
-		before, _, err := Evaluate(tr, te, lib, 40e-12)
+		before, _, err := EvaluateTr(tr, te, lib, 40e-12, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestOptimizeReducesPower(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		after, _, err := Evaluate(tr, te, lib, 40e-12)
+		after, _, err := EvaluateTr(tr, te, lib, 40e-12, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestOptimizeBeatsTopKBaselines(t *testing.T) {
 	if _, err := Optimize(smart, te, lib, Config{}); err != nil {
 		t.Fatal(err)
 	}
-	sm, _, err := Evaluate(smart, te, lib, 40e-12)
+	sm, _, err := EvaluateTr(smart, te, lib, 40e-12, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestOptimizeBeatsTopKBaselines(t *testing.T) {
 	for k := 0; k <= maxLv+1; k++ {
 		base := tr.Clone()
 		AssignTopLevels(base, te, k)
-		bm, _, err := Evaluate(base, te, lib, 40e-12)
+		bm, _, err := EvaluateTr(base, te, lib, 40e-12, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestOptimizeOrdersAllFeasible(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", o, err)
 		}
-		m, _, err := Evaluate(tr, te, lib, 40e-12)
+		m, _, err := EvaluateTr(tr, te, lib, 40e-12, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestEvaluateInventoryConsistent(t *testing.T) {
 	te := tech.Tech45()
 	lib := cell.Default45()
 	tr := buildBlanket(t, 120, 7, 1800, te, lib)
-	m, res, err := Evaluate(tr, te, lib, 40e-12)
+	m, res, err := EvaluateTr(tr, te, lib, 40e-12, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestAssignTopLevels(t *testing.T) {
 	maxLv := MaxStageLevel(tr)
 
 	AssignTopLevels(tr, te, 0)
-	m0, _, err := Evaluate(tr, te, lib, 40e-12)
+	m0, _, err := EvaluateTr(tr, te, lib, 40e-12, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestAssignTopLevels(t *testing.T) {
 		t.Errorf("k=0 must be all-default, NDR fraction %g", m0.NDRFraction)
 	}
 	AssignTopLevels(tr, te, maxLv+1)
-	mAll, _, err := Evaluate(tr, te, lib, 40e-12)
+	mAll, _, err := EvaluateTr(tr, te, lib, 40e-12, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestAssignTopLevels(t *testing.T) {
 		t.Errorf("k=max+1 must be all-NDR, fraction %g", mAll.NDRFraction)
 	}
 	AssignTopLevels(tr, te, 1)
-	m1, _, err := Evaluate(tr, te, lib, 40e-12)
+	m1, _, err := EvaluateTr(tr, te, lib, 40e-12, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,7 +132,7 @@ func TestSmartWithEMFloor(t *testing.T) {
 	if _, err := EnforceEM(tr, te, lib, 40e-12, DefaultEMLimit()); err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := Evaluate(tr, te, lib, 40e-12)
+	m, _, err := EvaluateTr(tr, te, lib, 40e-12, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,12 +168,12 @@ func TestOptimizeWithEMFloor(t *testing.T) {
 		t.Errorf("EM-aware optimization left %d violations", len(viols))
 	}
 	// It still saves power vs blanket.
-	m, _, err := Evaluate(tr, te, lib, 40e-12)
+	m, _, err := EvaluateTr(tr, te, lib, 40e-12, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	blanket := buildBlanket(t, 200, 79, 2500, te, lib)
-	bm, _, err := Evaluate(blanket, te, lib, 40e-12)
+	bm, _, err := EvaluateTr(blanket, te, lib, 40e-12, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,12 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"smartndr/internal/cell"
+	"smartndr"
 	"smartndr/internal/core"
 	"smartndr/internal/cts"
 	"smartndr/internal/report"
-	"smartndr/internal/sta"
-	"smartndr/internal/tech"
 	"smartndr/internal/workload"
 )
 
@@ -18,8 +16,7 @@ import (
 // capacitance at equal constraint compliance — ordering matters because
 // early acceptances consume the shared skew budget.
 func A1OrderAblation(o Options) error {
-	te := tech.Tech45()
-	lib := cell.Default45()
+	f := o.flow(smartndr.FlowConfig{})
 	specs := []string{"cns02", "cns03"}
 	if o.Quick {
 		specs = specs[:1]
@@ -34,23 +31,18 @@ func A1OrderAblation(o Options) error {
 		if o.Quick {
 			spec.Sinks /= 4
 		}
-		_, tree, err := buildTr(spec, te, lib, o.Tracer)
+		built, err := build(f, spec)
 		if err != nil {
 			return err
 		}
 		for _, ord := range []core.Order{core.BySensitivity, core.ByIndex, core.ByReverse} {
-			t := tree.Clone()
-			core.AssignAll(t, te.BlanketRule)
-			stats, err := core.Optimize(t, te, lib, core.Config{Order: ord, Tracer: o.Tracer})
+			res, err := o.flow(smartndr.FlowConfig{Opt: core.Config{Order: ord}}).Apply(built, smartndr.SchemeSmart)
 			if err != nil {
 				return err
 			}
-			m, _, err := core.Evaluate(t, te, lib, 40e-12)
-			if err != nil {
-				return err
-			}
+			m := res.Metrics
 			tb.AddRow(spec.Name, ord.String(), report.PF(m.SwitchedCap),
-				report.MW(m.Power.Total()), fmt.Sprintf("%d", stats.Downgrades),
+				report.MW(m.Power.Total()), fmt.Sprintf("%d", res.Stats.Downgrades),
 				fmt.Sprintf("%d", m.SlewViol), report.Ps(m.Skew))
 		}
 	}
@@ -61,33 +53,27 @@ func A1OrderAblation(o Options) error {
 // optimizer's residual perturbation stays in the skew number; with it the
 // bound is met for a small wire premium.
 func A2RepairAblation(o Options) error {
-	te := tech.Tech45()
-	lib := cell.Default45()
+	f := o.flow(smartndr.FlowConfig{})
 	spec := figureSpec(o)
-	_, tree, err := buildTr(spec, te, lib, o.Tracer)
+	built, err := build(f, spec)
 	if err != nil {
 		return err
 	}
 	tb := report.NewTable("A2: skew-repair ablation ("+spec.Name+")",
 		"repair", "skew (ps)", "bound met", "repair wire (µm)", "power (mW)", "cap (pF)")
 	for _, disable := range []bool{true, false} {
-		t := tree.Clone()
-		core.AssignAll(t, te.BlanketRule)
-		stats, err := core.Optimize(t, te, lib, core.Config{DisableRepair: disable, Tracer: o.Tracer})
+		res, err := o.flow(smartndr.FlowConfig{Opt: core.Config{DisableRepair: disable}}).Apply(built, smartndr.SchemeSmart)
 		if err != nil {
 			return err
 		}
-		m, _, err := core.Evaluate(t, te, lib, 40e-12)
-		if err != nil {
-			return err
-		}
+		m := res.Metrics
 		name := "on"
 		if disable {
 			name = "off"
 		}
 		tb.AddRow(name, report.Ps(m.Skew),
-			fmt.Sprintf("%v", m.Skew <= te.MaxSkew),
-			report.Um(stats.RepairWire), report.MW(m.Power.Total()),
+			fmt.Sprintf("%v", m.Skew <= f.Config().Tech.MaxSkew),
+			report.Um(res.Stats.RepairWire), report.MW(m.Power.Total()),
 			report.PF(m.SwitchedCap))
 	}
 	return tb.Render(o.Out)
@@ -98,47 +84,39 @@ func A2RepairAblation(o Options) error {
 // trim loop on vs off. The expected shape: disabling either inflates the
 // construction skew the downstream flow must absorb.
 func A3ModelAblation(o Options) error {
-	te := tech.Tech45()
-	lib := cell.Default45()
 	spec := figureSpec(o)
-	bm, err := workload.Generate(spec)
+	bm, err := smartndr.GenerateBenchmark(spec)
 	if err != nil {
 		return err
 	}
 	tb := report.NewTable("A3: construction-model ablation ("+spec.Name+")",
 		"top model", "trim loop", "construction skew (ps)", "worst slew (ps)", "WL (mm)")
-	for _, cfg := range []struct {
-		linear, noCal bool
-	}{
-		{false, false},
-		{true, false},
-		{false, true},
-		{true, true},
+	for _, opt := range []cts.Options{
+		{},
+		{LinearTopModel: true},
+		{NoCalibration: true},
+		{LinearTopModel: true, NoCalibration: true},
 	} {
-		res, err := cts.Build(bm.Sinks, bm.Src, te, lib, cts.Options{
-			LinearTopModel: cfg.linear,
-			NoCalibration:  cfg.noCal,
-			Tracer:         o.Tracer,
-		})
+		f := o.flow(smartndr.FlowConfig{CTS: opt})
+		built, err := f.Build(bm.Sinks, bm.Src)
 		if err != nil {
 			return err
 		}
-		res.Tree.SetAllRules(te.BlanketRule)
-		an, err := sta.Analyze(res.Tree, te, lib, 40e-12)
+		an, err := f.Timing(built.Tree)
 		if err != nil {
 			return err
 		}
 		model := "repeated"
-		if cfg.linear {
+		if opt.LinearTopModel {
 			model = "linear"
 		}
 		trim := "on"
-		if cfg.noCal {
+		if opt.NoCalibration {
 			trim = "off"
 		}
 		w, _ := an.WorstSlew()
 		tb.AddRow(model, trim, report.Ps(an.Skew()), report.Ps(w),
-			fmt.Sprintf("%.2f", res.Tree.TotalWirelength()/1000))
+			fmt.Sprintf("%.2f", built.Tree.TotalWirelength()/1000))
 	}
 	return tb.Render(o.Out)
 }

@@ -4,6 +4,13 @@
 // literature). Each experiment renders an aligned text table to the given
 // writer and, when a data directory is set, dumps the plotted series as
 // CSV. The same entry points back the root-level testing.B benchmarks.
+//
+// Every experiment drives the public facade (smartndr.Flow): it builds
+// with Flow.Build, applies schemes with Flow.Apply or ApplyTopK, with
+// ablation knobs set on FlowConfig.Opt and FlowConfig.CTS, and analyses
+// with the flow's Timing, Evaluate, EvaluateCorners, AuditEM, EnforceEM
+// and MonteCarlo, so the tables run the code path smartndr and smartndrd
+// run.
 package experiments
 
 import (
@@ -12,18 +19,15 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"time"
 
-	"smartndr/internal/cell"
-	"smartndr/internal/core"
-	"smartndr/internal/ctree"
-	"smartndr/internal/cts"
+	"smartndr"
 	"smartndr/internal/obs"
 	"smartndr/internal/par"
 	"smartndr/internal/rctree"
 	"smartndr/internal/report"
 	"smartndr/internal/sio"
-	"smartndr/internal/tech"
 	"smartndr/internal/workload"
 )
 
@@ -88,7 +92,8 @@ func ByID(id string) (Runner, error) {
 // concurrently: each renders into its own buffer and the buffers are
 // flushed in registry order, so stdout is identical to a serial run (up
 // to measured wall-clock values in T3). Experiments are independent by
-// construction — each builds its own technology, library, and trees.
+// construction — each builds its own trees, and their flows share only
+// the read-only default library.
 func All(o Options) error {
 	reg := Registry()
 	if o.Workers <= 1 {
@@ -104,9 +109,7 @@ func All(o Options) error {
 	errs := make([]error, len(reg))
 	// Errors are collected per experiment rather than cancelling the
 	// fan-out, so the output prefix before a failure matches serial runs.
-	//lint:allow ctxflow offline batch CLI with no cancellation semantics; a cancelled fan-out would break the bit-identical-output contract
-	_ = par.ForEach(context.Background(), o.Workers, len(reg), func(i int) error {
-		oi := o
+	_ = o.fanOut(len(reg), func(i int, oi Options) error {
 		oi.Out = &bufs[i]
 		errs[i] = RunOne(reg[i], oi)
 		return nil
@@ -135,6 +138,49 @@ func RunOne(r Runner, o Options) error {
 	return err
 }
 
+// fanOut runs fn(i, oi) for every i < n on par.Workers(o.Workers)
+// goroutines, where oi is o on a scoped view of its tracer. The view
+// starts from the caller's open spans, so each call's spans nest under
+// the running experiment and never under another call's. Callers land
+// results in index-addressed slots, which keeps every table identical at
+// any worker count.
+func (o Options) fanOut(n int, fn func(i int, oi Options) error) error {
+	//lint:allow ctxflow offline batch CLI with no cancellation semantics; a cancelled fan-out would break the bit-identical-output contract
+	return par.ForEach(context.Background(), par.Workers(o.Workers), n, func(i int) error {
+		oi := o
+		oi.Tracer = o.Tracer.Scoped()
+		return fn(i, oi)
+	})
+}
+
+// flow returns the facade flow an experiment drives: the 45 nm-class
+// defaults with cfg's knobs, on the run's tracer and workers.
+func (o Options) flow(cfg smartndr.FlowConfig) *smartndr.Flow {
+	cfg.Tracer, cfg.Workers = o.Tracer, o.Workers
+	return smartndr.NewFlow(&cfg)
+}
+
+// build generates the benchmark and synthesizes its blanket-rule tree.
+func build(f *smartndr.Flow, spec workload.Spec) (*smartndr.Built, error) {
+	bm, err := smartndr.GenerateBenchmark(spec)
+	if err != nil {
+		return nil, err
+	}
+	return f.Build(bm.Sinks, bm.Src)
+}
+
+// label is a scheme's row label in the tables: its short name.
+func label(s smartndr.Scheme) string { return strings.TrimSuffix(s.String(), "-ndr") }
+
+// timedMS returns fn's wall-clock time in milliseconds. T3's subject *is*
+// wall-clock runtime; its rows are the one table exempt from the
+// bit-identical-output contract (docs/performance.md).
+func timedMS(fn func() error) (float64, error) {
+	t0 := time.Now() //lint:allow wallclock — runtime scaling is what T3 measures
+	err := fn()
+	return time.Since(t0).Seconds() * 1e3, err //lint:allow wallclock — runtime scaling is what T3 measures
+}
+
 // suite returns the benchmark list for the options.
 func suite(o Options) []workload.Spec {
 	specs := workload.CNSSuite()
@@ -150,37 +196,17 @@ func suite(o Options) []workload.Spec {
 	return specs
 }
 
-// build constructs the blanket tree for a spec.
-func build(spec workload.Spec, te *tech.Tech, lib *cell.Library) (*workload.Benchmark, *ctree.Tree, error) {
-	return buildTr(spec, te, lib, nil)
-}
-
-// buildTr is build with an optional tracer threaded into synthesis.
-func buildTr(spec workload.Spec, te *tech.Tech, lib *cell.Library, tr *obs.Tracer) (*workload.Benchmark, *ctree.Tree, error) {
-	bm, err := workload.Generate(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := cts.Build(bm.Sinks, bm.Src, te, lib, cts.Options{Tracer: tr})
-	if err != nil {
-		return nil, nil, err
-	}
-	res.Tree.SetAllRules(te.BlanketRule)
-	return bm, res.Tree, nil
-}
-
 // T1RuleCharacterization tabulates each rule class's per-micron parasitics
 // and the delay/slew of a canonical 1 mm repeater-free stage — the table
 // that motivates everything else: NDRs buy RC speed with capacitance.
 func T1RuleCharacterization(o Options) error {
-	te := tech.Tech45()
-	lib := cell.Default45()
+	cfg := o.flow(smartndr.FlowConfig{}).Config()
+	te, drv := cfg.Tech, cfg.Library.Strongest()
 	tb := report.NewTable(
-		"T1: rule-class characterization (tech45, 1 mm stage driven by "+lib.Strongest().Name+")",
+		"T1: rule-class characterization (tech45, 1 mm stage driven by "+drv.Name+")",
 		"rule", "r (Ω/µm)", "c (fF/µm)", "pitch (µm)", "elmore (ps)", "slew (ps)", "cap vs 1W1S")
 	defC := te.Layer.CPerUm(te.Rule(te.DefaultRule))
 	const stage = 1000.0 // µm
-	drv := lib.Strongest()
 	for i := 0; i < te.NumRules(); i++ {
 		rule := te.Rule(i)
 		r := te.Layer.RPerUm(rule)
@@ -205,65 +231,47 @@ func T1RuleCharacterization(o Options) error {
 // check: Smart ≤ Blanket power with zero violations; AllDefault cheapest
 // but violating; TopK in between.
 func T2MainComparison(o Options) error {
-	te := tech.Tech45()
-	lib := cell.Default45()
+	f := o.flow(smartndr.FlowConfig{})
+	te := f.Config().Tech
 	tb := report.NewTable(
 		"T2: scheme comparison (tech45; slew ≤ "+report.Ps(te.MaxSlew)+" ps, skew ≤ "+report.Ps(te.MaxSkew)+" ps)",
 		"bench", "sinks", "scheme", "power (mW)", "Δpower", "cap (pF)", "WL (mm)", "bufs",
 		"slew (ps)", "viol", "skew (ps)", "NDR len")
-	var series struct {
-		bench                     []float64
-		smart, blanket, def, topk []float64
-	}
+	schemes := []smartndr.Scheme{smartndr.SchemeAllDefault, smartndr.SchemeBlanket, smartndr.SchemeTrunk, smartndr.SchemeSmart}
+	// powers[si] is scheme si's power per benchmark, the CSV series.
+	powers := make([][]float64, len(schemes))
+	var benches []float64
 	for bi, spec := range suite(o) {
-		_, tree, err := buildTr(spec, te, lib, o.Tracer)
+		built, err := build(f, spec)
 		if err != nil {
 			return err
 		}
-		type schemeRun struct {
-			name  string
-			apply func(t *ctree.Tree) error
-		}
-		runs := []schemeRun{
-			{"all-default", func(t *ctree.Tree) error { core.AssignAll(t, te.DefaultRule); return nil }},
-			{"blanket", func(t *ctree.Tree) error { core.AssignAll(t, te.BlanketRule); return nil }},
-			{"trunk", func(t *ctree.Tree) error { core.AssignTrunk(t, te); return nil }},
-			{"smart", func(t *ctree.Tree) error {
-				core.AssignAll(t, te.BlanketRule)
-				_, err := core.Optimize(t, te, lib, core.Config{Tracer: o.Tracer})
-				return err
-			}},
-		}
-		// Schemes evaluate concurrently on private clones; metrics land in
-		// a slot per run so the rendered rows keep presentation order.
-		ms := make([]core.Metrics, len(runs))
-		//lint:allow ctxflow offline batch CLI with no cancellation semantics; runs to completion by design
-		err = par.ForEach(context.Background(), par.Workers(o.Workers), len(runs), func(ri int) error {
-			t := tree.Clone()
-			if err := runs[ri].apply(t); err != nil {
-				return err
-			}
-			m, _, err := core.Evaluate(t, te, lib, 40e-12)
+		// Schemes apply concurrently, each on the flow's private clone;
+		// metrics land in a slot per scheme so the rendered rows keep
+		// presentation order.
+		ms := make([]smartndr.Metrics, len(schemes))
+		err = o.fanOut(len(schemes), func(si int, o Options) error {
+			res, err := o.flow(smartndr.FlowConfig{}).Apply(built, schemes[si])
 			if err != nil {
 				return err
 			}
-			ms[ri] = m
+			ms[si] = res.Metrics
 			return nil
 		})
 		if err != nil {
 			return err
 		}
 		var blanketPower float64
-		for ri, run := range runs {
-			m := ms[ri]
+		for si, s := range schemes {
+			m := ms[si]
 			p := m.Power.Total()
 			dp := "—"
-			if run.name == "blanket" {
+			if s == smartndr.SchemeBlanket {
 				blanketPower = p
 			} else if blanketPower > 0 {
 				dp = report.Pct(p/blanketPower - 1)
 			}
-			tb.AddRow(spec.Name, fmt.Sprintf("%d", spec.Sinks), run.name,
+			tb.AddRow(spec.Name, fmt.Sprintf("%d", spec.Sinks), label(s),
 				report.MW(p), dp, report.PF(m.SwitchedCap),
 				fmt.Sprintf("%.2f", m.Wirelength/1000),
 				fmt.Sprintf("%d", m.Buffers),
@@ -271,26 +279,17 @@ func T2MainComparison(o Options) error {
 				report.Ps(m.Skew),
 				report.Pct(m.NDRFraction),
 			)
-			switch run.name {
-			case "smart":
-				series.smart = append(series.smart, p)
-			case "blanket":
-				series.blanket = append(series.blanket, p)
-			case "all-default":
-				series.def = append(series.def, p)
-			case "trunk":
-				series.topk = append(series.topk, p)
-			}
+			powers[si] = append(powers[si], p)
 		}
-		series.bench = append(series.bench, float64(bi+1))
+		benches = append(benches, float64(bi+1))
 	}
 	if o.DataDir != "" {
 		if err := sio.WriteCSVFile(o.DataDir+"/t2_power.csv",
-			sio.Series{Name: "bench", Values: series.bench},
-			sio.Series{Name: "all_default_w", Values: series.def},
-			sio.Series{Name: "blanket_w", Values: series.blanket},
-			sio.Series{Name: "trunk_w", Values: series.topk},
-			sio.Series{Name: "smart_w", Values: series.smart},
+			sio.Series{Name: "bench", Values: benches},
+			sio.Series{Name: "all_default_w", Values: powers[0]},
+			sio.Series{Name: "blanket_w", Values: powers[1]},
+			sio.Series{Name: "trunk_w", Values: powers[2]},
+			sio.Series{Name: "smart_w", Values: powers[3]},
 		); err != nil {
 			return err
 		}
@@ -298,11 +297,11 @@ func T2MainComparison(o Options) error {
 	return tb.Render(o.Out)
 }
 
-// T3RuntimeScaling measures wall-clock of synthesis and optimization
-// against sink count.
+// T3RuntimeScaling measures the wall-clock of synthesis (Flow.Build) and
+// of the smart scheme (Flow.Apply: clone, optimize, evaluate) against sink
+// count.
 func T3RuntimeScaling(o Options) error {
-	te := tech.Tech45()
-	lib := cell.Default45()
+	f := o.flow(smartndr.FlowConfig{})
 	sizes := []int{500, 1000, 2000, 4000, 8000, 16000}
 	if o.Quick {
 		sizes = []int{250, 500, 1000}
@@ -316,25 +315,26 @@ func T3RuntimeScaling(o Options) error {
 			DieX: 3000 * math.Sqrt(float64(n)/1000), DieY: 2500 * math.Sqrt(float64(n)/1000),
 			CapMin: 1e-15, CapMax: 4e-15, Seed: int64(n),
 		}
-		bm, err := workload.Generate(spec)
+		bm, err := smartndr.GenerateBenchmark(spec)
 		if err != nil {
 			return err
 		}
-		// T3's subject *is* wall-clock runtime; its rows are the one table
-		// exempt from the bit-identical-output contract (docs/performance.md).
-		t0 := time.Now() //lint:allow wallclock — runtime scaling is what T3 measures
-		res, err := cts.Build(bm.Sinks, bm.Src, te, lib, cts.Options{Tracer: o.Tracer})
+		var built *smartndr.Built
+		buildMS, err := timedMS(func() (err error) {
+			built, err = f.Build(bm.Sinks, bm.Src)
+			return err
+		})
 		if err != nil {
 			return err
 		}
-		buildMS := time.Since(t0).Seconds() * 1e3 //lint:allow wallclock — runtime scaling is what T3 measures
-		res.Tree.SetAllRules(te.BlanketRule)
-		t1 := time.Now() //lint:allow wallclock — runtime scaling is what T3 measures
-		if _, err := core.Optimize(res.Tree, te, lib, core.Config{Tracer: o.Tracer}); err != nil {
+		optMS, err := timedMS(func() error {
+			_, err := f.Apply(built, smartndr.SchemeSmart)
+			return err
+		})
+		if err != nil {
 			return err
 		}
-		optMS := time.Since(t1).Seconds() * 1e3 //lint:allow wallclock — runtime scaling is what T3 measures
-		tb.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", len(res.Tree.Nodes)),
+		tb.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", len(built.Tree.Nodes)),
 			fmt.Sprintf("%.0f", buildMS), fmt.Sprintf("%.0f", optMS),
 			fmt.Sprintf("%.0f", buildMS+optMS))
 		xs = append(xs, float64(n))

@@ -1,19 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
-	"smartndr/internal/cell"
+	"smartndr"
 	"smartndr/internal/core"
-	"smartndr/internal/ctree"
-	"smartndr/internal/cts"
-	"smartndr/internal/geom"
-	"smartndr/internal/par"
 	"smartndr/internal/report"
-	"smartndr/internal/sta"
-	"smartndr/internal/tech"
 	"smartndr/internal/workload"
 )
 
@@ -23,8 +16,6 @@ import (
 // order of magnitude larger than any single-corner skew (why signoff uses
 // common-path-pessimism removal), identical in shape across schemes.
 func T4MultiCorner(o Options) error {
-	te := tech.Tech45()
-	lib := cell.Default45()
 	spec, err := workload.ByName("cns02")
 	if err != nil {
 		return err
@@ -32,47 +23,35 @@ func T4MultiCorner(o Options) error {
 	if o.Quick {
 		spec.Sinks /= 4
 	}
-	_, tree, err := buildTr(spec, te, lib, o.Tracer)
+	built, err := build(o.flow(smartndr.FlowConfig{}), spec)
 	if err != nil {
 		return err
 	}
 	tb := report.NewTable("T4: three-corner signoff ("+spec.Name+")",
 		"scheme", "corner", "skew (ps)", "worst slew (ps)", "viol", "ins delay (ps)", "x-corner (ps)")
-	schemes := []string{"all-default", "blanket", "smart"}
+	schemes := []smartndr.Scheme{smartndr.SchemeAllDefault, smartndr.SchemeBlanket, smartndr.SchemeSmart}
 	// Per-scheme signoff runs concurrently on private clones; the reports
 	// are slot-addressed so rows render in presentation order.
 	reps := make([]*core.MultiCornerReport, len(schemes))
-	//lint:allow ctxflow offline batch CLI with no cancellation semantics; runs to completion by design
-	err = par.ForEach(context.Background(), par.Workers(o.Workers), len(schemes), func(si int) error {
-		t := tree.Clone()
-		switch schemes[si] {
-		case "all-default":
-			core.AssignAll(t, te.DefaultRule)
-		case "blanket":
-			core.AssignAll(t, te.BlanketRule)
-		case "smart":
-			core.AssignAll(t, te.BlanketRule)
-			if _, err := core.Optimize(t, te, lib, core.Config{Tracer: o.Tracer}); err != nil {
-				return err
-			}
-		}
-		rep, err := core.EvaluateCorners(t, te, lib, 40e-12, tech.StandardCorners())
+	err = o.fanOut(len(schemes), func(si int, o Options) error {
+		f := o.flow(smartndr.FlowConfig{})
+		res, err := f.Apply(built, schemes[si])
 		if err != nil {
 			return err
 		}
-		reps[si] = rep
-		return nil
+		reps[si], err = f.EvaluateCorners(res.Tree)
+		return err
 	})
 	if err != nil {
 		return err
 	}
-	for si, sc := range schemes {
+	for si, s := range schemes {
 		for i, cm := range reps[si].Corners {
 			cross := ""
 			if i == 0 {
 				cross = report.Ps(reps[si].CrossCornerSkew)
 			}
-			tb.AddRow(sc, cm.Corner.Name, report.Ps(cm.Skew), report.Ps(cm.WorstSlew),
+			tb.AddRow(label(s), cm.Corner.Name, report.Ps(cm.Skew), report.Ps(cm.WorstSlew),
 				fmt.Sprintf("%d", cm.SlewViol), report.Ps(cm.MaxInsDel), cross)
 		}
 	}
@@ -85,10 +64,9 @@ func T4MultiCorner(o Options) error {
 // smart needs only a sliver of enforcement cap because the heavy edges
 // are exactly the ones it already kept wide for slew.
 func T5ElectromigrationAudit(o Options) error {
-	te := tech.Tech45()
-	lib := cell.Default45()
+	f := o.flow(smartndr.FlowConfig{})
 	spec := figureSpec(o)
-	_, tree, err := buildTr(spec, te, lib, o.Tracer)
+	built, err := build(f, spec)
 	if err != nil {
 		return err
 	}
@@ -96,29 +74,24 @@ func T5ElectromigrationAudit(o Options) error {
 	tb := report.NewTable(
 		fmt.Sprintf("T5: electromigration audit (%s, %.1f mA/µm RMS)", spec.Name, l.JRms*1e3),
 		"scheme", "EM violations", "worst need (×W)", "enforce upgrades", "power before (mW)", "power after (mW)")
-	for _, sc := range []string{"all-default", "blanket", "smart", "smart+EM"} {
-		t := tree.Clone()
-		switch sc {
-		case "all-default":
-			core.AssignAll(t, te.DefaultRule)
-		case "blanket":
-			core.AssignAll(t, te.BlanketRule)
-		case "smart":
-			core.AssignAll(t, te.BlanketRule)
-			if _, err := core.Optimize(t, te, lib, core.Config{Tracer: o.Tracer}); err != nil {
-				return err
-			}
-		case "smart+EM":
-			// EM floors respected *inside* the optimizer: edges that carry
-			// real current never leave their width class, so the audit is
-			// clean by construction and no post-hoc upgrade churn occurs.
-			core.AssignAll(t, te.BlanketRule)
-			lim := l
-			if _, err := core.Optimize(t, te, lib, core.Config{EM: &lim, Tracer: o.Tracer}); err != nil {
-				return err
-			}
+	for _, arm := range []struct {
+		name   string
+		f      *smartndr.Flow
+		scheme smartndr.Scheme
+	}{
+		{"all-default", f, smartndr.SchemeAllDefault},
+		{"blanket", f, smartndr.SchemeBlanket},
+		{"smart", f, smartndr.SchemeSmart},
+		// EM floors respected *inside* the optimizer: edges that carry
+		// real current never leave their width class, so the audit is
+		// clean by construction and no post-hoc upgrade churn occurs.
+		{"smart+EM", o.flow(smartndr.FlowConfig{Opt: core.Config{EM: &l}}), smartndr.SchemeSmart},
+	} {
+		res, err := arm.f.Apply(built, arm.scheme)
+		if err != nil {
+			return err
 		}
-		viols, err := core.AuditEM(t, te, lib, 40e-12, l)
+		viols, err := f.AuditEM(res.Tree)
 		if err != nil {
 			return err
 		}
@@ -128,20 +101,16 @@ func T5ElectromigrationAudit(o Options) error {
 				worstNeed = v.Required
 			}
 		}
-		before, _, err := core.Evaluate(t, te, lib, 40e-12)
+		up, err := f.EnforceEM(res.Tree)
 		if err != nil {
 			return err
 		}
-		up, err := core.EnforceEM(t, te, lib, 40e-12, l)
+		after, err := f.Evaluate(res.Tree)
 		if err != nil {
 			return err
 		}
-		after, _, err := core.Evaluate(t, te, lib, 40e-12)
-		if err != nil {
-			return err
-		}
-		tb.AddRow(sc, fmt.Sprintf("%d", len(viols)), fmt.Sprintf("%.2f", worstNeed),
-			fmt.Sprintf("%d", up), report.MW(before.Power.Total()), report.MW(after.Power.Total()))
+		tb.AddRow(arm.name, fmt.Sprintf("%d", len(viols)), fmt.Sprintf("%.2f", worstNeed),
+			fmt.Sprintf("%d", up), report.MW(res.Metrics.Power.Total()), report.MW(after.Power.Total()))
 	}
 	return tb.Render(o.Out)
 }
@@ -151,8 +120,10 @@ func T5ElectromigrationAudit(o Options) error {
 // (the capacitance objective is separable; the couplings greedy ignores
 // are second-order at this scale).
 func A4OptimalityGap(o Options) error {
-	te := tech.Tech45()
-	lib := cell.Default45()
+	f := o.flow(smartndr.FlowConfig{})
+	greedy := o.flow(smartndr.FlowConfig{Opt: core.Config{DisableRepair: true}})
+	cfg := f.Config()
+	te := cfg.Tech
 	tb := report.NewTable("A4: greedy vs exhaustive optimal (4-sink instances)",
 		"seed", "edges", "evaluated", "optimal cap (fF)", "greedy cap (fF)", "gap")
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8}
@@ -161,20 +132,18 @@ func A4OptimalityGap(o Options) error {
 	}
 	for _, seed := range seeds {
 		rng := rand.New(rand.NewSource(seed))
-		sinks := make([]ctree.Sink, 4)
+		sinks := make([]smartndr.Sink, 4)
 		for i := range sinks {
-			sinks[i] = ctree.Sink{
-				Loc: geom.Point{X: rng.Float64() * 300, Y: rng.Float64() * 300},
+			sinks[i] = smartndr.Sink{
+				Loc: smartndr.Point{X: rng.Float64() * 300, Y: rng.Float64() * 300},
 				Cap: (1 + rng.Float64()) * 1e-15,
 			}
 		}
-		res, err := cts.Build(sinks, geom.Point{X: 150, Y: 150}, te, lib, cts.Options{Tracer: o.Tracer})
+		built, err := f.Build(sinks, smartndr.Point{X: 150, Y: 150})
 		if err != nil {
 			return err
 		}
-		tree := res.Tree
-		tree.SetAllRules(te.BlanketRule)
-		opt, err := core.ExhaustiveOptimal(tree, te, lib, 40e-12, te.MaxSlew, te.MaxSkew)
+		opt, err := core.ExhaustiveOptimal(built.Tree, te, cfg.Library, cfg.InSlew, te.MaxSlew, te.MaxSkew)
 		if err != nil {
 			return err
 		}
@@ -182,21 +151,16 @@ func A4OptimalityGap(o Options) error {
 			tb.AddRow(fmt.Sprintf("%d", seed), "-", "-", "infeasible", "-", "-")
 			continue
 		}
-		greedy := tree.Clone()
-		if _, err := core.Optimize(greedy, te, lib, core.Config{DisableRepair: true, Tracer: o.Tracer}); err != nil {
-			return err
-		}
-		an, err := sta.Analyze(greedy, te, lib, 40e-12)
+		res, err := greedy.Apply(built, smartndr.SchemeSmart)
 		if err != nil {
 			return err
 		}
-		edges := len(tree.Nodes) - 1
-		gap := an.TotalSwitchedCap()/opt.BestCap - 1
-		tb.AddRow(fmt.Sprintf("%d", seed), fmt.Sprintf("%d", edges),
+		greedyCap := res.Metrics.SwitchedCap
+		tb.AddRow(fmt.Sprintf("%d", seed), fmt.Sprintf("%d", len(built.Tree.Nodes)-1),
 			fmt.Sprintf("%d", opt.Evaluated),
 			fmt.Sprintf("%.2f", opt.BestCap*1e15),
-			fmt.Sprintf("%.2f", an.TotalSwitchedCap()*1e15),
-			report.Pct(gap))
+			fmt.Sprintf("%.2f", greedyCap*1e15),
+			report.Pct(greedyCap/opt.BestCap-1))
 	}
 	return tb.Render(o.Out)
 }

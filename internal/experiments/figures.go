@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	"smartndr/internal/cell"
+	"smartndr"
 	"smartndr/internal/core"
-	"smartndr/internal/par"
 	"smartndr/internal/report"
 	"smartndr/internal/sio"
-	"smartndr/internal/tech"
 	"smartndr/internal/variation"
 )
 
@@ -18,31 +15,24 @@ import (
 // tight constraint smart approaches blanket (everything needs the NDR);
 // under a loose one it approaches all-default.
 func F1SlewSweep(o Options) error {
-	te := tech.Tech45()
-	lib := cell.Default45()
+	f := o.flow(smartndr.FlowConfig{})
 	spec := figureSpec(o)
-	_, tree, err := buildTr(spec, te, lib, o.Tracer)
+	built, err := build(f, spec)
 	if err != nil {
 		return err
 	}
-	// Fixed-order pairs, not a map literal: map iteration order would make
-	// the evaluation (and any error) order nondeterministic across runs.
-	anchors := map[string]float64{}
-	for _, a := range []struct {
-		name string
-		rule int
-	}{{"all-default", te.DefaultRule}, {"blanket", te.BlanketRule}} {
-		t := tree.Clone()
-		core.AssignAll(t, a.rule)
-		m, _, err := core.Evaluate(t, te, lib, 40e-12)
-		if err != nil {
-			return err
-		}
-		anchors[a.name] = m.Power.Total()
+	def, err := f.Apply(built, smartndr.SchemeAllDefault)
+	if err != nil {
+		return err
 	}
+	blanket, err := f.Apply(built, smartndr.SchemeBlanket)
+	if err != nil {
+		return err
+	}
+	blanketPower := blanket.Metrics.Power.Total()
 	tb := report.NewTable(
 		fmt.Sprintf("F1: smart-NDR power vs slew constraint (%s; blanket %.3f mW, all-default %.3f mW)",
-			spec.Name, anchors["blanket"]*1e3, anchors["all-default"]*1e3),
+			spec.Name, blanketPower*1e3, def.Metrics.Power.Total()*1e3),
 		"slew limit (ps)", "power (mW)", "vs blanket", "NDR len", "downgrades", "viol")
 	limits := []float64{70e-12, 80e-12, 90e-12, 100e-12, 120e-12, 150e-12, 180e-12}
 	if o.Quick {
@@ -50,25 +40,20 @@ func F1SlewSweep(o Options) error {
 	}
 	var xs, ys []float64
 	for _, lim := range limits {
-		t := tree.Clone()
-		core.AssignAll(t, te.BlanketRule)
-		stats, err := core.Optimize(t, te, lib, core.Config{MaxSlew: lim, Tracer: o.Tracer})
+		res, err := o.flow(smartndr.FlowConfig{Opt: core.Config{MaxSlew: lim}}).Apply(built, smartndr.SchemeSmart)
 		if err != nil {
 			return err
 		}
-		m, _, err := core.Evaluate(t, te, lib, 40e-12)
-		if err != nil {
-			return err
-		}
+		m := res.Metrics
 		// Violations are judged against the swept limit here.
 		viol := 0
 		if m.WorstSlew > lim {
 			viol = m.SlewViol
 		}
 		tb.AddRow(report.Ps(lim), report.MW(m.Power.Total()),
-			report.Pct(m.Power.Total()/anchors["blanket"]-1),
+			report.Pct(m.Power.Total()/blanketPower-1),
 			report.Pct(m.NDRFraction),
-			fmt.Sprintf("%d", stats.Downgrades),
+			fmt.Sprintf("%d", res.Stats.Downgrades),
 			fmt.Sprintf("%d", viol))
 		xs = append(xs, lim*1e12)
 		ys = append(ys, m.Power.Total())
@@ -89,17 +74,18 @@ func F1SlewSweep(o Options) error {
 // concentrates near the root (long, slew-critical repeated lines); leaf
 // levels run on cheap rules.
 func F2DepthProfile(o Options) error {
-	te := tech.Tech45()
-	lib := cell.Default45()
+	f := o.flow(smartndr.FlowConfig{})
+	te := f.Config().Tech
 	spec := figureSpec(o)
-	_, tree, err := buildTr(spec, te, lib, o.Tracer)
+	built, err := build(f, spec)
 	if err != nil {
 		return err
 	}
-	core.AssignAll(tree, te.BlanketRule)
-	if _, err := core.Optimize(tree, te, lib, core.Config{Tracer: o.Tracer}); err != nil {
+	res, err := f.Apply(built, smartndr.SchemeSmart)
+	if err != nil {
 		return err
 	}
+	tree := res.Tree
 	levels := core.StageLevels(tree)
 	maxLv := 0
 	for _, lv := range levels {
@@ -165,15 +151,13 @@ func F2DepthProfile(o Options) error {
 // smart sheds capacitance without giving up the NDR's robustness where it
 // matters.
 func F3Variation(o Options) error {
-	te := tech.Tech45()
-	lib := cell.Default45()
+	f := o.flow(smartndr.FlowConfig{})
 	spec := figureSpec(o)
-	_, tree, err := buildTr(spec, te, lib, o.Tracer)
+	built, err := build(f, spec)
 	if err != nil {
 		return err
 	}
 	p := variation.Defaults(99)
-	p.Workers = o.Workers
 	if o.Quick {
 		p.Samples = 60
 	}
@@ -181,52 +165,39 @@ func F3Variation(o Options) error {
 		fmt.Sprintf("F3: skew under process variation (%s, %d samples, CD σ %.0f nm)",
 			spec.Name, p.Samples, p.WidthSigma*1e3),
 		"scheme", "nominal (ps)", "mean (ps)", "σ (ps)", "P95 (ps)", "max (ps)", "yield@bound")
-	schemes := []string{"all-default", "trunk", "smart", "blanket"}
+	schemes := []smartndr.Scheme{smartndr.SchemeAllDefault, smartndr.SchemeTrunk, smartndr.SchemeSmart, smartndr.SchemeBlanket}
 	// Each scheme's assignment + Monte Carlo runs concurrently; rows are
 	// slot-addressed so the table order never depends on scheduling, and
 	// the Monte Carlo substream determinism makes the numbers themselves
 	// worker-count-independent.
 	type f3Out struct {
 		nominal float64
-		st      *variation.Stats
+		st      *smartndr.VariationStats
 	}
 	outs := make([]f3Out, len(schemes))
-	//lint:allow ctxflow offline batch CLI with no cancellation semantics; runs to completion by design
-	err = par.ForEach(context.Background(), par.Workers(o.Workers), len(schemes), func(si int) error {
-		t := tree.Clone()
-		switch schemes[si] {
-		case "all-default":
-			core.AssignAll(t, te.DefaultRule)
-		case "blanket":
-			core.AssignAll(t, te.BlanketRule)
-		case "trunk":
-			core.AssignTrunk(t, te)
-		case "smart":
-			core.AssignAll(t, te.BlanketRule)
-			if _, err := core.Optimize(t, te, lib, core.Config{Tracer: o.Tracer}); err != nil {
-				return err
-			}
-		}
-		m, _, err := core.Evaluate(t, te, lib, 40e-12)
+	err = o.fanOut(len(schemes), func(si int, o Options) error {
+		f := o.flow(smartndr.FlowConfig{})
+		res, err := f.Apply(built, schemes[si])
 		if err != nil {
 			return err
 		}
-		st, err := variation.MonteCarlo(t, te, lib, p, o.Tracer)
+		st, err := f.MonteCarlo(res.Tree, p)
 		if err != nil {
 			return err
 		}
-		outs[si] = f3Out{nominal: m.Skew, st: st}
+		outs[si] = f3Out{nominal: res.Metrics.Skew, st: st}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
+	maxSkew := f.Config().Tech.MaxSkew
 	var sigmas []float64
-	for si, sc := range schemes {
+	for si, s := range schemes {
 		st := outs[si].st
-		tb.AddRow(sc, report.Ps(outs[si].nominal), report.Ps(st.MeanSkew), report.Ps(st.StdSkew),
+		tb.AddRow(label(s), report.Ps(outs[si].nominal), report.Ps(st.MeanSkew), report.Ps(st.StdSkew),
 			report.Ps(st.P95Skew), report.Ps(st.MaxSkew),
-			fmt.Sprintf("%.1f%%", st.YieldAt(2*te.MaxSkew)*100))
+			fmt.Sprintf("%.1f%%", st.YieldAt(2*maxSkew)*100))
 		sigmas = append(sigmas, st.StdSkew)
 	}
 	if o.DataDir != "" {
@@ -244,42 +215,38 @@ func F3Variation(o Options) error {
 // across K and places the smart point against it. Expected shape: smart
 // sits below the TopK curve (less power at comparable robustness).
 func F4TopKSweep(o Options) error {
-	te := tech.Tech45()
-	lib := cell.Default45()
+	f := o.flow(smartndr.FlowConfig{})
 	spec := figureSpec(o)
-	_, tree, err := buildTr(spec, te, lib, o.Tracer)
+	built, err := build(f, spec)
 	if err != nil {
 		return err
 	}
-	maxLv := core.MaxStageLevel(tree) + 1
+	maxK := f.MaxTopK(built)
 	tb := report.NewTable(
 		fmt.Sprintf("F4: TopK sweep vs smart point (%s)", spec.Name),
 		"assignment", "power (mW)", "NDR len", "worst slew (ps)", "viol", "skew (ps)")
-	// Items 0..maxLv are the K sweep; the last slot is the smart point.
-	ms := make([]core.Metrics, maxLv+2)
-	//lint:allow ctxflow offline batch CLI with no cancellation semantics; runs to completion by design
-	err = par.ForEach(context.Background(), par.Workers(o.Workers), len(ms), func(k int) error {
-		t := tree.Clone()
-		if k <= maxLv {
-			core.AssignTopLevels(t, te, k)
+	// Items 0..maxK are the K sweep; the last slot is the smart point.
+	ms := make([]smartndr.Metrics, maxK+2)
+	err = o.fanOut(len(ms), func(k int, o Options) error {
+		f := o.flow(smartndr.FlowConfig{})
+		var res *smartndr.Result
+		var err error
+		if k <= maxK {
+			res, err = f.ApplyTopK(built, k)
 		} else {
-			core.AssignAll(t, te.BlanketRule)
-			if _, err := core.Optimize(t, te, lib, core.Config{Tracer: o.Tracer}); err != nil {
-				return err
-			}
+			res, err = f.Apply(built, smartndr.SchemeSmart)
 		}
-		m, _, err := core.Evaluate(t, te, lib, 40e-12)
 		if err != nil {
 			return err
 		}
-		ms[k] = m
+		ms[k] = res.Metrics
 		return nil
 	})
 	if err != nil {
 		return err
 	}
 	var ks, powers []float64
-	for k := 0; k <= maxLv; k++ {
+	for k := 0; k <= maxK; k++ {
 		m := ms[k]
 		tb.AddRow(fmt.Sprintf("top-%d", k), report.MW(m.Power.Total()),
 			report.Pct(m.NDRFraction), report.Ps(m.WorstSlew),
@@ -287,7 +254,7 @@ func F4TopKSweep(o Options) error {
 		ks = append(ks, float64(k))
 		powers = append(powers, m.Power.Total())
 	}
-	m := ms[maxLv+1]
+	m := ms[maxK+1]
 	tb.AddRow("smart", report.MW(m.Power.Total()), report.Pct(m.NDRFraction),
 		report.Ps(m.WorstSlew), fmt.Sprintf("%d", m.SlewViol), report.Ps(m.Skew))
 	if o.DataDir != "" {

@@ -55,7 +55,8 @@ type Config struct {
 	// Results are bit-identical for every value.
 	Workers int
 	// InSlew is the root input transition used for region delay
-	// measurement and the final global balance (default 40 ps).
+	// measurement and the final global balance (default
+	// sta.DefaultInSlew).
 	InSlew float64
 	// BalanceIters bounds the final global skew-repair loop (default 40).
 	BalanceIters int
@@ -79,7 +80,7 @@ func (c Config) withDefaults() Config {
 		c.SkewSplit = 0.5
 	}
 	if c.InSlew == 0 {
-		c.InSlew = 40e-12
+		c.InSlew = sta.DefaultInSlew
 	}
 	if c.Opt.InSlew == 0 {
 		c.Opt.InSlew = c.InSlew

@@ -89,7 +89,7 @@ func (t *Tracer) ScopedTee(extra Sink) *Tracer {
 	if extra == nil {
 		return t.Scoped()
 	}
-	return &Tracer{sink: teeSink{t.sink, extra}, start: t.start, reg: t.reg, scoped: true}
+	return t.scope(teeSink{t.sink, extra})
 }
 
 // teeSink fans one scoped tracer's events to the shared sink and the
@@ -105,18 +105,31 @@ func (s teeSink) Close() error { return s.shared.Close() }
 
 // Scoped returns a request-scoped view of t: a tracer with its own
 // ambient span stack that shares t's sink, registry, and time origin.
-// This is the form a concurrent server hands to each request — the
-// implicit innermost-open-span nesting stays isolated per request while
-// events land in the shared sink (on the owner's timeline) and counters
-// aggregate in the shared registry. Close on a scoped tracer is a no-op:
-// the owning tracer emits the metrics snapshot and closes the sink.
-// Scoped on a nil tracer returns nil, so a disabled service tracer
-// yields disabled request tracers for free.
+// The stack starts as a copy of t's open spans, so spans the view opens
+// nest under whatever t had open at the call. This is the form a
+// concurrent server hands to each request, and the form a fan-out hands
+// to each worker: the implicit innermost-open-span nesting stays isolated
+// per request or worker while events land in the shared sink (on the
+// owner's timeline) and counters aggregate in the shared registry. A
+// server tracer never holds an open span, so its requests start as roots.
+// Close on a scoped tracer is a no-op: the owning tracer emits the
+// metrics snapshot and closes the sink. Scoped on a nil tracer returns
+// nil, so a disabled service tracer yields disabled request tracers for
+// free.
 func (t *Tracer) Scoped() *Tracer {
 	if t == nil {
 		return nil
 	}
-	return &Tracer{sink: t.sink, start: t.start, reg: t.reg, scoped: true}
+	return t.scope(t.sink)
+}
+
+// scope returns a scoped view of t emitting to sink, its stack a copy of
+// t's open spans.
+func (t *Tracer) scope(sink Sink) *Tracer {
+	t.mu.Lock()
+	stack := append([]*Span(nil), t.stack...)
+	t.mu.Unlock()
+	return &Tracer{sink: sink, start: t.start, stack: stack, reg: t.reg, scoped: true}
 }
 
 // Enabled reports whether the tracer records anything.

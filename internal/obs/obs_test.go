@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -297,6 +298,35 @@ func TestScopedTracerIsolatesStacks(t *testing.T) {
 	}
 	if owner.Registry() != a.Registry() {
 		t.Error("scoped tracer must share the owner's registry")
+	}
+}
+
+// TestScopedTracerInheritsOpenSpans: a scoped view starts from the
+// owner's open spans, so concurrent workers of a fan-out nest under the
+// span that launched them and never under each other, and the owner's
+// own stack is untouched by what the views open.
+func TestScopedTracerInheritsOpenSpans(t *testing.T) {
+	col := NewCollector()
+	owner := New(col)
+	exp := owner.Start("exp")
+	a, b := owner.Scoped(), owner.Scoped()
+	armA := a.Start("arm")
+	armB := b.Start("arm") // a sibling of armA, not its child
+	b.Start("optimize").End()
+	owner.Start("render").End() // still a child of exp, not of an arm
+	armB.End()
+	armA.End()
+	exp.End()
+	var paths []string
+	for _, ev := range col.Events() {
+		paths = append(paths, ev.Span)
+	}
+	want := []string{"exp/arm/optimize", "exp/render", "exp/arm", "exp/arm", "exp"}
+	if !reflect.DeepEqual(paths, want) {
+		t.Errorf("span paths = %v, want %v", paths, want)
+	}
+	if late := owner.Scoped(); late.Start("next").path != "next" {
+		t.Error("a view taken after exp ended must start from an empty stack")
 	}
 }
 

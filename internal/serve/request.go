@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"smartndr"
 	"smartndr/internal/core"
@@ -172,7 +171,7 @@ func (r *FlowRequest) Validate() error {
 	if err := validateWorkload(r.Bench, r.Spec); err != nil {
 		return err
 	}
-	if _, err := ParseScheme(r.Scheme); err != nil {
+	if _, err := smartndr.ParseScheme(r.Scheme); err != nil {
 		return err
 	}
 	if _, err := resolveTech(r.Tech); err != nil {
@@ -223,7 +222,7 @@ func (r *SweepRequest) Validate() error {
 		return fmt.Errorf("serve: %d arms exceeds the %d-arm limit", len(r.Arms), maxSweepArms)
 	}
 	for i, arm := range r.Arms {
-		if _, err := ParseScheme(arm.Scheme); err != nil {
+		if _, err := smartndr.ParseScheme(arm.Scheme); err != nil {
 			return fmt.Errorf("serve: arm %d: %w", i, err)
 		}
 		if arm.Corner != "" {
@@ -264,26 +263,6 @@ func validateWorkload(bench string, spec *workload.Spec) error {
 		}
 	}
 	return nil
-}
-
-// ParseScheme maps a wire scheme name to the engine enum. Both the
-// canonical Stringer names (smart-ndr, blanket-ndr, …) and the short
-// CLI aliases (smart, blanket, …) are accepted; empty selects smart.
-func ParseScheme(name string) (smartndr.Scheme, error) {
-	switch strings.ToLower(name) {
-	case "", "smart", "smart-ndr":
-		return smartndr.SchemeSmart, nil
-	case "all-default", "default":
-		return smartndr.SchemeAllDefault, nil
-	case "blanket", "blanket-ndr":
-		return smartndr.SchemeBlanket, nil
-	case "top-k", "topk":
-		return smartndr.SchemeTopK, nil
-	case "trunk", "trunk-ndr":
-		return smartndr.SchemeTrunk, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown scheme %q", name)
-	}
 }
 
 func resolveTech(name string) (*tech.Tech, error) {

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"smartndr"
 	"smartndr/internal/workload"
 )
 
@@ -70,32 +69,6 @@ func TestDecodeSweepRequestRejects(t *testing.T) {
 	over := `{"bench":"cns01","arms":[` + strings.Join(arms, ",") + `]}`
 	if _, err := DecodeSweepRequest([]byte(over)); err == nil {
 		t.Errorf("decode accepted %d arms", maxSweepArms+1)
-	}
-}
-
-func TestParseScheme(t *testing.T) {
-	cases := map[string]smartndr.Scheme{
-		"":            smartndr.SchemeSmart,
-		"smart":       smartndr.SchemeSmart,
-		"smart-ndr":   smartndr.SchemeSmart,
-		"SMART":       smartndr.SchemeSmart,
-		"all-default": smartndr.SchemeAllDefault,
-		"default":     smartndr.SchemeAllDefault,
-		"blanket":     smartndr.SchemeBlanket,
-		"blanket-ndr": smartndr.SchemeBlanket,
-		"top-k":       smartndr.SchemeTopK,
-		"topk":        smartndr.SchemeTopK,
-		"trunk":       smartndr.SchemeTrunk,
-		"trunk-ndr":   smartndr.SchemeTrunk,
-	}
-	for name, want := range cases {
-		got, err := ParseScheme(name)
-		if err != nil || got != want {
-			t.Errorf("ParseScheme(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	if _, err := ParseScheme("psychic"); err == nil {
-		t.Error("ParseScheme accepted psychic")
 	}
 }
 

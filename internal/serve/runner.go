@@ -54,7 +54,7 @@ func (fr *FlowRunner) FlowKey(req *FlowRequest) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	scheme, err := ParseScheme(req.Scheme)
+	scheme, err := smartndr.ParseScheme(req.Scheme)
 	if err != nil {
 		return "", err
 	}
@@ -72,7 +72,7 @@ func (fr *FlowRunner) RunFlow(ctx context.Context, req *FlowRequest, tr *obs.Tra
 	if err != nil {
 		return nil, err
 	}
-	scheme, err := ParseScheme(req.Scheme)
+	scheme, err := smartndr.ParseScheme(req.Scheme)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +144,7 @@ func (fr *FlowRunner) OpenSession(ctx context.Context, req *FlowRequest, tr *obs
 	if err != nil {
 		return nil, err
 	}
-	scheme, err := ParseScheme(req.Scheme)
+	scheme, err := smartndr.ParseScheme(req.Scheme)
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +289,7 @@ func (fr *FlowRunner) RunSweep(ctx context.Context, req *SweepRequest, tr *obs.T
 		armSp := armsSpan.Child("arm",
 			obs.I("i", i), obs.S("scheme", arm.Scheme), obs.S("corner", arm.Corner))
 		defer armSp.End()
-		scheme, err := ParseScheme(arm.Scheme)
+		scheme, err := smartndr.ParseScheme(arm.Scheme)
 		if err != nil {
 			return err
 		}

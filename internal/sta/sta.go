@@ -24,6 +24,11 @@ import (
 	"smartndr/internal/tech"
 )
 
+// DefaultInSlew is the root input transition a flow assumes when none is
+// configured, s. It is the one home of that default: the facade, the
+// optimizer and the hierarchical builder all resolve an unset slew to it.
+const DefaultInSlew = 40e-12
+
 // Result holds one analysis of a clock tree.
 type Result struct {
 	// Arrival[v] is the arrival time at node v's *input* pin: for sink

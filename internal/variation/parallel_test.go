@@ -6,6 +6,7 @@ import (
 
 	"smartndr/internal/cell"
 	"smartndr/internal/obs"
+	"smartndr/internal/sta"
 	"smartndr/internal/tech"
 )
 
@@ -23,7 +24,7 @@ func TestMonteCarloWorkerCountInvariance(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		pw := p
 		pw.Workers = workers
-		st, err := MonteCarlo(tr, te, lib, pw, nil)
+		st, err := MonteCarlo(tr, te, lib, sta.DefaultInSlew, pw, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -57,8 +58,8 @@ func TestMonteCarloSpanLeak(t *testing.T) {
 	tr := obs.New(col)
 	p := Defaults(1)
 	p.Samples = 4
-	p.InSlew = -1 // forces sta to reject every trial's analysis
-	if _, err := MonteCarlo(tree, te, lib, p, tr); err == nil {
+	// A negative input slew forces sta to reject every trial's analysis.
+	if _, err := MonteCarlo(tree, te, lib, -1, p, tr); err == nil {
 		t.Fatal("negative input slew must fail the run")
 	}
 	trials, runs := 0, 0
@@ -91,7 +92,7 @@ func TestMonteCarloTrialSpansWellFormed(t *testing.T) {
 	p := Defaults(3)
 	p.Samples = 24
 	p.Workers = 8
-	if _, err := MonteCarlo(tree, te, lib, p, tr); err != nil {
+	if _, err := MonteCarlo(tree, te, lib, sta.DefaultInSlew, p, tr); err != nil {
 		t.Fatal(err)
 	}
 	trials := 0

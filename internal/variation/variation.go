@@ -47,8 +47,6 @@ type Params struct {
 	Samples int
 	// Seed makes the run deterministic.
 	Seed int64
-	// InSlew is the root input transition, s (default 40 ps).
-	InSlew float64
 	// Workers bounds trial-level parallelism: 0 (or negative) uses
 	// runtime.GOMAXPROCS(0); 1 forces the serial path. The determinism
 	// contract: trial i draws from an independent RNG substream derived
@@ -60,9 +58,6 @@ type Params struct {
 func (p Params) withDefaults() Params {
 	if p.GridCells == 0 {
 		p.GridCells = 8
-	}
-	if p.InSlew == 0 {
-		p.InSlew = 40e-12
 	}
 	return p
 }
@@ -178,7 +173,8 @@ type trialScratch struct {
 	an     *sta.Incremental
 }
 
-// MonteCarlo runs the analysis. The tree is not modified.
+// MonteCarlo runs the analysis at root input transition inSlew. The tree
+// is not modified.
 //
 // Determinism contract: trial i draws every random number from a
 // dedicated substream seeded by par.SubstreamSeed(p.Seed, i), so the
@@ -192,7 +188,7 @@ type trialScratch struct {
 // attached to the run span explicitly — never to the tracer's ambient
 // span stack — so the span tree stays well-formed when trials run on
 // many goroutines.
-func MonteCarlo(t *ctree.Tree, te *tech.Tech, lib *cell.Library, p Params, tr *obs.Tracer) (*Stats, error) {
+func MonteCarlo(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64, p Params, tr *obs.Tracer) (*Stats, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -257,7 +253,7 @@ func MonteCarlo(t *ctree.Tree, te *tech.Tech, lib *cell.Library, p Params, tr *o
 				sc.ov.BufScale[i] = math.Max(0.5, 1+p.BufSigma*g)
 			}
 		}
-		res, err := sc.an.Full(t, p.InSlew, &sc.ov, nil)
+		res, err := sc.an.Full(t, inSlew, &sc.ov, nil)
 		if err != nil {
 			return err
 		}

@@ -9,6 +9,7 @@ import (
 	"smartndr/internal/ctree"
 	"smartndr/internal/cts"
 	"smartndr/internal/geom"
+	"smartndr/internal/sta"
 	"smartndr/internal/tech"
 )
 
@@ -35,11 +36,11 @@ func TestMonteCarloDeterministic(t *testing.T) {
 	tr := builtTree(t, 60, 3, 1000, te, lib)
 	p := Defaults(7)
 	p.Samples = 20
-	a, err := MonteCarlo(tr, te, lib, p, nil)
+	a, err := MonteCarlo(tr, te, lib, sta.DefaultInSlew, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MonteCarlo(tr, te, lib, p, nil)
+	b, err := MonteCarlo(tr, te, lib, sta.DefaultInSlew, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestMonteCarloZeroSigmaMatchesNominal(t *testing.T) {
 	lib := cell.Default45()
 	tr := builtTree(t, 60, 5, 1000, te, lib)
 	p := Params{Samples: 3, Seed: 1}
-	st, err := MonteCarlo(tr, te, lib, p, nil)
+	st, err := MonteCarlo(tr, te, lib, sta.DefaultInSlew, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestVariationIncreasesSkewSpread(t *testing.T) {
 	tr := builtTree(t, 120, 9, 2000, te, lib)
 	p := Defaults(11)
 	p.Samples = 100
-	st, err := MonteCarlo(tr, te, lib, p, nil)
+	st, err := MonteCarlo(tr, te, lib, sta.DefaultInSlew, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,13 +102,13 @@ func TestNDRMoreRobustThanDefault(t *testing.T) {
 
 	blanket := tr.Clone()
 	core.AssignAll(blanket, te.BlanketRule)
-	sb, err := MonteCarlo(blanket, te, lib, p, nil)
+	sb, err := MonteCarlo(blanket, te, lib, sta.DefaultInSlew, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	def := tr.Clone()
 	core.AssignAll(def, te.DefaultRule)
-	sd, err := MonteCarlo(def, te, lib, p, nil)
+	sd, err := MonteCarlo(def, te, lib, sta.DefaultInSlew, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +168,11 @@ func TestSpatialCorrelationMatters(t *testing.T) {
 	spatial.SpatialFrac = 1
 	white := base
 	white.SpatialFrac = 0
-	ss, err := MonteCarlo(tr, te, lib, spatial, nil)
+	ss, err := MonteCarlo(tr, te, lib, sta.DefaultInSlew, spatial, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := MonteCarlo(tr, te, lib, white, nil)
+	sw, err := MonteCarlo(tr, te, lib, sta.DefaultInSlew, white, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
