@@ -36,6 +36,30 @@ func BenchmarkBuild2k(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildCNS is construction on the cold-flow mix: one op runs
+// Flow.Build on each of cns01–cns05, generated at their own seeds, the
+// shapes perfbench's cold-flow workload rotates through.
+func BenchmarkBuildCNS(b *testing.B) {
+	var designs []*workload.Benchmark
+	for _, spec := range Suite()[:5] {
+		bm, err := GenerateBenchmark(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		designs = append(designs, bm)
+	}
+	flow := NewFlow(nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, bm := range designs {
+			if _, err := flow.Build(bm.Sinks, bm.Src); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 func BenchmarkSmartApply2k(b *testing.B) {
 	sinks := benchSinks(b, 2000)
 	flow := NewFlow(nil)

@@ -38,7 +38,7 @@ func refKeyBytes(t *testing.T, f *smartndr.Flow, spec smartndr.BenchSpec, scheme
 	t.Helper()
 	cfg := f.Config()
 	k := runKeyRef{
-		V: "smartndr/flow/v5", Spec: spec, Tech: cfg.Tech, Library: cfg.Library,
+		V: "smartndr/flow/v6", Spec: spec, Tech: cfg.Tech, Library: cfg.Library,
 		Scheme: int(scheme), TopK: cfg.TopK, InSlew: cfg.InSlew,
 		CTS: cfg.CTS, Opt: cfg.Opt, Hier: cfg.Hier, Edits: core.CanonicalEdits(edits),
 	}

@@ -10,6 +10,7 @@ package buffering
 
 import (
 	"math"
+	"slices"
 
 	"smartndr/internal/ctree"
 	"smartndr/internal/geom"
@@ -23,23 +24,27 @@ func SplitLongEdges(t *ctree.Tree, maxLen float64) {
 	if maxLen <= 0 {
 		return
 	}
-	// Collect first: AddNode invalidates iteration order.
-	type job struct{ node, segs int }
-	var jobs []job
-	for i := range t.Nodes {
+	// Segment count must match the repeated-line model exactly:
+	// n = ceil(e/maxLen), with a hair of tolerance so an edge of exactly
+	// n·maxLen yields n segments, not n+1.
+	segments := func(i int) int {
 		if t.Nodes[i].Parent == ctree.NoNode {
-			continue
+			return 1
 		}
-		// Segment count must match the repeated-line model exactly:
-		// n = ceil(e/maxLen), with a hair of tolerance so an edge of
-		// exactly n·maxLen yields n segments, not n+1.
-		segs := int(math.Ceil(t.Nodes[i].EdgeLen/maxLen - 1e-12))
-		if segs >= 2 {
-			jobs = append(jobs, job{i, segs})
+		return int(math.Ceil(t.Nodes[i].EdgeLen/maxLen - 1e-12))
+	}
+	// Size the node slice once. Splitting edge i appends nodes past the
+	// original ones and rewrites only node i and its parent's child slot,
+	// so one pass in node order sees every original length unchanged.
+	n, extra := len(t.Nodes), 0
+	for i := 0; i < n; i++ {
+		if segs := segments(i); segs >= 2 {
+			extra += segs - 1
 		}
 	}
-	for _, j := range jobs {
-		splitEdge(t, j.node, j.segs)
+	t.Nodes = slices.Grow(t.Nodes, extra)
+	for i := 0; i < n; i++ {
+		splitEdge(t, i, segments(i))
 	}
 }
 

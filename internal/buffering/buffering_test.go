@@ -22,7 +22,7 @@ func buildEmbedded(t testing.TB, n int, seed int64, spread float64) *ctree.Tree 
 			Cap: (1 + rng.Float64()*2) * 1e-15,
 		}
 	}
-	tr, err := topo.Build(topo.Bipartition, sinks, geom.Point{X: spread / 2, Y: spread / 2})
+	tr, err := topo.Build(sinks, geom.Point{X: spread / 2, Y: spread / 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestSplitLongEdges(t *testing.T) {
 		{Loc: geom.Point{X: 0, Y: 0}, Cap: 1e-15},
 		{Loc: geom.Point{X: 3000, Y: 0}, Cap: 1e-15},
 	}
-	tr, _ := topo.Build(topo.Bipartition, sinks, geom.Point{})
+	tr, _ := topo.Build(sinks, geom.Point{})
 	te := tech.Tech45()
 	if err := dme.Embed(tr, dme.Params{
 		RPerUm: te.Layer.RPerUm(te.Rule(te.BlanketRule)),
@@ -78,7 +78,7 @@ func TestSplitLongEdgesPreservesRules(t *testing.T) {
 		{Loc: geom.Point{X: 0, Y: 0}, Cap: 1e-15},
 		{Loc: geom.Point{X: 1000, Y: 0}, Cap: 1e-15},
 	}
-	tr, _ := topo.Build(topo.Bipartition, sinks, geom.Point{})
+	tr, _ := topo.Build(sinks, geom.Point{})
 	te := tech.Tech45()
 	if err := dme.Embed(tr, dme.Params{RPerUm: 3, CPerUm: 0.2e-15}); err != nil {
 		t.Fatal(err)

@@ -4,11 +4,13 @@
 //
 // The builder uses the classical two-phase hierarchical methodology:
 //
-// Phase A — leaf clusters. Sinks are partitioned geometrically into
-// clusters whose total capacitance (wire + pins, under the blanket rule)
-// fits one buffer stage. Each cluster gets a pure-wire Elmore DME subtree
-// and a buffer at its tap point. The buffer input becomes a pseudo-sink
-// carrying the cluster's insertion delay as an offset.
+// Phase A — leaf clusters. Sinks are split by recursive median
+// bipartition, merged bottom-up once under pure-wire Elmore DME, and cut
+// into the largest subsets of the split whose total capacitance (wire +
+// pins, under the blanket rule) fits one buffer stage. Each cluster keeps
+// its subtree of that embedding and gets a buffer at its tap point. The
+// buffer input becomes a pseudo-sink carrying the cluster's insertion
+// delay as an offset.
 //
 // Phase B — top tree. A single DME pass runs over the pseudo-sinks under a
 // *linear* delay model: every top-level wire is a repeated line (identical
@@ -29,7 +31,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"smartndr/internal/buffering"
 	"smartndr/internal/cell"
@@ -44,8 +47,6 @@ import (
 
 // Options configure the builder.
 type Options struct {
-	// Topology picks the per-cluster and top-tree topology generator.
-	Topology topo.Method
 	// ClusterCapFrac is the fraction of MaxCapPerStage a leaf cluster may
 	// fill (default 0.8).
 	ClusterCapFrac float64
@@ -83,9 +84,6 @@ const calibrationIters = 8
 // trimDamping under-corrects each trim iteration: lengthening a leaf edge
 // also loads its upstream junction, which the trim estimate does not see.
 const trimDamping = 0.9
-
-// debugCalibration prints per-iteration calibration spread (tests only).
-var debugCalibration = false
 
 // withDefaults fills unset options.
 func (o Options) withDefaults() Options {
@@ -164,13 +162,12 @@ func Build(sinks []ctree.Sink, src geom.Point, te *tech.Tech, lib *cell.Library,
 	// ---- Phase A: cluster, embed, leaf-buffer. ----
 	clSpan := tr.Start("cluster")
 	defer clSpan.End() // error paths; no-op after the explicit End below
-	idx := make([]int, len(sinks))
-	for i := range idx {
-		idx[i] = i
+	bp, err := newBipartition(sinks, wireP)
+	if err != nil {
+		return nil, err
 	}
-	var clusters [][]int
-	budget := opt.ClusterCapFrac * te.MaxCapPerStage
-	if err := clusterize(sinks, idx, budget, wireP, opt.Topology, &clusters); err != nil {
+	clusters, err := bp.clusterize(opt.ClusterCapFrac * te.MaxCapPerStage)
+	if err != nil {
 		return nil, err
 	}
 	clSpan.Set("clusters", len(clusters))
@@ -178,27 +175,18 @@ func Build(sinks []ctree.Sink, src geom.Point, te *tech.Tech, lib *cell.Library,
 	leafSpan := tr.Start("leaf_embed")
 	defer leafSpan.End() // error paths; no-op after the explicit End below
 
-	type clusterTree struct {
-		tree   *ctree.Tree
-		member []int // original sink index per cluster-local sink
-		pseudo ctree.Sink
-		bufIdx int
-	}
-	cts := make([]clusterTree, 0, len(clusters))
-	for _, members := range clusters {
-		sub := make([]ctree.Sink, len(members))
-		for i, m := range members {
-			sub[i] = sinks[m]
-		}
-		tr, err := topo.Build(opt.Topology, sub, src)
-		if err != nil {
-			return nil, err
-		}
-		if err := dme.Embed(tr, wireP); err != nil {
+	// Each cluster is embedded from the clock source, buffered at its
+	// root, and cut out of the bipartition as a tree of its own.
+	bp.tree.SetAllRules(te.BlanketRule)
+	pseudo := make([]ctree.Sink, len(clusters))
+	trees := make([]*ctree.Tree, len(clusters))
+	cut := make([]ctree.Tree, len(clusters))
+	nodes := make([]ctree.Node, 2*len(sinks)-len(clusters)) // a cluster of k sinks has 2k−1 nodes
+	for i, cl := range clusters {
+		if err := dme.Place(bp.tree, bp.st, bp.edge, cl.root, src); err != nil {
 			return nil, fmt.Errorf("cts: cluster embed: %w", err)
 		}
-		tr.SetAllRules(te.BlanketRule)
-		delay, cap, err := dme.SubtreeDelay(tr, wireP)
+		delay, cap, err := dme.SubtreeDelay(bp.tree, cl.root, wireP)
 		if err != nil {
 			return nil, err
 		}
@@ -206,27 +194,26 @@ func Build(sinks []ctree.Sink, src geom.Point, te *tech.Tech, lib *cell.Library,
 		// degrades further across the cluster's distributed wire, so the
 		// lumped check must leave headroom.
 		b, _ := lib.SmallestMeeting(estSlew, cap, clusterSlewMargin*te.MaxSlew)
-		bi := cellIndex(lib, b)
-		tr.Nodes[tr.Root].BufIdx = bi
-		cts = append(cts, clusterTree{
-			tree:   tr,
-			member: members,
-			pseudo: ctree.Sink{
-				Name:  "clusterbuf",
-				Loc:   tr.Nodes[tr.Root].Loc,
-				Cap:   b.InputCap,
-				Delay: delay + b.DelayAt(estSlew, cap),
-			},
-			bufIdx: bi,
-		})
+		bp.tree.Nodes[cl.root].BufIdx = cellIndex(lib, b)
+		pseudo[i] = ctree.Sink{
+			Name:  "clusterbuf",
+			Loc:   bp.tree.Nodes[cl.root].Loc,
+			Cap:   b.InputCap,
+			Delay: delay + b.DelayAt(estSlew, cap),
+		}
+		size := 2*len(cl.members) - 1
+		cut[i] = ctree.Tree{Sinks: sinks, Nodes: nodes[:0:size], SrcLoc: src}
+		cut[i].Root = paste(&cut[i], bp.tree, cl.root, ctree.NoNode, nil)
+		trees[i] = &cut[i]
+		nodes = nodes[size:]
 	}
 
 	leafSpan.End()
 
 	// ---- Single-cluster short-circuit. ----
-	if len(cts) == 1 {
-		final := rebaseCluster(cts[0].tree, cts[0].member, sinks, src)
-		res := &Result{Tree: final, NumClusters: 1, TopDelay: cts[0].pseudo.Delay}
+	if len(clusters) == 1 {
+		final := trees[0]
+		res := &Result{Tree: final, NumClusters: 1, TopDelay: pseudo[0].Delay}
 		return res, final.Validate()
 	}
 
@@ -261,11 +248,7 @@ func Build(sinks []ctree.Sink, src geom.Point, te *tech.Tech, lib *cell.Library,
 	}
 	topSpan := tr.Start("top_embed")
 	defer topSpan.End() // error paths; no-op after the explicit End below
-	pseudo := make([]ctree.Sink, len(cts))
-	for i := range cts {
-		pseudo[i] = cts[i].pseudo
-	}
-	topBase, err := topo.Build(opt.Topology, pseudo, src)
+	topBase, err := topo.Build(pseudo, src)
 	if err != nil {
 		return nil, err
 	}
@@ -273,26 +256,20 @@ func Build(sinks []ctree.Sink, src geom.Point, te *tech.Tech, lib *cell.Library,
 		return nil, fmt.Errorf("cts: top embed: %w", err)
 	}
 	topBase.SetAllRules(te.BlanketRule)
-	topDelay, _, err := dme.SubtreeDelay(topBase, topP)
+	topDelay, _, err := dme.SubtreeDelay(topBase, topBase.Root, topP)
 	if err != nil {
 		return nil, err
 	}
 	// Locate each pseudo-sink's leaf node in the un-split top tree.
-	leafOf := make([]int, len(cts))
+	leafOf := make([]int, len(clusters))
 	for i := range topBase.Nodes {
 		if si := topBase.Nodes[i].SinkIdx; si != ctree.NoSink {
 			leafOf[si] = i
 		}
 	}
-	leafLen := make([]float64, len(cts))
+	leafLen := make([]float64, len(clusters))
 	for ci, ln := range leafOf {
 		leafLen[ci] = topBase.Nodes[ln].EdgeLen
-	}
-	trees := make([]*ctree.Tree, len(cts))
-	members := make([][]int, len(cts))
-	for i := range cts {
-		trees[i] = cts[i].tree
-		members[i] = cts[i].member
 	}
 	topSpan.End()
 	iters := calibrationIters
@@ -303,11 +280,16 @@ func Build(sinks []ctree.Sink, src geom.Point, te *tech.Tech, lib *cell.Library,
 	defer calSpan.End() // error paths; no-op after the explicit End below
 	lastSpread := 0.0
 	calIters := 0
-	var final *ctree.Tree
-	clusterRoots := make([]int, len(cts))
+	// Every round rebuilds the top tree and the stitched tree in the same
+	// storage, and analyzes on the same engine.
+	topWork := &ctree.Tree{Sinks: topBase.Sinks, Root: topBase.Root, SrcLoc: topBase.SrcLoc}
+	final := ctree.NewTree(sinks, src)
+	clusterRoots := make([]int, len(clusters))
+	arr := make([]float64, len(clusters))
+	inc := sta.NewIncremental(te, lib)
 	for iter := 0; iter < iters; iter++ {
 		calIters = iter + 1
-		topWork := topBase.Clone()
+		topWork.Nodes = append(topWork.Nodes[:0], topBase.Nodes...)
 		for ci, ln := range leafOf {
 			topWork.Nodes[ln].EdgeLen = leafLen[ci]
 		}
@@ -318,15 +300,14 @@ func Build(sinks []ctree.Sink, src geom.Point, te *tech.Tech, lib *cell.Library,
 				topWork.Nodes[i].BufIdx = rl.CellIdx
 			}
 		}
-		final = Stitch(sinks, src, topWork, trees, members, clusterRoots)
+		stitch(final, topWork, trees, nil, clusterRoots)
 		if iter == iters-1 {
 			break
 		}
-		an, err := sta.Analyze(final, te, lib, opt.RefSlew)
+		an, err := inc.Full(final, opt.RefSlew, nil, nil)
 		if err != nil {
 			return nil, err
 		}
-		arr := make([]float64, len(cts))
 		arrMax := math.Inf(-1)
 		for ci, rootID := range clusterRoots {
 			arr[ci] = clusterSinkArrival(final, an, rootID)
@@ -343,9 +324,6 @@ func Build(sinks []ctree.Sink, src geom.Point, te *tech.Tech, lib *cell.Library,
 			}
 		}
 		lastSpread = spread
-		if debugCalibration {
-			fmt.Printf("cts: trim iter %d spread %.2f ps\n", iter, spread*1e12)
-		}
 		if spread < te.MaxSkew/4 {
 			iters = iter + 2 // one final rebuild with the last trims
 		}
@@ -361,92 +339,157 @@ func Build(sinks []ctree.Sink, src geom.Point, te *tech.Tech, lib *cell.Library,
 
 	res := &Result{
 		Tree:        final,
-		NumClusters: len(cts),
+		NumClusters: len(clusters),
 		Repeater:    rl,
 		TopDelay:    topDelay,
 	}
 	return res, final.Validate()
 }
 
-// clusterize recursively bipartitions sink index sets until each cluster's
-// embedded capacitance fits the budget.
-func clusterize(sinks []ctree.Sink, idx []int, budget float64, p dme.Params, m topo.Method, out *[][]int) error {
-	if len(idx) == 1 {
-		*out = append(*out, idx)
-		return nil
-	}
-	sub := make([]ctree.Sink, len(idx))
-	for i, si := range idx {
-		sub[i] = sinks[si]
-	}
-	tr, err := topo.Build(m, sub, geom.Point{})
-	if err != nil {
-		return err
-	}
-	if err := dme.Embed(tr, p); err != nil {
-		return err
-	}
-	_, cap, err := dme.SubtreeDelay(tr, p)
-	if err != nil {
-		return err
-	}
-	if cap <= budget {
-		*out = append(*out, idx)
-		return nil
-	}
-	// Median split along the longer bounding-box axis.
-	bb := geom.NewEmptyBBox()
-	for _, si := range idx {
-		bb.Extend(sinks[si].Loc)
-	}
-	byX := bb.Width() >= bb.Height()
-	sorted := append([]int(nil), idx...)
-	sort.Slice(sorted, func(a, b int) bool {
-		pa, pb := sinks[sorted[a]].Loc, sinks[sorted[b]].Loc
-		if byX {
-			if pa.X != pb.X {
-				return pa.X < pb.X
-			}
-			return pa.Y < pb.Y
-		}
-		if pa.Y != pb.Y {
-			return pa.Y < pb.Y
-		}
-		return pa.X < pb.X
-	})
-	mid := len(sorted) / 2
-	if err := clusterize(sinks, sorted[:mid], budget, p, m, out); err != nil {
-		return err
-	}
-	return clusterize(sinks, sorted[mid:], budget, p, m, out)
+// bipartition is the recursive median split of a sink set (topo.Split's
+// rule) with its zero-skew embedding merged bottom-up once: every subset
+// the split visits is the subtree under one node of tree, with that
+// subtree's DME state in st and each node's merge length in edge. It is
+// the topology a standalone topo.Build of any of these subsets would
+// produce, so leaf clustering tests candidates and cuts clusters out of it
+// without re-splitting or re-merging anything.
+type bipartition struct {
+	tree *ctree.Tree
+	st   []dme.State
+	edge []float64
+	p    dme.Params
+	// order[d] holds, over the positions of each depth-d subset, that
+	// subset's sinks in the order its parent's split left them (order[0]
+	// is the input order). That order is where a standalone bipartition
+	// of the subset starts, and it decides ties between coincident sinks.
+	order [][]int
 }
 
-// rebaseCluster copies a cluster tree built over a sink subset into a tree
-// over the full sink slice.
-func rebaseCluster(t *ctree.Tree, member []int, sinks []ctree.Sink, src geom.Point) *ctree.Tree {
-	final := ctree.NewTree(sinks, src)
-	var paste func(srcNode, parent int) int
-	paste = func(srcNode, parent int) int {
-		n := t.Nodes[srcNode]
-		cp := n
-		cp.Parent = parent
-		cp.Kids = [2]int{ctree.NoNode, ctree.NoNode}
-		if n.SinkIdx != ctree.NoSink {
-			cp.SinkIdx = member[n.SinkIdx]
-		}
-		id := final.AddNode(cp)
-		slot := 0
-		for _, k := range n.Kids {
-			if k == ctree.NoNode {
-				continue
-			}
-			final.Nodes[id].Kids[slot] = paste(k, id)
-			slot++
-		}
-		return id
+// cluster is one leaf cluster: its sinks, in the order the split left
+// them, and the root of its subtree in the bipartition.
+type cluster struct {
+	members []int
+	root    int
+}
+
+// newBipartition splits and merges the sinks under the wire model p.
+func newBipartition(sinks []ctree.Sink, p dme.Params) (*bipartition, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
-	final.Root = paste(t.Root, ctree.NoNode)
-	return final
+	n := len(sinks)
+	depth := bits.Len(uint(n - 1)) // halving n sinks takes ⌈log₂ n⌉ levels
+	flat := make([]int, (depth+1)*n)
+	b := &bipartition{
+		tree:  ctree.NewTree(sinks, geom.Point{}),
+		st:    make([]dme.State, 2*n-1),
+		edge:  make([]float64, 2*n-1),
+		p:     p,
+		order: make([][]int, depth+1),
+	}
+	b.tree.Nodes = make([]ctree.Node, 0, 2*n-1)
+	for d := range b.order {
+		b.order[d] = flat[d*n : (d+1)*n]
+	}
+	for i := range b.order[0] {
+		b.order[0][i] = i
+	}
+	root, err := b.build(0, n, 0)
+	b.tree.Root = root
+	return b, err
+}
+
+// build creates the subtree of the depth-d subset at positions [lo, hi)
+// and returns its root.
+func (b *bipartition) build(lo, hi, d int) (int, error) {
+	t := b.tree
+	in := b.order[d][lo:hi]
+	if len(in) == 1 {
+		v := t.AddNode(ctree.Node{
+			Parent: ctree.NoNode, Kids: [2]int{ctree.NoNode, ctree.NoNode},
+			SinkIdx: in[0], BufIdx: ctree.NoBuf,
+		})
+		b.st[v] = dme.SinkState(t.Sinks[in[0]])
+		return v, nil
+	}
+	out := b.order[d+1][lo:hi]
+	copy(out, in)
+	mid := lo + topo.Split(t.Sinks, out)
+	l, err := b.build(lo, mid, d+1)
+	if err != nil {
+		return 0, err
+	}
+	r, err := b.build(mid, hi, d+1)
+	if err != nil {
+		return 0, err
+	}
+	v := t.AddNode(ctree.Node{
+		Parent: ctree.NoNode, Kids: [2]int{l, r},
+		SinkIdx: ctree.NoSink, BufIdx: ctree.NoBuf,
+	})
+	t.Nodes[l].Parent, t.Nodes[r].Parent = v, v
+	if b.st[v], b.edge[l], b.edge[r], err = dme.Merge(b.st[l], b.st[r], b.p); err != nil {
+		return 0, fmt.Errorf("cts: merging %d sinks: %w", len(in), err)
+	}
+	return v, nil
+}
+
+// clusterize returns the leaf clusters: from the whole set down, in split
+// order, the first subsets whose capacitance fits the budget. A subset's
+// capacitance is what embedding it alone gives: its root on the merging
+// segment nearest the origin, every edge raised to the distance it spans,
+// the caps summed bottom-up. Single sinks always fit.
+func (b *bipartition) clusterize(budget float64) ([]cluster, error) {
+	var out []cluster
+	err := b.clusterizeAt(b.tree.Root, 0, len(b.tree.Sinks), 0, budget, &out)
+	return out, err
+}
+
+func (b *bipartition) clusterizeAt(v, lo, hi, d int, budget float64, out *[]cluster) error {
+	fits := hi-lo == 1
+	if !fits {
+		if err := dme.Place(b.tree, b.st, b.edge, v, geom.Point{}); err != nil {
+			return err
+		}
+		_, cap, err := dme.SubtreeDelay(b.tree, v, b.p)
+		if err != nil {
+			return err
+		}
+		fits = cap <= budget
+	}
+	if fits {
+		*out = append(*out, cluster{members: b.order[d][lo:hi], root: v})
+		return nil
+	}
+	mid := lo + (hi-lo)/2
+	kids := b.tree.Nodes[v].Kids
+	if err := b.clusterizeAt(kids[0], lo, mid, d+1, budget, out); err != nil {
+		return err
+	}
+	return b.clusterizeAt(kids[1], mid, hi, d+1, budget, out)
+}
+
+// paste copies the subtree of src under v into dst below parent, in
+// pre-order with kid 0 first, mapping sink indices through member (nil
+// when src already indexes dst's sinks), and returns the copy's root.
+func paste(dst, src *ctree.Tree, v, parent int, member []int) int {
+	n := src.Nodes[v]
+	cp := n
+	cp.Parent = parent
+	cp.Kids = [2]int{ctree.NoNode, ctree.NoNode}
+	if n.SinkIdx != ctree.NoSink && member != nil {
+		cp.SinkIdx = member[n.SinkIdx]
+	}
+	id := dst.AddNode(cp)
+	slot := 0
+	for _, k := range n.Kids {
+		if k == ctree.NoNode {
+			continue
+		}
+		dst.Nodes[id].Kids[slot] = paste(dst, src, k, id, member)
+		slot++
+	}
+	return id
 }
 
 func cellIndex(lib *cell.Library, b *cell.Buffer) int {
@@ -461,39 +504,35 @@ func cellIndex(lib *cell.Library, b *cell.Buffer) int {
 // Stitch assembles a tree over the original sinks from a top tree whose
 // pseudo-sink i stands for subtree trees[i]: each pseudo-sink leaf is
 // replaced by its subtree, with the subtree's local sink indices mapped
-// to global ones through members[i]. The subtree root inherits the leaf's
-// feeding-edge attributes (length and rule); clusterRoots, sized
-// len(trees) by the caller, records the final-tree node ID of each
-// subtree's buffered root. The cts builder uses it to paste leaf clusters
-// under the repeated-line top tree; the hierarchical flow reuses it one
-// level up to paste whole region trees under the global top tree.
+// to global ones through members[i] (members nil: the subtrees already
+// index sinks). The subtree root inherits the leaf's feeding-edge
+// attributes (length and rule); clusterRoots, sized len(trees) by the
+// caller, records the final-tree node ID of each subtree's buffered root.
+// The cts builder uses it to paste leaf clusters under the repeated-line
+// top tree; the hierarchical flow reuses it one level up to paste whole
+// region trees under the global top tree.
 func Stitch(sinks []ctree.Sink, src geom.Point, top *ctree.Tree, trees []*ctree.Tree, members [][]int, clusterRoots []int) *ctree.Tree {
 	final := ctree.NewTree(sinks, src)
-	var paste func(srcT *ctree.Tree, srcNode, parent int, member []int) int
-	paste = func(srcT *ctree.Tree, srcNode, parent int, member []int) int {
-		n := srcT.Nodes[srcNode]
-		cp := n
-		cp.Parent = parent
-		cp.Kids = [2]int{ctree.NoNode, ctree.NoNode}
-		if n.SinkIdx != ctree.NoSink {
-			cp.SinkIdx = member[n.SinkIdx]
-		}
-		id := final.AddNode(cp)
-		slot := 0
-		for _, k := range n.Kids {
-			if k == ctree.NoNode {
-				continue
-			}
-			final.Nodes[id].Kids[slot] = paste(srcT, k, id, member)
-			slot++
-		}
-		return id
+	stitch(final, top, trees, members, clusterRoots)
+	return final
+}
+
+// stitch is Stitch into final, whose node storage it reuses.
+func stitch(final, top *ctree.Tree, trees []*ctree.Tree, members [][]int, clusterRoots []int) {
+	size := len(top.Nodes) - len(trees)
+	for _, t := range trees {
+		size += len(t.Nodes)
 	}
+	final.Nodes = slices.Grow(final.Nodes[:0], size)
 	var pasteTop func(srcNode, parent int) int
 	pasteTop = func(srcNode, parent int) int {
 		n := top.Nodes[srcNode]
 		if ci := n.SinkIdx; ci != ctree.NoSink {
-			id := paste(trees[ci], trees[ci].Root, parent, members[ci])
+			var member []int
+			if members != nil {
+				member = members[ci]
+			}
+			id := paste(final, trees[ci], trees[ci].Root, parent, member)
 			final.Nodes[id].EdgeLen = n.EdgeLen
 			final.Nodes[id].Rule = n.Rule
 			clusterRoots[ci] = id
@@ -514,26 +553,22 @@ func Stitch(sinks []ctree.Sink, src geom.Point, top *ctree.Tree, trees []*ctree.
 		return id
 	}
 	final.Root = pasteTop(top.Root, ctree.NoNode)
-	return final
 }
 
-// clusterSinkArrival returns the arrival of the first sink found under the
-// given cluster root; all sinks of a cluster arrive together (the cluster
-// DME and STA use the same wire math), so one sample represents the
-// cluster.
-func clusterSinkArrival(t *ctree.Tree, an *sta.Result, root int) float64 {
-	stack := []int{root}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if t.Nodes[v].SinkIdx != ctree.NoSink {
-			return an.Arrival[v]
-		}
-		for _, k := range t.Nodes[v].Kids {
-			if k != ctree.NoNode {
-				stack = append(stack, k)
-			}
+// clusterSinkArrival returns the arrival of one sink under the given
+// cluster root, reached by always taking the last child; all sinks of a
+// cluster arrive together (the cluster DME and STA use the same wire
+// math), so one sample represents the cluster.
+func clusterSinkArrival(t *ctree.Tree, an *sta.Result, v int) float64 {
+	for t.Nodes[v].SinkIdx == ctree.NoSink {
+		switch k := t.Nodes[v].Kids; {
+		case k[1] != ctree.NoNode:
+			v = k[1]
+		case k[0] != ctree.NoNode:
+			v = k[0]
+		default:
+			return 0
 		}
 	}
-	return 0
+	return an.Arrival[v]
 }

@@ -233,11 +233,18 @@ func (p Params) extendRepeated(e, lag float64) float64 {
 	return e
 }
 
-// nodeState is the bottom-up bookkeeping per tree node.
-type nodeState struct {
+// State is the bottom-up result for one subtree: where it can be joined
+// and what it presents there.
+type State struct {
 	ms    geom.TRR // merging segment
-	delay float64  // Elmore delay from the node's embedding point to every sink below (equal by construction)
-	cap   float64  // total downstream capacitance seen at the node, F
+	delay float64  // delay from the segment to every sink below (equal by construction)
+	cap   float64  // total downstream capacitance seen at the segment, F
+}
+
+// SinkState returns the state of a lone sink: a point segment carrying the
+// sink's own delay offset and pin capacitance.
+func SinkState(s ctree.Sink) State {
+	return State{ms: geom.PointTRR(s.Loc), delay: s.Delay, cap: s.Cap}
 }
 
 // Embed computes the zero-skew embedding in place: it fills Loc and EdgeLen
@@ -249,86 +256,101 @@ func Embed(t *ctree.Tree, p Params) error {
 	if t.Root == ctree.NoNode {
 		return errors.New("dme: tree has no root")
 	}
-	st := make([]nodeState, len(t.Nodes))
-	var fail error
-	t.PostOrder(func(i int) {
-		if fail != nil {
-			return
-		}
-		n := &t.Nodes[i]
-		switch t.NumKids(i) {
-		case 0:
-			if n.SinkIdx == ctree.NoSink {
-				fail = fmt.Errorf("dme: leaf node %d has no sink", i)
-				return
-			}
-			s := t.Sinks[n.SinkIdx]
-			st[i] = nodeState{ms: geom.PointTRR(s.Loc), delay: s.Delay, cap: s.Cap}
-		case 1:
-			// Degenerate unary node: inherit the child state unchanged
-			// with a zero-length edge.
-			k := n.Kids[0]
-			if k == ctree.NoNode {
-				k = n.Kids[1]
-			}
-			st[i] = st[k]
-		case 2:
-			a, b := n.Kids[0], n.Kids[1]
-			msV, ea, eb, dv, cv, err := merge(st[a], st[b], p)
-			if err != nil {
-				fail = fmt.Errorf("dme: merging node %d: %w", i, err)
-				return
-			}
-			st[i] = nodeState{ms: msV, delay: dv, cap: cv}
-			// Stash required electrical edge lengths on the children; the
-			// top-down pass keeps them.
-			t.Nodes[a].EdgeLen = ea
-			t.Nodes[b].EdgeLen = eb
-		}
-	})
-	if fail != nil {
-		return fail
-	}
-	// Top-down embedding: root goes to the merging-segment point nearest
-	// the clock source; children to the point of their segment nearest the
-	// placed parent.
-	t.Nodes[t.Root].Loc = st[t.Root].ms.ClosestPointTo(t.SrcLoc)
-	t.Nodes[t.Root].EdgeLen = 0
-	t.PreOrder(func(i int) {
-		p := t.Nodes[i].Parent
-		if p == ctree.NoNode {
-			return
-		}
-		if t.Nodes[i].SinkIdx != ctree.NoSink {
-			// Leaves stay at their sink; EdgeLen was set by the merge.
-			t.Nodes[i].Loc = t.Sinks[t.Nodes[i].SinkIdx].Loc
-			return
-		}
-		t.Nodes[i].Loc = st[i].ms.ClosestPointTo(t.Nodes[p].Loc)
-	})
-	// Numerical safety: electrical length must cover geometric distance.
+	st := make([]State, len(t.Nodes))
+	// Merge lengths of every child edge; a unary node's child keeps the
+	// length it had.
+	edge := make([]float64, len(t.Nodes))
 	for i := range t.Nodes {
-		pi := t.Nodes[i].Parent
-		if pi == ctree.NoNode {
-			continue
-		}
-		d := t.Nodes[i].Loc.Dist(t.Nodes[pi].Loc)
-		if t.Nodes[i].EdgeLen < d {
-			if t.Nodes[i].EdgeLen < d-1e-6 {
-				return fmt.Errorf("dme: internal error: edge %d→%d electrical length %.6f below distance %.6f",
-					pi, i, t.Nodes[i].EdgeLen, d)
+		edge[i] = t.Nodes[i].EdgeLen
+	}
+	if err := mergeUp(t, p, st, edge, t.Root); err != nil {
+		return err
+	}
+	return Place(t, st, edge, t.Root, t.SrcLoc)
+}
+
+// mergeUp fills st for the subtree under v, and edge for its child edges.
+func mergeUp(t *ctree.Tree, p Params, st []State, edge []float64, v int) error {
+	n := &t.Nodes[v]
+	for _, k := range n.Kids {
+		if k != ctree.NoNode {
+			if err := mergeUp(t, p, st, edge, k); err != nil {
+				return err
 			}
-			t.Nodes[i].EdgeLen = d
+		}
+	}
+	switch t.NumKids(v) {
+	case 0:
+		if n.SinkIdx == ctree.NoSink {
+			return fmt.Errorf("dme: leaf node %d has no sink", v)
+		}
+		st[v] = SinkState(t.Sinks[n.SinkIdx])
+	case 1:
+		// Degenerate unary node: inherit the child state unchanged.
+		k := n.Kids[0]
+		if k == ctree.NoNode {
+			k = n.Kids[1]
+		}
+		st[v] = st[k]
+	case 2:
+		a, b := n.Kids[0], n.Kids[1]
+		var err error
+		if st[v], edge[a], edge[b], err = Merge(st[a], st[b], p); err != nil {
+			return fmt.Errorf("dme: merging node %d: %w", v, err)
 		}
 	}
 	return nil
 }
 
-// merge computes the merging segment of two child states and the edge
-// lengths that equalize Elmore delay. It implements the classic zero-skew
-// merge: the balance point is linear in the split position; infeasible
-// splits snake the faster side.
-func merge(a, b nodeState, p Params) (ms geom.TRR, ea, eb, delay, cap float64, err error) {
+// Place embeds the subtree of t under r top-down, given its bottom-up
+// states and merge lengths (indexed by node): r goes to the point of its
+// merging segment nearest q, with a zero feeding edge; every other
+// internal node to the point of its segment nearest its placed parent;
+// every leaf to its sink. Each edge takes its merge length, raised to the
+// Manhattan distance it spans where rounding left it a hair short. Embed
+// places a whole tree from its clock source; cts places subtrees of one
+// shared bipartition, so the merge lengths stay untouched in edge.
+func Place(t *ctree.Tree, st []State, edge []float64, r int, q geom.Point) error {
+	t.Nodes[r].Loc = st[r].ms.ClosestPointTo(q)
+	t.Nodes[r].EdgeLen = 0
+	return placeBelow(t, st, edge, r)
+}
+
+func placeBelow(t *ctree.Tree, st []State, edge []float64, v int) error {
+	at := t.Nodes[v].Loc
+	for _, k := range t.Nodes[v].Kids {
+		if k == ctree.NoNode {
+			continue
+		}
+		n := &t.Nodes[k]
+		if n.SinkIdx != ctree.NoSink {
+			n.Loc = t.Sinks[n.SinkIdx].Loc
+		} else {
+			n.Loc = st[k].ms.ClosestPointTo(at)
+		}
+		// Numerical safety: electrical length must cover geometric distance.
+		n.EdgeLen = edge[k]
+		if d := n.Loc.Dist(at); n.EdgeLen < d {
+			if n.EdgeLen < d-1e-6 {
+				return fmt.Errorf("dme: internal error: edge %d→%d electrical length %.6f below distance %.6f",
+					v, k, n.EdgeLen, d)
+			}
+			n.EdgeLen = d
+		}
+		if err := placeBelow(t, st, edge, k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Merge joins two subtree states under a new node: it returns the node's
+// state and the electrical lengths of its edges to a and b, chosen so the
+// two delays balance. It implements the classic zero-skew merge: the
+// balance point is linear in the split position (bisected under the
+// Repeated model); infeasible splits snake the faster side.
+func Merge(a, b State, p Params) (s State, ea, eb float64, err error) {
+	var ms geom.TRR
 	c := p.CPerUm
 	d := a.ms.Dist(b.ms)
 	var x float64
@@ -351,10 +373,17 @@ func merge(a, b nodeState, p Params) (ms geom.TRR, ea, eb, delay, cap float64, e
 			lo, hi := 0.0, d
 			for i := 0; i < 100; i++ {
 				mid := (lo + hi) / 2
+				// Once mid rounds onto an end, this step leaves (lo, hi)
+				// where every further step maps it to itself: g is pure,
+				// so the next mid and branch repeat exactly.
+				last := mid == lo || mid == hi
 				if g(mid) <= 0 {
 					lo = mid
 				} else {
 					hi = mid
+				}
+				if last {
+					break
 				}
 			}
 			x = (lo + hi) / 2
@@ -381,7 +410,7 @@ func merge(a, b nodeState, p Params) (ms geom.TRR, ea, eb, delay, cap float64, e
 			// touching by an ulp; retry with a hair of slack.
 			ms, ok = geom.MergeRegion(a.ms, b.ms, ea+1e-9, eb+1e-9)
 			if !ok {
-				return ms, 0, 0, 0, 0, fmt.Errorf("exact split infeasible (d=%g ea=%g)", d, ea)
+				return State{}, 0, 0, fmt.Errorf("exact split infeasible (d=%g ea=%g)", d, ea)
 			}
 		}
 	case x < 0:
@@ -400,7 +429,7 @@ func merge(a, b nodeState, p Params) (ms geom.TRR, ea, eb, delay, cap float64, e
 		var ok bool
 		ms, ok = geom.MergeRegion(a.ms, b.ms, 0, eb)
 		if !ok {
-			return ms, 0, 0, 0, 0, fmt.Errorf("snaked merge infeasible (d=%g eb=%g)", d, eb)
+			return State{}, 0, 0, fmt.Errorf("snaked merge infeasible (d=%g eb=%g)", d, eb)
 		}
 	default: // x > d
 		eb = 0
@@ -415,7 +444,7 @@ func merge(a, b nodeState, p Params) (ms geom.TRR, ea, eb, delay, cap float64, e
 		var ok bool
 		ms, ok = geom.MergeRegion(a.ms, b.ms, ea, 0)
 		if !ok {
-			return ms, 0, 0, 0, 0, fmt.Errorf("snaked merge infeasible (d=%g ea=%g)", d, ea)
+			return State{}, 0, 0, fmt.Errorf("snaked merge infeasible (d=%g ea=%g)", d, ea)
 		}
 	}
 	var da, db float64
@@ -446,7 +475,7 @@ func merge(a, b nodeState, p Params) (ms geom.TRR, ea, eb, delay, cap float64, e
 			var ok bool
 			ms, ok = geom.MergeRegion(a.ms, b.ms, ea, eb)
 			if !ok {
-				return ms, 0, 0, 0, 0, fmt.Errorf("extended merge infeasible (d=%g ea=%g eb=%g)", d, ea, eb)
+				return State{}, 0, 0, fmt.Errorf("extended merge infeasible (d=%g ea=%g eb=%g)", d, ea, eb)
 			}
 		}
 	} else {
@@ -456,9 +485,8 @@ func merge(a, b nodeState, p Params) (ms geom.TRR, ea, eb, delay, cap float64, e
 	if db > da {
 		da = db
 	}
-	delay = da + p.MergeDelay
-	cap = a.cap + b.cap + c*(ea+eb)
-	return ms, ea, eb, delay, cap, nil
+	s = State{ms: ms, delay: da + p.MergeDelay, cap: a.cap + b.cap + c*(ea+eb)}
+	return s, ea, eb, nil
 }
 
 // snakeLength returns the wire length e whose edge delay into downstream
@@ -480,35 +508,39 @@ func snakeLength(lag, capLoad float64, p Params) float64 {
 	return (-B + math.Sqrt(disc)) / (2 * A)
 }
 
-// SubtreeDelay returns, for reporting, the balanced Elmore delay and total
-// capacitance the embedding computed for the whole tree (root values).
-func SubtreeDelay(t *ctree.Tree, p Params) (delay, totalCap float64, err error) {
+// SubtreeDelay returns the balanced delay and total capacitance of the
+// subtree under root, re-derived bottom-up from its embedded edge lengths
+// (EdgeLen is authoritative).
+func SubtreeDelay(t *ctree.Tree, root int, p Params) (delay, totalCap float64, err error) {
 	if err := p.Validate(); err != nil {
 		return 0, 0, err
 	}
-	// Recompute bottom-up from the embedded tree: EdgeLen is authoritative.
-	c := p.CPerUm
-	delays := make([]float64, len(t.Nodes))
-	caps := make([]float64, len(t.Nodes))
-	var maxDelay float64
-	t.PostOrder(func(i int) {
-		n := &t.Nodes[i]
-		if t.IsLeaf(i) {
-			caps[i] = t.Sinks[n.SinkIdx].Cap
-			delays[i] = t.Sinks[n.SinkIdx].Delay
-		} else if t.NumKids(i) == 2 {
-			delays[i] += p.MergeDelay
+	delay, totalCap = p.subtree(t, root)
+	return delay, totalCap, nil
+}
+
+// subtree folds each child, in kid order, into its parent: the parent's
+// cap sums the children's caps plus their edges' wire, and its delay is
+// the slowest child path, plus MergeDelay at a two-child node.
+func (p Params) subtree(t *ctree.Tree, v int) (delay, cap float64) {
+	n := &t.Nodes[v]
+	if t.IsLeaf(v) {
+		s := t.Sinks[n.SinkIdx]
+		return s.Delay, s.Cap
+	}
+	for _, k := range n.Kids {
+		if k == ctree.NoNode {
+			continue
 		}
-		// Fold into the parent on the way up.
-		if pi := n.Parent; pi != ctree.NoNode {
-			e := n.EdgeLen
-			dEdge := p.edgeDelay(e, caps[i])
-			caps[pi] += caps[i] + c*e
-			if dd := delays[i] + dEdge; dd > delays[pi] {
-				delays[pi] = dd
-			}
+		dk, ck := p.subtree(t, k)
+		e := t.Nodes[k].EdgeLen
+		cap += ck + p.CPerUm*e
+		if dd := dk + p.edgeDelay(e, ck); dd > delay {
+			delay = dd
 		}
-	})
-	maxDelay = delays[t.Root]
-	return maxDelay, caps[t.Root], nil
+	}
+	if t.NumKids(v) == 2 {
+		delay += p.MergeDelay
+	}
+	return delay, cap
 }

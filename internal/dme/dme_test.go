@@ -25,6 +25,31 @@ func randomSinks(n int, seed int64, spread float64) []ctree.Sink {
 	return sinks
 }
 
+// chainTopology merges the sinks in input order: sink 0 with sink 1, that
+// pair with sink 2, and so on. It is the most unbalanced binary shape
+// (depth n−1), so DME stays covered on trees no bipartition produces.
+func chainTopology(sinks []ctree.Sink, src geom.Point) *ctree.Tree {
+	t := ctree.NewTree(sinks, src)
+	leaf := func(i int) int {
+		return t.AddNode(ctree.Node{
+			Parent: ctree.NoNode, Kids: [2]int{ctree.NoNode, ctree.NoNode},
+			SinkIdx: i, Loc: sinks[i].Loc, BufIdx: ctree.NoBuf,
+		})
+	}
+	acc := leaf(0)
+	for i := 1; i < len(sinks); i++ {
+		s := leaf(i)
+		v := t.AddNode(ctree.Node{
+			Parent: ctree.NoNode, Kids: [2]int{acc, s},
+			SinkIdx: ctree.NoSink, BufIdx: ctree.NoBuf,
+		})
+		t.Nodes[acc].Parent, t.Nodes[s].Parent = v, v
+		acc = v
+	}
+	t.Root = acc
+	return t
+}
+
 // toRCTree converts an embedded clock tree into an RC tree with uniform
 // per-micron parasitics, marking sink nodes as endpoints.
 func toRCTree(t *ctree.Tree, p Params) (*rctree.Tree, map[int]rctree.NodeID) {
@@ -66,7 +91,7 @@ func TestTwoSinkZeroSkew(t *testing.T) {
 		{Loc: geom.Point{X: 0, Y: 0}, Cap: 1e-15},
 		{Loc: geom.Point{X: 1000, Y: 0}, Cap: 1e-15},
 	}
-	tr, err := topo.Build(topo.Bipartition, sinks, geom.Point{X: 500, Y: 500})
+	tr, err := topo.Build(sinks, geom.Point{X: 500, Y: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +117,7 @@ func TestAsymmetricCapsShiftTap(t *testing.T) {
 		{Loc: geom.Point{X: 0, Y: 0}, Cap: 20e-15}, // heavy sink
 		{Loc: geom.Point{X: 1000, Y: 0}, Cap: 1e-15},
 	}
-	tr, _ := topo.Build(topo.Bipartition, sinks, geom.Point{})
+	tr, _ := topo.Build(sinks, geom.Point{})
 	if err := Embed(tr, testParams); err != nil {
 		t.Fatal(err)
 	}
@@ -107,25 +132,35 @@ func TestAsymmetricCapsShiftTap(t *testing.T) {
 }
 
 func TestZeroSkewAcrossSizesAndMethods(t *testing.T) {
-	for _, m := range []topo.Method{topo.Bipartition, topo.NearestNeighbor} {
-		for _, n := range []int{2, 3, 7, 16, 63, 200} {
-			sinks := randomSinks(n, int64(n)*7+int64(m), 3000)
-			tr, err := topo.Build(m, sinks, geom.Point{X: 1500, Y: 1500})
+	shapes := []struct {
+		name  string
+		build func([]ctree.Sink, geom.Point) *ctree.Tree
+	}{
+		{"bipartition", func(s []ctree.Sink, src geom.Point) *ctree.Tree {
+			tr, err := topo.Build(s, src)
 			if err != nil {
 				t.Fatal(err)
 			}
+			return tr
+		}},
+		{"chain", chainTopology},
+	}
+	for m, shape := range shapes {
+		for _, n := range []int{2, 3, 7, 16, 63, 200} {
+			sinks := randomSinks(n, int64(n)*7+int64(m), 3000)
+			tr := shape.build(sinks, geom.Point{X: 1500, Y: 1500})
 			if err := Embed(tr, testParams); err != nil {
-				t.Fatalf("%v n=%d: %v", m, n, err)
+				t.Fatalf("%s n=%d: %v", shape.name, n, err)
 			}
 			if err := tr.Validate(); err != nil {
-				t.Fatalf("%v n=%d: %v", m, n, err)
+				t.Fatalf("%s n=%d: %v", shape.name, n, err)
 			}
 			if err := tr.CheckEmbedding(1e-6); err != nil {
-				t.Fatalf("%v n=%d: %v", m, n, err)
+				t.Fatalf("%s n=%d: %v", shape.name, n, err)
 			}
 			skew, delay := sinkSkew(tr, testParams)
 			if skew > delay*1e-6+1e-18 {
-				t.Errorf("%v n=%d: skew %g on delay %g", m, n, skew, delay)
+				t.Errorf("%s n=%d: skew %g on delay %g", shape.name, n, skew, delay)
 			}
 		}
 	}
@@ -170,7 +205,7 @@ func TestSnakingProducesLongEdges(t *testing.T) {
 
 func TestEmbedIdempotentWirelength(t *testing.T) {
 	sinks := randomSinks(50, 99, 2000)
-	tr, _ := topo.Build(topo.Bipartition, sinks, geom.Point{X: 1000, Y: 1000})
+	tr, _ := topo.Build(sinks, geom.Point{X: 1000, Y: 1000})
 	if err := Embed(tr, testParams); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +220,7 @@ func TestEmbedIdempotentWirelength(t *testing.T) {
 
 func TestEmbedParamValidation(t *testing.T) {
 	sinks := randomSinks(4, 1, 100)
-	tr, _ := topo.Build(topo.Bipartition, sinks, geom.Point{})
+	tr, _ := topo.Build(sinks, geom.Point{})
 	if err := Embed(tr, Params{RPerUm: 0, CPerUm: 1e-15}); err == nil {
 		t.Error("zero R must be rejected")
 	}
@@ -224,7 +259,7 @@ func TestWirelengthReasonable(t *testing.T) {
 	// bounding-box half-perimeter scaled by sqrt(n) (Steiner-tree scaling).
 	n := 128
 	sinks := randomSinks(n, 5, 2000)
-	tr, _ := topo.Build(topo.Bipartition, sinks, geom.Point{X: 1000, Y: 1000})
+	tr, _ := topo.Build(sinks, geom.Point{X: 1000, Y: 1000})
 	if err := Embed(tr, testParams); err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +274,11 @@ func TestWirelengthReasonable(t *testing.T) {
 
 func TestSubtreeDelayMatchesAnalysis(t *testing.T) {
 	sinks := randomSinks(32, 17, 1500)
-	tr, _ := topo.Build(topo.Bipartition, sinks, geom.Point{X: 700, Y: 700})
+	tr, _ := topo.Build(sinks, geom.Point{X: 700, Y: 700})
 	if err := Embed(tr, testParams); err != nil {
 		t.Fatal(err)
 	}
-	delay, totalCap, err := SubtreeDelay(tr, testParams)
+	delay, totalCap, err := SubtreeDelay(tr, tr.Root, testParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +313,7 @@ func TestClusteredSinksZeroSkew(t *testing.T) {
 			Cap: 2e-15,
 		})
 	}
-	tr, _ := topo.Build(topo.NearestNeighbor, sinks, geom.Point{X: 2000, Y: 0})
+	tr := chainTopology(sinks, geom.Point{X: 2000, Y: 0})
 	if err := Embed(tr, testParams); err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +329,7 @@ func TestCoincidentSinks(t *testing.T) {
 		{Loc: geom.Point{X: 100, Y: 100}, Cap: 3e-15},
 		{Loc: geom.Point{X: 100, Y: 100}, Cap: 2e-15},
 	}
-	tr, _ := topo.Build(topo.Bipartition, sinks, geom.Point{})
+	tr, _ := topo.Build(sinks, geom.Point{})
 	if err := Embed(tr, testParams); err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +341,7 @@ func TestCoincidentSinks(t *testing.T) {
 
 func BenchmarkEmbed1k(b *testing.B) {
 	sinks := randomSinks(1024, 3, 3000)
-	tr, _ := topo.Build(topo.Bipartition, sinks, geom.Point{X: 1500, Y: 1500})
+	tr, _ := topo.Build(sinks, geom.Point{X: 1500, Y: 1500})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := Embed(tr, testParams); err != nil {
@@ -338,7 +373,7 @@ func linSinkSkew(t *ctree.Tree, p Params) (skew, maxDelay float64) {
 func TestLinearModelZeroSkew(t *testing.T) {
 	for _, n := range []int{2, 5, 16, 64} {
 		sinks := randomSinks(n, int64(n)*3+1, 5000)
-		tr, err := topo.Build(topo.Bipartition, sinks, geom.Point{X: 2500, Y: 2500})
+		tr, err := topo.Build(sinks, geom.Point{X: 2500, Y: 2500})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,10 +398,7 @@ func TestLinearModelBalancesOffsets(t *testing.T) {
 		{Loc: geom.Point{X: 3000, Y: 0}, Cap: 5e-15, Delay: 80e-12},
 		{Loc: geom.Point{X: 1500, Y: 2500}, Cap: 5e-15, Delay: 100e-12},
 	}
-	tr, err := topo.Build(topo.NearestNeighbor, sinks, geom.Point{X: 1500, Y: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := chainTopology(sinks, geom.Point{X: 1500, Y: 1000})
 	if err := Embed(tr, linParams); err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +416,7 @@ func TestElmoreModelBalancesOffsets(t *testing.T) {
 		{Loc: geom.Point{X: 0, Y: 0}, Cap: 2e-15, Delay: 50e-12},
 		{Loc: geom.Point{X: 800, Y: 0}, Cap: 2e-15, Delay: 0},
 	}
-	tr, err := topo.Build(topo.Bipartition, sinks, geom.Point{})
+	tr, err := topo.Build(sinks, geom.Point{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,7 +128,7 @@ func TestRepeatedModelBoundedSkew(t *testing.T) {
 				Delay: rng.Float64() * 100e-12,
 			}
 		}
-		tr, err := topo.Build(topo.Bipartition, sinks, geom.Point{X: 3000, Y: 2500})
+		tr, err := topo.Build(sinks, geom.Point{X: 3000, Y: 2500})
 		if err != nil {
 			t.Fatal(err)
 		}

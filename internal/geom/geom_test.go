@@ -2,7 +2,6 @@ package geom
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -168,144 +167,5 @@ func TestBBoxExtendContainsProperty(t *testing.T) {
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
 		t.Error("Clamp misbehaves")
-	}
-}
-
-func TestGridIndexNearestMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(200)
-		pts := make([]Point, n)
-		for i := range pts {
-			pts[i] = Point{rng.Float64() * 1000, rng.Float64() * 1000}
-		}
-		g := NewGridIndex(pts)
-		for q := 0; q < 20; q++ {
-			probe := Point{rng.Float64() * 1000, rng.Float64() * 1000}
-			exclude := -1
-			if rng.Intn(2) == 0 {
-				exclude = rng.Intn(n)
-			}
-			got, ok := g.Nearest(probe, exclude)
-			wantID, wantD := bruteNearest(pts, nil, probe, exclude)
-			if wantID < 0 {
-				if ok {
-					t.Fatalf("expected no result, got %d", got)
-				}
-				continue
-			}
-			if !ok {
-				t.Fatalf("no result, want %d", wantID)
-			}
-			if !ApproxEq(probe.Dist(pts[got]), wantD, 1e-9) {
-				t.Fatalf("nearest distance %v, want %v", probe.Dist(pts[got]), wantD)
-			}
-		}
-	}
-}
-
-func TestGridIndexRemove(t *testing.T) {
-	pts := []Point{{0, 0}, {10, 0}, {20, 0}}
-	g := NewGridIndex(pts)
-	if g.Len() != 3 {
-		t.Fatalf("Len = %d", g.Len())
-	}
-	id, ok := g.Nearest(Point{1, 0}, -1)
-	if !ok || id != 0 {
-		t.Fatalf("nearest = %d, %v", id, ok)
-	}
-	g.Remove(0)
-	if g.Len() != 2 {
-		t.Fatalf("Len after remove = %d", g.Len())
-	}
-	id, ok = g.Nearest(Point{1, 0}, -1)
-	if !ok || id != 1 {
-		t.Fatalf("nearest after remove = %d, %v", id, ok)
-	}
-	g.Remove(0) // double remove is a no-op
-	if g.Len() != 2 {
-		t.Fatalf("Len after double remove = %d", g.Len())
-	}
-	g.Remove(1)
-	g.Remove(2)
-	if _, ok := g.Nearest(Point{0, 0}, -1); ok {
-		t.Error("nearest on empty index should fail")
-	}
-}
-
-func TestGridIndexSinglePointExcluded(t *testing.T) {
-	g := NewGridIndex([]Point{{5, 5}})
-	if _, ok := g.Nearest(Point{0, 0}, 0); ok {
-		t.Error("excluding the only point should yield no result")
-	}
-	id, ok := g.Nearest(Point{0, 0}, -1)
-	if !ok || id != 0 {
-		t.Errorf("nearest = %d, %v", id, ok)
-	}
-}
-
-func TestGridIndexClustered(t *testing.T) {
-	// Heavily clustered points stress the ring-expansion search.
-	rng := rand.New(rand.NewSource(42))
-	pts := make([]Point, 500)
-	for i := range pts {
-		cx := float64(rng.Intn(3)) * 400
-		cy := float64(rng.Intn(3)) * 400
-		pts[i] = Point{cx + rng.Float64()*10, cy + rng.Float64()*10}
-	}
-	g := NewGridIndex(pts)
-	for q := 0; q < 50; q++ {
-		probe := pts[rng.Intn(len(pts))]
-		got, ok := g.Nearest(probe, -1)
-		if !ok {
-			t.Fatal("no result")
-		}
-		_, wantD := bruteNearest(pts, nil, probe, -1)
-		if !ApproxEq(probe.Dist(pts[got]), wantD, 1e-9) {
-			t.Fatalf("nearest distance %v, want %v", probe.Dist(pts[got]), wantD)
-		}
-	}
-}
-
-func bruteNearest(pts []Point, alive []bool, probe Point, exclude int) (int, float64) {
-	best := -1
-	bestD := math.Inf(1)
-	for i, p := range pts {
-		if i == exclude || (alive != nil && !alive[i]) {
-			continue
-		}
-		if d := probe.Dist(p); d < bestD {
-			bestD = d
-			best = i
-		}
-	}
-	return best, bestD
-}
-
-func TestGridIndexDegenerateGeometry(t *testing.T) {
-	// Collinear, coincident, and two-point sets must not blow up the grid
-	// (regression: zero bounding-box area once produced ~1e8 cells).
-	cases := [][]Point{
-		{{0, 0}, {3000, 0}},                    // horizontal pair
-		{{0, 0}, {0, 2500}},                    // vertical pair
-		{{0, 0}, {100, 0}, {200, 0}, {300, 0}}, // collinear
-		{{5, 5}, {5, 5}, {5, 5}},               // coincident
-		{{1500, 2500}, {0, 0}, {3000, 0}},      // triangle
-	}
-	for ci, pts := range cases {
-		g := NewGridIndex(pts)
-		for qi, p := range pts {
-			got, ok := g.Nearest(p, qi)
-			wantID, wantD := bruteNearest(pts, nil, p, qi)
-			if wantID < 0 {
-				if ok {
-					t.Fatalf("case %d: expected no result", ci)
-				}
-				continue
-			}
-			if !ok || !ApproxEq(p.Dist(pts[got]), wantD, 1e-9) {
-				t.Fatalf("case %d probe %d: got %v/%v want dist %v", ci, qi, got, ok, wantD)
-			}
-		}
 	}
 }

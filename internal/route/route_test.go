@@ -85,7 +85,7 @@ func TestRealizeWholeTree(t *testing.T) {
 			Cap: (1 + rng.Float64()) * 1e-15,
 		}
 	}
-	tr, err := topo.Build(topo.Bipartition, sinks, geom.Point{X: 1000, Y: 1000})
+	tr, err := topo.Build(sinks, geom.Point{X: 1000, Y: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestRealizeRejectsCorruptTree(t *testing.T) {
 		{Loc: geom.Point{X: 0, Y: 0}, Cap: 1e-15},
 		{Loc: geom.Point{X: 100, Y: 0}, Cap: 1e-15},
 	}
-	tr, _ := topo.Build(topo.Bipartition, sinks, geom.Point{})
+	tr, _ := topo.Build(sinks, geom.Point{})
 	if err := dme.Embed(tr, dme.Params{RPerUm: 3, CPerUm: 0.2e-15}); err != nil {
 		t.Fatal(err)
 	}

@@ -9,16 +9,18 @@ import (
 )
 
 // TestGoldenKeysUnchangedByEditSupport pins the content addresses of
-// edit-free flow, sweep, and batch requests under flow key version v5.
+// edit-free flow, sweep, and batch requests under flow key version v6.
 // Edit-free requests must keep producing exactly these hashes: the edits
 // field is omitempty in the canonical serialization, so session support
-// never moves a plain run's address. The addresses were re-pinned twice,
-// deliberately: when the result-neutral incremental-STA switch left the
-// serialized optimizer config and the key version went from v2 (plain) /
-// v3 (edited) to a single v4, and when the optimizer's input slew began
-// resolving from the flow's (so the serialized optimizer config carries
-// it) and the version went to v5. If this test fails, a serialization
-// change silently invalidated every deployed cache.
+// never moves a plain run's address. The addresses were re-pinned three
+// times, deliberately: when the result-neutral incremental-STA switch left
+// the serialized optimizer config and the key version went from v2
+// (plain) / v3 (edited) to a single v4; when the optimizer's input slew
+// began resolving from the flow's (so the serialized optimizer config
+// carries it) and the version went to v5; and when the topology knob left
+// the serialized cts options (bipartition is the only topology; every
+// tree is unchanged) and the version went to v6. If this test fails, a
+// serialization change silently invalidated every deployed cache.
 func TestGoldenKeysUnchangedByEditSupport(t *testing.T) {
 	fr := &FlowRunner{}
 	spec := workload.Spec{Name: "gold", Dist: workload.Uniform, Sinks: 48,
@@ -28,13 +30,13 @@ func TestGoldenKeysUnchangedByEditSupport(t *testing.T) {
 		want string
 	}{
 		{&FlowRequest{Bench: "cns01", Scheme: "smart-ndr"},
-			"685b829db41a98742c78200984f6c67b553e9c951e9e97693fd352c4a3b79d07"},
+			"61d342ecc83874ffe8477b5cbcfeb797ba1f22ec3b086e7c48658d0e1d4873df"},
 		{&FlowRequest{Bench: "cns03", Scheme: "blanket-ndr", Tech: "tech65", TopK: 3, InSlewPS: 60},
-			"0069b48b4aa8f7867074e1bd885020cb4c5c9e464a10c7a35d38197b6ba8dd67"},
+			"5e9c4c374771a3b5ba31233d5e06f3616178607ae4dcb1a108e123972d43353c"},
 		{&FlowRequest{Spec: &spec, Scheme: "top-k", TopK: 4},
-			"fbba4e22314792e97833fdf47228aabd302d37ea4a3bf480161a39320c606026"},
+			"34fdf64985959dccacd33987e0d050dd676fa907aff144f31d93e7aa9714059b"},
 		{&FlowRequest{Spec: &spec, Scheme: "smart-ndr", MaxRegionSinks: 32, SkewSplit: 0.6},
-			"6421e9813af1e2f5de18c8577440dde3d0380e4edcaa1d3a6a3a175b411061cc"},
+			"28771b8d51d3c081fdfa136c31cf447973d7cdd7d987a5ab0dccf4780118de50"},
 	}
 	for i, c := range flows {
 		got, err := fr.FlowKey(c.req)
@@ -52,7 +54,7 @@ func TestGoldenKeysUnchangedByEditSupport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "58236027677d261a6007f2736851173fdced024bfbd098040e793cca8ec7f9b6"; got != want {
+	if want := "5e8a9df11b83ccaf9e46158316812c0e7a1e529b56d856ed0ed97dbad08f4063"; got != want {
 		t.Errorf("sweep key = %s, want golden %s", got, want)
 	}
 
@@ -65,7 +67,7 @@ func TestGoldenKeysUnchangedByEditSupport(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := batchKey([]string{k0, k2}),
-		"22d38f7dbac16992baf398f1fa031fac030513cb983d58ffb108f74aad26fdf9"; got != want {
+		"715c8b2a163d3b6b3e714719485840716fccd9595ce26b50691c52b55996fea7"; got != want {
 		t.Errorf("batch key = %s, want golden %s", got, want)
 	}
 }

@@ -1,16 +1,9 @@
 // Package topo generates the abstract binary topology of the clock tree:
-// which sinks merge with which, bottom-up to a single root. Two classical
-// generators are provided:
-//
-//   - Bipartition: top-down recursive geometric partitioning, splitting the
-//     sink set at the median of the longer bounding-box axis ("means and
-//     medians", Jackson–Srinivasan–Kuh). Produces balanced trees whose
-//     merge pairs are geometrically local at every level.
-//
-//   - NearestNeighbor: bottom-up agglomeration that repeatedly pairs a
-//     cluster with its nearest unpaired neighbor (Edahiro-style matching),
-//     greedier and often shorter in total wirelength, at the cost of less
-//     depth balance.
+// which sinks merge with which, bottom-up to a single root. The generator
+// is top-down recursive geometric bipartition: split the sink set at the
+// median of the longer bounding-box axis ("means and medians",
+// Jackson–Srinivasan–Kuh), and merge the two halves. It produces balanced
+// trees whose merge pairs are geometrically local at every level.
 //
 // The output trees carry topology only; internal node locations are
 // provisional midpoints that the DME embedding replaces.
@@ -18,48 +11,60 @@ package topo
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"smartndr/internal/ctree"
 	"smartndr/internal/geom"
 )
 
-// Method selects a topology generator.
-type Method int
-
-const (
-	// Bipartition is the recursive geometric median split.
-	Bipartition Method = iota
-	// NearestNeighbor is bottom-up nearest-neighbor pairing.
-	NearestNeighbor
-)
-
-// String implements fmt.Stringer.
-func (m Method) String() string {
-	switch m {
-	case Bipartition:
-		return "bipartition"
-	case NearestNeighbor:
-		return "nearest-neighbor"
-	default:
-		return fmt.Sprintf("method(%d)", int(m))
-	}
-}
-
-// Build generates a topology over the sinks with the chosen method. It
-// errors on an empty sink set.
-func Build(m Method, sinks []ctree.Sink, src geom.Point) (*ctree.Tree, error) {
+// Build generates the bipartition topology over the sinks. It errors on
+// an empty sink set.
+func Build(sinks []ctree.Sink, src geom.Point) (*ctree.Tree, error) {
 	if len(sinks) == 0 {
 		return nil, fmt.Errorf("topo: no sinks")
 	}
-	switch m {
-	case Bipartition:
-		return buildBipartition(sinks, src), nil
-	case NearestNeighbor:
-		return buildNearestNeighbor(sinks, src), nil
-	default:
-		return nil, fmt.Errorf("topo: unknown method %d", int(m))
+	t := ctree.NewTree(sinks, src)
+	t.Nodes = make([]ctree.Node, 0, 2*len(sinks)-1)
+	idx := make([]int, len(sinks))
+	for i := range idx {
+		idx[i] = i
 	}
+	t.Root = bipart(t, idx)
+	return t, nil
+}
+
+// Split is the bipartition's median rule. It sorts idx in place along the
+// longer side of its sinks' bounding box (x on a tie), ordering equal
+// coordinates by the other one, and returns the median position: the
+// merge's two subtrees are idx[:mid] and idx[mid:]. The sort is not
+// stable, so coincident sinks land where the input order sends them.
+func Split(sinks []ctree.Sink, idx []int) (mid int) {
+	bb := geom.NewEmptyBBox()
+	for _, si := range idx {
+		bb.Extend(sinks[si].Loc)
+	}
+	byX := bb.Width() >= bb.Height()
+	slices.SortFunc(idx, func(a, b int) int {
+		pa, pb := sinks[a].Loc, sinks[b].Loc
+		if !byX {
+			pa.X, pa.Y, pb.X, pb.Y = pa.Y, pa.X, pb.Y, pb.X
+		}
+		if pa.X != pb.X {
+			return less(pa.X, pb.X)
+		}
+		return less(pa.Y, pb.Y)
+	})
+	return len(idx) / 2
+}
+
+// less is negative exactly when a < b. The sort only asks whether a
+// comparison is negative, so this is the rule's less-function; NaNs
+// compare as not less.
+func less(a, b float64) int {
+	if a < b {
+		return -1
+	}
+	return 1
 }
 
 func newLeaf(t *ctree.Tree, sinkIdx int) int {
@@ -87,88 +92,13 @@ func newInternal(t *ctree.Tree, a, b int) int {
 	return id
 }
 
-// buildBipartition recursively splits sink index sets at the median of the
-// longer bounding-box axis.
-func buildBipartition(sinks []ctree.Sink, src geom.Point) *ctree.Tree {
-	t := ctree.NewTree(sinks, src)
-	idx := make([]int, len(sinks))
-	for i := range idx {
-		idx[i] = i
-	}
-	t.Root = bipart(t, idx)
-	return t
-}
-
+// bipart builds the subtree over idx by recursive median splits.
 func bipart(t *ctree.Tree, idx []int) int {
 	if len(idx) == 1 {
 		return newLeaf(t, idx[0])
 	}
-	bb := geom.NewEmptyBBox()
-	for _, si := range idx {
-		bb.Extend(t.Sinks[si].Loc)
-	}
-	// Split along the longer axis at the median sink; ties split on x.
-	if bb.Width() >= bb.Height() {
-		sort.Slice(idx, func(a, b int) bool {
-			pa, pb := t.Sinks[idx[a]].Loc, t.Sinks[idx[b]].Loc
-			if pa.X != pb.X {
-				return pa.X < pb.X
-			}
-			return pa.Y < pb.Y
-		})
-	} else {
-		sort.Slice(idx, func(a, b int) bool {
-			pa, pb := t.Sinks[idx[a]].Loc, t.Sinks[idx[b]].Loc
-			if pa.Y != pb.Y {
-				return pa.Y < pb.Y
-			}
-			return pa.X < pb.X
-		})
-	}
-	mid := len(idx) / 2
+	mid := Split(t.Sinks, idx)
 	left := bipart(t, idx[:mid])
 	right := bipart(t, idx[mid:])
 	return newInternal(t, left, right)
-}
-
-// buildNearestNeighbor agglomerates clusters bottom-up. Each round pairs
-// every cluster greedily with its nearest live neighbor; paired clusters
-// are replaced by a merge node at their midpoint. Rounds repeat until one
-// cluster remains, so the tree height is O(log n) on well-spread inputs.
-func buildNearestNeighbor(sinks []ctree.Sink, src geom.Point) *ctree.Tree {
-	t := ctree.NewTree(sinks, src)
-	live := make([]int, len(sinks)) // node IDs of current clusters
-	for i := range sinks {
-		live[i] = newLeaf(t, i)
-	}
-	for len(live) > 1 {
-		pts := make([]geom.Point, len(live))
-		for i, id := range live {
-			pts[i] = t.Nodes[id].Loc
-		}
-		g := geom.NewGridIndex(pts)
-		paired := make([]bool, len(live))
-		var next []int
-		// Greedy matching in index order: each unpaired cluster grabs its
-		// nearest unpaired neighbor.
-		for i := range live {
-			if paired[i] {
-				continue
-			}
-			paired[i] = true
-			g.Remove(i)
-			j, ok := g.Nearest(pts[i], -1)
-			if !ok {
-				// Odd one out this round; promote unchanged.
-				next = append(next, live[i])
-				continue
-			}
-			paired[j] = true
-			g.Remove(j)
-			next = append(next, newInternal(t, live[i], live[j]))
-		}
-		live = next
-	}
-	t.Root = live[0]
-	return t
 }

@@ -23,49 +23,33 @@ func randomSinks(n int, seed int64) []ctree.Sink {
 }
 
 func TestBuildValidatesOverMethodsAndSizes(t *testing.T) {
-	for _, m := range []Method{Bipartition, NearestNeighbor} {
-		for _, n := range []int{1, 2, 3, 5, 17, 64, 257} {
-			tr, err := Build(m, randomSinks(n, int64(n)), geom.Point{X: 1000, Y: 1000})
-			if err != nil {
-				t.Fatalf("%v n=%d: %v", m, n, err)
-			}
-			if err := tr.Validate(); err != nil {
-				t.Fatalf("%v n=%d: invalid tree: %v", m, n, err)
-			}
-			if tr.LeafCount() != n {
-				t.Errorf("%v n=%d: leaf count %d", m, n, tr.LeafCount())
-			}
-			// A binary tree over n leaves has at most 2n−1 nodes.
-			if len(tr.Nodes) > 2*n-1 && n > 1 {
-				t.Errorf("%v n=%d: %d nodes exceeds 2n-1", m, n, len(tr.Nodes))
-			}
+	for _, n := range []int{1, 2, 3, 5, 17, 64, 257} {
+		tr, err := Build(randomSinks(n, int64(n)), geom.Point{X: 1000, Y: 1000})
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("n=%d: invalid tree: %v", n, err)
+		}
+		if tr.LeafCount() != n {
+			t.Errorf("n=%d: leaf count %d", n, tr.LeafCount())
+		}
+		// A full binary tree over n leaves has exactly 2n−1 nodes, the
+		// size Build presizes for.
+		if len(tr.Nodes) != 2*n-1 || cap(tr.Nodes) != 2*n-1 {
+			t.Errorf("n=%d: %d nodes (capacity %d), want 2n-1", n, len(tr.Nodes), cap(tr.Nodes))
 		}
 	}
 }
 
 func TestBuildEmpty(t *testing.T) {
-	if _, err := Build(Bipartition, nil, geom.Point{}); err == nil {
+	if _, err := Build(nil, geom.Point{}); err == nil {
 		t.Error("empty sink set should error")
 	}
 }
 
-func TestBuildUnknownMethod(t *testing.T) {
-	if _, err := Build(Method(99), randomSinks(4, 1), geom.Point{}); err == nil {
-		t.Error("unknown method should error")
-	}
-}
-
-func TestMethodString(t *testing.T) {
-	if Bipartition.String() != "bipartition" || NearestNeighbor.String() != "nearest-neighbor" {
-		t.Error("method names wrong")
-	}
-	if Method(99).String() == "" {
-		t.Error("unknown method should still print")
-	}
-}
-
 func TestSingleSink(t *testing.T) {
-	tr, err := Build(Bipartition, randomSinks(1, 3), geom.Point{})
+	tr, err := Build(randomSinks(1, 3), geom.Point{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +60,7 @@ func TestSingleSink(t *testing.T) {
 
 func TestBipartitionBalance(t *testing.T) {
 	n := 256
-	tr, err := Build(Bipartition, randomSinks(n, 7), geom.Point{})
+	tr, err := Build(randomSinks(n, 7), geom.Point{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,22 +70,9 @@ func TestBipartitionBalance(t *testing.T) {
 	}
 }
 
-func TestNearestNeighborDepthReasonable(t *testing.T) {
-	n := 256
-	tr, err := Build(NearestNeighbor, randomSinks(n, 11), geom.Point{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each round at least halves the cluster count except for odd leftovers,
-	// so depth is O(log n); allow 2× slack.
-	if d := tr.MaxDepth(); d > 2*int(math.Ceil(math.Log2(float64(n)))) {
-		t.Errorf("nearest-neighbor depth = %d, too deep for %d sinks", d, n)
-	}
-}
-
 func TestGeometricLocality(t *testing.T) {
 	// Sinks in two far-apart clusters: the root split must separate the
-	// clusters for both methods (no cross-cluster merges below the root).
+	// clusters (no cross-cluster merges below the root).
 	var sinks []ctree.Sink
 	rng := rand.New(rand.NewSource(13))
 	for i := 0; i < 16; i++ {
@@ -110,27 +81,25 @@ func TestGeometricLocality(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		sinks = append(sinks, ctree.Sink{Loc: geom.Point{X: 10000 + rng.Float64()*100, Y: rng.Float64() * 100}, Cap: 1e-15})
 	}
-	for _, m := range []Method{Bipartition, NearestNeighbor} {
-		tr, err := Build(m, sinks, geom.Point{})
-		if err != nil {
-			t.Fatal(err)
+	tr, err := Build(sinks, geom.Point{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each child of the root must span sinks from exactly one cluster.
+	for _, k := range tr.Nodes[tr.Root].Kids {
+		if k == ctree.NoNode {
+			continue
 		}
-		// Each child of the root must span sinks from exactly one cluster.
-		for _, k := range tr.Nodes[tr.Root].Kids {
-			if k == ctree.NoNode {
-				continue
+		leftSeen, rightSeen := false, false
+		collectSinks(tr, k, func(si int) {
+			if sinks[si].Loc.X < 5000 {
+				leftSeen = true
+			} else {
+				rightSeen = true
 			}
-			leftSeen, rightSeen := false, false
-			collectSinks(tr, k, func(si int) {
-				if sinks[si].Loc.X < 5000 {
-					leftSeen = true
-				} else {
-					rightSeen = true
-				}
-			})
-			if leftSeen && rightSeen {
-				t.Errorf("%v: root child mixes the two far clusters", m)
-			}
+		})
+		if leftSeen && rightSeen {
+			t.Error("root child mixes the two far clusters")
 		}
 	}
 }
@@ -157,14 +126,12 @@ func TestDuplicateSinkLocations(t *testing.T) {
 	for i := range sinks {
 		sinks[i] = ctree.Sink{Loc: geom.Point{X: 50, Y: 50}, Cap: 1e-15}
 	}
-	for _, m := range []Method{Bipartition, NearestNeighbor} {
-		tr, err := Build(m, sinks, geom.Point{})
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
+	tr, err := Build(sinks, geom.Point{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -173,14 +140,12 @@ func TestCollinearSinks(t *testing.T) {
 	for i := range sinks {
 		sinks[i] = ctree.Sink{Loc: geom.Point{X: float64(i) * 100, Y: 0}, Cap: 1e-15}
 	}
-	for _, m := range []Method{Bipartition, NearestNeighbor} {
-		tr, err := Build(m, sinks, geom.Point{})
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
+	tr, err := Build(sinks, geom.Point{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -188,17 +153,7 @@ func BenchmarkBipartition4k(b *testing.B) {
 	sinks := randomSinks(4096, 21)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(Bipartition, sinks, geom.Point{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkNearestNeighbor4k(b *testing.B) {
-	sinks := randomSinks(4096, 22)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Build(NearestNeighbor, sinks, geom.Point{}); err != nil {
+		if _, err := Build(sinks, geom.Point{}); err != nil {
 			b.Fatal(err)
 		}
 	}
