@@ -32,7 +32,7 @@ func benchTree(t *testing.T, flow *smartndr.Flow, n int) *smartndr.Built {
 func TestFlowBuildAllocs(t *testing.T) {
 	bm := testutil.Gen(t, smartndr.Suite()[0])
 	flow := smartndr.NewFlow(nil)
-	testutil.PinAllocs(t, "Flow.Build(cns01)", 5, 176, func() {
+	testutil.PinAllocs(t, "Flow.Build(cns01)", 5, 116, func() {
 		if _, err := flow.Build(bm.Sinks, bm.Src); err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestFlowBuildAllocs(t *testing.T) {
 func TestFlowSmartAllocs(t *testing.T) {
 	flow := smartndr.NewFlow(nil)
 	built := benchTree(t, flow, 1000)
-	testutil.PinAllocs(t, "Flow.Apply(smart)", 5, 100648, func() {
+	testutil.PinAllocs(t, "Flow.Apply(smart)", 5, 301, func() {
 		if _, err := flow.Apply(built, smartndr.SchemeSmart); err != nil {
 			t.Fatal(err)
 		}

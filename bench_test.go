@@ -36,10 +36,10 @@ func BenchmarkBuild2k(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildCNS is construction on the cold-flow mix: one op runs
-// Flow.Build on each of cns01–cns05, generated at their own seeds, the
-// shapes perfbench's cold-flow workload rotates through.
-func BenchmarkBuildCNS(b *testing.B) {
+// cnsDesigns generates cns01–cns05 at their own seeds, the shapes
+// perfbench's cold-flow workload rotates through.
+func cnsDesigns(b *testing.B) []*workload.Benchmark {
+	b.Helper()
 	var designs []*workload.Benchmark
 	for _, spec := range Suite()[:5] {
 		bm, err := GenerateBenchmark(spec)
@@ -48,12 +48,40 @@ func BenchmarkBuildCNS(b *testing.B) {
 		}
 		designs = append(designs, bm)
 	}
+	return designs
+}
+
+// BenchmarkBuildCNS is construction on the cold-flow mix: one op runs
+// Flow.Build on each of cns01–cns05.
+func BenchmarkBuildCNS(b *testing.B) {
+	designs := cnsDesigns(b)
 	flow := NewFlow(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, bm := range designs {
 			if _, err := flow.Build(bm.Sinks, bm.Src); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkColdFlowCNS is the in-process mirror of perfbench's cold-flow
+// workload: one op runs Flow.Build and then Flow.Apply of the smart
+// scheme on each of cns01–cns05.
+func BenchmarkColdFlowCNS(b *testing.B) {
+	designs := cnsDesigns(b)
+	flow := NewFlow(nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, bm := range designs {
+			built, err := flow.Build(bm.Sinks, bm.Src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := flow.Apply(built, SchemeSmart); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -175,7 +175,8 @@ func TestDeepChainTraversals(t *testing.T) {
 		}
 	}
 
-	se := newStageEval(tr, te, lib, tr.Root)
+	se := newStageScratch(tr, te, lib)
+	se.reset(tr.Root)
 	if len(se.nodes) != n {
 		t.Fatalf("stage gathered %d nodes, want %d", len(se.nodes), n)
 	}
@@ -188,7 +189,7 @@ func TestDeepChainTraversals(t *testing.T) {
 	if ends != 1 {
 		t.Fatalf("stage has %d endpoints, want 1 (the sink)", ends)
 	}
-	st := se.eval(40e-12)
+	st := se.eval(40e-12, se.arr[0])
 	if st.worstSlew <= 0 || st.stageCap <= 0 {
 		t.Fatalf("implausible chain stage eval: %+v", st)
 	}

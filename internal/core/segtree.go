@@ -1,7 +1,5 @@
 package core
 
-import "math"
-
 // arrTree is a lazy segment tree over sink arrival times supporting
 // range-add (shift a whole subtree of sinks) and O(1) global min/max
 // queries. The downgrade loop uses it to check the *exact* global skew
@@ -14,20 +12,24 @@ type arrTree struct {
 	lazy []float64
 }
 
-// newArrTree builds the tree over the given per-sink arrivals (in DFS
-// order, so any subtree of the clock tree is a contiguous range).
-func newArrTree(arr []float64) *arrTree {
+// reset builds the tree over the given per-sink arrivals (in DFS order,
+// so any subtree of the clock tree is a contiguous range), in the storage
+// of its previous contents. Build writes every min and max it reads, so
+// only the pending shifts need clearing: the rebuilt tree equals a fresh
+// one bit for bit.
+func (t *arrTree) reset(arr []float64) {
 	n := len(arr)
-	t := &arrTree{
-		n:    n,
-		mn:   make([]float64, 4*n),
-		mx:   make([]float64, 4*n),
-		lazy: make([]float64, 4*n),
+	if cap(t.mn) < 4*n {
+		t.mn = make([]float64, 4*n)
+		t.mx = make([]float64, 4*n)
+		t.lazy = make([]float64, 4*n)
 	}
+	t.n = n
+	t.mn, t.mx, t.lazy = t.mn[:4*n], t.mx[:4*n], t.lazy[:4*n]
+	clear(t.lazy)
 	if n > 0 {
 		t.build(1, 0, n-1, arr)
 	}
-	return t
 }
 
 func (t *arrTree) build(node, lo, hi int, arr []float64) {
@@ -42,9 +44,12 @@ func (t *arrTree) build(node, lo, hi int, arr []float64) {
 	t.pull(node)
 }
 
+// pull recomputes node from its children. The min and max builtins
+// give math.Min's and math.Max's bits on every input without a NaN; the
+// optimizer's arrivals are finite.
 func (t *arrTree) pull(node int) {
-	t.mn[node] = math.Min(t.mn[2*node], t.mn[2*node+1])
-	t.mx[node] = math.Max(t.mx[2*node], t.mx[2*node+1])
+	t.mn[node] = min(t.mn[2*node], t.mn[2*node+1])
+	t.mx[node] = max(t.mx[2*node], t.mx[2*node+1])
 }
 
 func (t *arrTree) push(node int) {

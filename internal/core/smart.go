@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"smartndr/internal/cell"
@@ -144,6 +146,9 @@ func optimize(t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config, tim t
 
 	span := newSinkSpan(t)
 	byCap := rulesByCap(te)
+	se := newStageScratch(t, te, lib)
+	arrivals := make([]float64, len(span.node))
+	at := &arrTree{}
 
 	var emFloor []float64
 	var passCap []float64 // switched cap observed at the start of each sweep
@@ -171,11 +176,10 @@ func optimize(t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config, tim t
 		}
 		// Skew budget: never worse than what we started the pass with,
 		// and no worse than the bound when we are inside it.
-		arrivals := make([]float64, len(span.node))
 		for pos, v := range span.node {
 			arrivals[pos] = res.Arrival[v]
 		}
-		at := newArrTree(arrivals)
+		at.reset(arrivals)
 		// Stay comfortably inside the bound: the stage-model arrivals the
 		// segment tree tracks drift slightly from full STA (input-slew
 		// cascades), so targeting 80% of the bound keeps the *real* final
@@ -186,13 +190,15 @@ func optimize(t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config, tim t
 		}
 
 		changed := 0
-		for _, u := range stageDrivers(t) {
-			se := newStageEval(t, te, lib, u)
+		for _, u := range se.drivers {
+			se.reset(u)
 			if len(se.nodes) == 0 {
 				continue
 			}
 			inSlew := res.Slew[u]
-			cur := se.eval(inSlew)
+			// cur lives in se.arr[0] and every candidate is evaluated into
+			// se.arr[1]; an accepted candidate swaps the two.
+			cur := se.eval(inSlew, se.arr[0])
 			if cur.worstSlew > slewLimit {
 				continue // no headroom; recovery sweep handles true violations
 			}
@@ -207,7 +213,7 @@ func optimize(t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config, tim t
 					}
 					old := t.Nodes[v].Rule
 					t.Nodes[v].Rule = ri
-					cand := se.eval(inSlew)
+					cand := se.eval(inSlew, se.arr[1])
 					if cand.worstSlew > slewLimit ||
 						se.maxEndpointShift(cand, cur) > cfg.EdgeDeltaCap {
 						t.Nodes[v].Rule = old
@@ -222,6 +228,7 @@ func optimize(t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config, tim t
 						continue
 					}
 					cur = cand
+					se.arr[0], se.arr[1] = se.arr[1], se.arr[0]
 					tim.Touch(v) // accepted: next analysis sees one dirty edge
 					changed++
 					stats.Downgrades++
@@ -245,7 +252,7 @@ func optimize(t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config, tim t
 	// that create violations), and a fresh call restarts its adaptive
 	// damping, so re-invoking it after upgrades keeps making progress.
 	rvsp := tr.Start("recover")
-	up0 := recoverViolations(tim, t, te, lib, cfg, slewLimit, cfg.MaxSlew, byCap)
+	up0 := recoverViolations(tim, se, cfg, slewLimit, cfg.MaxSlew, byCap)
 	stats.Upgrades += up0
 	stats.RecoverRounds++
 	rvsp.Set("upgrades", up0)
@@ -263,7 +270,7 @@ func optimize(t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config, tim t
 			}
 			stats.RepairWire += rep.AddedWire
 			stats.RepairRounds++
-			up := recoverViolations(tim, t, te, lib, cfg, slewLimit, cfg.MaxSlew, byCap)
+			up := recoverViolations(tim, se, cfg, slewLimit, cfg.MaxSlew, byCap)
 			stats.Upgrades += up
 			stats.RecoverRounds++
 			if rep.Converged && up == 0 {
@@ -273,7 +280,7 @@ func optimize(t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config, tim t
 				// Stuck on skew with clean transitions: buy headroom on
 				// the tight stages and let the next repair use it.
 				headroom := 0.90 * cfg.MaxSlew
-				hr := recoverViolations(tim, t, te, lib, cfg, headroom, headroom, byCap)
+				hr := recoverViolations(tim, se, cfg, headroom, headroom, byCap)
 				stats.Upgrades += hr
 				stats.RecoverRounds++
 				if hr == 0 {
@@ -328,7 +335,8 @@ func optimize(t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config, tim t
 // fresh analyses of the shared timing engine until clean or stuck. Returns
 // the upgrade count. enforceLimit is the per-stage target upgrades aim
 // for; exitLimit is the global transition level that counts as "clean".
-func recoverViolations(tim timer, t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config, enforceLimit, exitLimit float64, byCap []int) int {
+func recoverViolations(tim timer, se *stageEval, cfg Config, enforceLimit, exitLimit float64, byCap []int) int {
+	t, lib := se.t, se.lib
 	total := 0
 	for round := 0; round < 5; round++ {
 		res, err := tim.Analyze(t, cfg.InSlew)
@@ -339,13 +347,13 @@ func recoverViolations(tim timer, t *ctree.Tree, te *tech.Tech, lib *cell.Librar
 			return total
 		}
 		fixed := 0
-		for _, u := range stageDrivers(t) {
-			se := newStageEval(t, te, lib, u)
+		for _, u := range se.drivers {
+			se.reset(u)
 			if len(se.nodes) == 0 {
 				continue
 			}
 			inSlew := res.Slew[u]
-			if se.eval(inSlew).worstSlew <= enforceLimit {
+			if se.eval(inSlew, se.arr[0]).worstSlew <= enforceLimit {
 				continue
 			}
 			fixed += se.upgradeUntilMet(tim, inSlew, enforceLimit, byCap)
@@ -353,7 +361,7 @@ func recoverViolations(tim timer, t *ctree.Tree, te *tech.Tech, lib *cell.Librar
 			// transition is dominated by the driver's output slew at its
 			// load. Upsize the driver until the stage meets or the library
 			// tops out.
-			for se.eval(inSlew).worstSlew > enforceLimit &&
+			for se.eval(inSlew, se.arr[0]).worstSlew > enforceLimit &&
 				t.Nodes[u].BufIdx < len(lib.Buffers)-1 {
 				t.Nodes[u].BufIdx++
 				tim.Touch(u)
@@ -381,23 +389,40 @@ func (se *stageEval) applyShifts(at *arrTree, span *sinkSpan, to, from stageStat
 	}
 }
 
-// candidateOrder returns the stage's edge nodes in the configured order.
+// nodeGain is an edge node and the cap its cheapest rule would save.
+type nodeGain struct {
+	v int
+	g float64
+}
+
+// candidateOrder returns the stage's edge nodes in the configured order,
+// in scratch the next call overwrites.
 func (se *stageEval) candidateOrder(o Order, byCap []int) []int {
-	out := append([]int(nil), se.nodes...)
+	out := append(se.order[:0], se.nodes...)
 	switch o {
 	case ByIndex:
-		sort.Ints(out)
-	case ByReverse:
-		sort.Sort(sort.Reverse(sort.IntSlice(out)))
+		slices.Sort(out)
+	case ByReverse: // node indices are distinct, so this is the one descending order
+		slices.Sort(out)
+		slices.Reverse(out)
 	default: // BySensitivity: largest cap saving first
-		cheapest := byCap[0]
-		gain := func(v int) float64 {
+		cheapest := se.te.Layer.CPerUm(se.te.Rule(byCap[0]))
+		gains := se.gains[:0]
+		for _, v := range se.nodes {
 			nd := &se.t.Nodes[v]
-			return nd.EdgeLen * (se.te.Layer.CPerUm(se.te.Rule(nd.Rule)) -
-				se.te.Layer.CPerUm(se.te.Rule(cheapest)))
+			gains = append(gains, nodeGain{v, nd.EdgeLen * (se.te.Layer.CPerUm(se.te.Rule(nd.Rule)) - cheapest)})
 		}
-		sort.Slice(out, func(a, b int) bool { return gain(out[a]) > gain(out[b]) })
+		// On finite gains the comparator is negative exactly where the
+		// less function gain(a) > gain(b) is true, and slices.SortFunc
+		// runs the same pdqsort as sort.Slice, so ties end in the same
+		// permutation.
+		slices.SortFunc(gains, func(a, b nodeGain) int { return cmp.Compare(b.g, a.g) })
+		for i, p := range gains {
+			out[i] = p.v
+		}
+		se.gains = gains
 	}
+	se.order = out
 	return out
 }
 
@@ -409,7 +434,7 @@ func (se *stageEval) candidateOrder(o Order, byCap []int) []int {
 func (se *stageEval) upgradeUntilMet(tim timer, inSlew, slewLimit float64, byCap []int) int {
 	n := 0
 	for guard := 0; guard < len(se.nodes)*len(byCap)+1; guard++ {
-		base := se.eval(inSlew)
+		base := se.eval(inSlew, se.arr[0])
 		if base.worstSlew <= slewLimit {
 			return n
 		}
@@ -422,7 +447,7 @@ func (se *stageEval) upgradeUntilMet(tim timer, inSlew, slewLimit float64, byCap
 					continue
 				}
 				se.t.Nodes[v].Rule = ri
-				cand := se.eval(inSlew)
+				cand := se.eval(inSlew, se.arr[1])
 				if cand.worstSlew < bestSlew {
 					bestSlew = cand.worstSlew
 					bestV, bestRule = v, ri

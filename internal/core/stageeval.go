@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"smartndr/internal/cell"
 	"smartndr/internal/ctree"
@@ -13,23 +14,39 @@ import (
 // driver buffer's output and the next buffer inputs / sinks. Candidate
 // rule changes are scored by re-evaluating only this stage — O(stage size)
 // instead of O(tree) — which is what makes the greedy downgrade scale.
+//
+// One stageEval is the scratch of a whole Optimize call: reset moves it
+// from stage to stage, and every slice it holds is reused, so the sweeps
+// allocate nothing once the largest stage has been seen. Optimize only
+// re-rules edges, lengthens them and resizes buffers, so the tree's node
+// set and its buffered nodes stay fixed for the scratch's lifetime.
 type stageEval struct {
 	t      *ctree.Tree
 	te     *tech.Tech
 	lib    *cell.Library
 	driver int
+	// drivers lists the tree's buffered nodes in parents-first order.
+	drivers []int
 	// nodes lists the stage's nodes (driver excluded) in parent-before-
 	// child order; the driver's children come first.
 	nodes []int
 	// endpoint[i] marks nodes[i] as a stage endpoint (buffer input or
 	// sink pin).
 	endpoint []bool
-	// local index of each tree node in `nodes` (+1; 0 = absent).
-	local map[int]int
+	// local[v] is the index of tree node v in nodes, plus one; 0 means v
+	// is not in the stage. Only the current stage's entries are set.
+	local []int
 
 	// scratch, indexed parallel to nodes:
 	down []float64 // π-lumped downstream cap within stage
 	elm  []float64 // Elmore from driver output
+	// arr holds two arrival buffers: the current state's and a
+	// candidate's (see stageState.arr).
+	arr [2][]float64
+
+	stack []int      // DFS stack of reset
+	gains []nodeGain // candidateOrder's sort keys
+	order []int      // candidateOrder's result
 }
 
 // stageState is one evaluation outcome.
@@ -40,45 +57,63 @@ type stageState struct {
 	worstSlew float64 // max transition over endpoints
 	// arr[i] is the arrival at nodes[i] relative to the driver *input*
 	// (buffer delay + wire Elmore); only endpoint entries are meaningful.
+	// It aliases the buffer eval was given.
 	arr []float64
 }
 
-// newStageEval collects the stage rooted at the buffered node driver.
-func newStageEval(t *ctree.Tree, te *tech.Tech, lib *cell.Library, driver int) *stageEval {
-	se := &stageEval{t: t, te: te, lib: lib, driver: driver, local: make(map[int]int)}
+// newStageScratch returns the stage scratch for tree t, positioned on no
+// stage; reset selects one.
+func newStageScratch(t *ctree.Tree, te *tech.Tech, lib *cell.Library) *stageEval {
+	return &stageEval{t: t, te: te, lib: lib, drivers: stageDrivers(t), local: make([]int, len(t.Nodes))}
+}
+
+// reset collects the stage rooted at the buffered node driver.
+func (se *stageEval) reset(driver int) {
+	for _, v := range se.nodes {
+		se.local[v] = 0
+	}
+	se.driver = driver
+	se.nodes, se.endpoint = se.nodes[:0], se.endpoint[:0]
 	// Explicit-stack DFS (kids pushed in reverse so they pop in Kids
 	// order): same visit order as the recursive form, but safe on
 	// degenerate serial chains that would otherwise grow the stack one
 	// frame per node.
-	var stack []int
-	push := func(n int) {
-		kids := t.Nodes[n].Kids
-		for i := len(kids) - 1; i >= 0; i-- {
-			if kids[i] != ctree.NoNode {
-				stack = append(stack, kids[i])
-			}
-		}
-	}
-	push(driver)
+	stack := se.pushKids(se.stack[:0], driver)
 	for len(stack) > 0 {
 		k := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		se.nodes = append(se.nodes, k)
 		se.local[k] = len(se.nodes)
-		end := t.Nodes[k].BufIdx != ctree.NoBuf || t.IsLeaf(k)
+		end := se.t.Nodes[k].BufIdx != ctree.NoBuf || se.t.IsLeaf(k)
 		se.endpoint = append(se.endpoint, end)
 		if !end {
-			push(k)
+			stack = se.pushKids(stack, k)
 		}
 	}
-	se.down = make([]float64, len(se.nodes))
-	se.elm = make([]float64, len(se.nodes))
-	return se
+	se.stack = stack
+	n := len(se.nodes)
+	se.down = slices.Grow(se.down[:0], n)[:n]
+	se.elm = slices.Grow(se.elm[:0], n)[:n]
+	for i := range se.arr {
+		se.arr[i] = slices.Grow(se.arr[i][:0], n)[:n]
+	}
+}
+
+// pushKids pushes v's children onto stack in reverse Kids order.
+func (se *stageEval) pushKids(stack []int, v int) []int {
+	kids := se.t.Nodes[v].Kids
+	for i := len(kids) - 1; i >= 0; i-- {
+		if kids[i] != ctree.NoNode {
+			stack = append(stack, kids[i])
+		}
+	}
+	return stack
 }
 
 // eval recomputes the stage under the tree's current rule assignment for
-// the given transition at the driver's input pin.
-func (se *stageEval) eval(inSlew float64) stageState {
+// the given transition at the driver's input pin. The arrivals are
+// written into arr, one of se.arr, which the returned state then aliases.
+func (se *stageEval) eval(inSlew float64, arr []float64) stageState {
 	t, te := se.t, se.te
 	// Downstream caps, children-before-parents (reverse of `nodes`).
 	for i := len(se.nodes) - 1; i >= 0; i-- {
@@ -103,7 +138,7 @@ func (se *stageEval) eval(inSlew float64) stageState {
 		se.down[i] = d
 	}
 	// Stage load seen by the driver.
-	st := stageState{arr: make([]float64, len(se.nodes))}
+	st := stageState{arr: arr}
 	for _, k := range t.Nodes[se.driver].Kids {
 		if k == ctree.NoNode {
 			continue
