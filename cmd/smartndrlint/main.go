@@ -82,10 +82,9 @@ func run(args []string, out, errw io.Writer) int {
 	}
 	loadTime := time.Since(start)
 
-	// Analyzers run one at a time so each can be timed; the per-function
-	// CFGs are built once and shared through the package cache, so the
-	// split costs nothing. Diagnostics merge back into the canonical
-	// position-sorted order.
+	// Analyzers run one at a time so each can be timed; they keep no
+	// state between packages or runs, so the split costs nothing.
+	// Diagnostics merge back into the canonical position-sorted order.
 	var diags []analysis.Diagnostic
 	for _, a := range analyzers {
 		aStart := time.Now()

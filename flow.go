@@ -502,7 +502,7 @@ func (f *Flow) RunHier(ctx context.Context, sinks []Sink, src Point, scheme Sche
 // semantics) changes so stale content-addressed cache entries can never
 // alias new results; the golden-key regression test pins the current
 // addresses.
-const flowKeyVersion = "smartndr/flow/v6"
+const flowKeyVersion = "smartndr/flow/v7"
 
 // The canonical serialization of everything that determines a
 // RunSpecEdits result is one JSON object with these fields, in order:

@@ -38,7 +38,7 @@ func refKeyBytes(t *testing.T, f *smartndr.Flow, spec smartndr.BenchSpec, scheme
 	t.Helper()
 	cfg := f.Config()
 	k := runKeyRef{
-		V: "smartndr/flow/v6", Spec: spec, Tech: cfg.Tech, Library: cfg.Library,
+		V: "smartndr/flow/v7", Spec: spec, Tech: cfg.Tech, Library: cfg.Library,
 		Scheme: int(scheme), TopK: cfg.TopK, InSlew: cfg.InSlew,
 		CTS: cfg.CTS, Opt: cfg.Opt, Hier: cfg.Hier, Edits: core.CanonicalEdits(edits),
 	}
@@ -159,9 +159,6 @@ func TestInteractivePathAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens a cns01 session")
 	}
-	if testutil.RaceEnabled {
-		t.Skip("the race detector changes allocation counts")
-	}
 	spec := smartndr.Suite()[0]
 	if spec.Name != "cns01" {
 		t.Fatalf("suite starts with %s", spec.Name)
@@ -177,24 +174,16 @@ func TestInteractivePathAllocs(t *testing.T) {
 		{{Op: core.OpNodeRule, Node: n / 3, Rule: 1}, {Op: core.OpSinkCap, Sink: 7, Cap: 3e-15}},
 	}
 	i := 0
-	apply := testing.AllocsPerRun(100, func() {
+	testutil.PinAllocs(t, "FlowSession.ApplyState", 5, 2, func() {
 		if _, err := sess.ApplyState(ctx, states[i%2]); err != nil {
 			t.Fatal(err)
 		}
 		i++
 	})
-	key := testing.AllocsPerRun(100, func() {
+	testutil.PinAllocs(t, "FlowSession.Key", 5, 6, func() {
 		if _, err := sess.Key(states[i%2]); err != nil {
 			t.Fatal(err)
 		}
 		i++
 	})
-	const applyCeil, keyCeil = 6, 6
-	if apply > applyCeil {
-		t.Errorf("FlowSession.ApplyState allocates %.0f objects, ceiling %d", apply, applyCeil)
-	}
-	if key > keyCeil {
-		t.Errorf("FlowSession.Key allocates %.0f objects, ceiling %d", key, keyCeil)
-	}
-	t.Logf("allocs: ApplyState %.0f, Key %.0f", apply, key)
 }

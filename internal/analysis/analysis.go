@@ -8,12 +8,13 @@
 // errors instead of code-review folklore.
 //
 // The resource-hygiene passes (spanhygiene, httpbody, gateleak) share
-// a function-level control-flow-graph and must-reach dataflow engine
-// (cfg.go, dataflow.go): CFGs are built once per package and cached,
-// and each analyzer instantiates the engine with a small rule — what
-// acquires the resource, what consumes it, what counts as ownership
-// escaping. See docs/static-analysis.md for the block model and merge
-// semantics.
+// one syntactic rule (release.go): a tracked resource bound to a local
+// is released by the defer statement directly after its acquisition,
+// or directly after the acquisition's `if err != nil` guard, and every
+// other acquisition is flagged. A defer runs on every path out of the
+// function, so the rule needs no control-flow graph. Each analyzer
+// supplies what acquires its resource and what releases it. See
+// docs/static-analysis.md for what the rule accepts and flags.
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis
 // shape (Analyzer, Pass, Diagnostic) but is built on the standard
@@ -68,7 +69,6 @@ type Pass struct {
 
 	directives directiveIndex
 	report     func(Diagnostic)
-	pkg        *Package // owning package; carries the shared CFG cache
 }
 
 // Reportf records a finding at pos.
@@ -176,7 +176,6 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 				Pkg:        pkg.Types,
 				Info:       pkg.Info,
 				directives: pkg.directives,
-				pkg:        pkg,
 			}
 			pass.report = func(d Diagnostic) {
 				if pkg.directives.has(d.Pos, "allow:"+d.Analyzer) {

@@ -19,7 +19,7 @@ func TestGolden(t *testing.T) {
 		{analysis.Maporder, []string{"maporder/core", "maporder/other"}},
 		{analysis.Seededrand, []string{"seededrand/engine", "seededrand/par"}},
 		{analysis.Wallclock, []string{"wallclock/sta", "wallclock/obs", "wallclock/cli"}},
-		{analysis.Spanhygiene, []string{"spanhygiene/a", "spanhygiene/cfg"}},
+		{analysis.Spanhygiene, []string{"spanhygiene/a"}},
 		{analysis.Floatorder, []string{"floatorder/a"}},
 		{analysis.Metricname, []string{"metricname/engine", "metricname/clean"}},
 		{analysis.Httpbody, []string{"httpbody/client"}},

@@ -2,60 +2,37 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
 // Gateleak enforces the admission-gate contract the serving layer's
 // backpressure depends on: the release func returned by
-// par.Gate.Acquire must be called or deferred on every path out of the
-// function (and out of the loop iteration that acquired it) — hedge
-// losers and error paths included. A leaked release pins a gate slot
-// forever; with a bounded gate the fleet's admission capacity ratchets
-// down until every request queues and times out. This is exactly the
-// leak class PR 8's hand-written channel tests policed; the dataflow
-// engine checks it on every build instead.
+// par.Gate.Acquire must be bound to a local and deferred right after
+// the acquisition's error check (`defer release()`, or a deferred
+// closure that calls it). A leaked release pins a gate slot forever;
+// with a bounded gate the fleet's admission capacity ratchets down
+// until every request queues and times out.
 //
-// The check is an instance of the shared must-reach engine
-// (dataflow.go): acquisitions are `release, err := gate.Acquire(ctx)`,
-// consumption is calling release (directly, deferred, or inside a
-// deferred closure), the paired-error idiom applies (on the branch
-// where err != nil the release is nil by contract), and a release that
-// escapes (returned, stored, passed along) transfers the obligation.
-// Suppress a deliberate exception with //lint:allow gateleak.
+// The check is the shared defer rule (release.go): a slot acquired in
+// a loop body, inside another statement, or with its release discarded
+// is flagged, and so is one released any other way, hedge losers and
+// error paths included. Suppress a deliberate exception with
+// //lint:allow gateleak.
 var Gateleak = &Analyzer{
 	Name: "gateleak",
-	Doc:  "par.Gate.Acquire release funcs must run on every path",
+	Doc:  "par.Gate.Acquire release funcs must be deferred right after the error check",
 	Run:  runGateleak,
 }
 
-var gateleakRule = &consumeRule{
-	isAcquire: isGateAcquire,
-	isResourceType: func(t types.Type) bool {
+var gateleakRule = &releaseRule{
+	acquires: isGateAcquire,
+	isHandle: func(t types.Type) bool {
 		_, ok := t.(*types.Signature)
 		return ok
 	},
-	consumes: releaseCallObj,
-	pairErr:  true,
-	escapes: func(p *Pass, body *ast.BlockStmt, obj types.Object) bool {
-		return escapesWith(p, body, obj, escapeOpts{allowNilCompare: true, allowCallFun: true})
-	},
-	discardMsg: "gate release func is discarded, so its admission slot can never be released",
-	reportExit: func(p *Pass, obj types.Object, acq token.Pos, at token.Position, where string) {
-		p.Reportf(acq,
-			"gate release %s is not called on every path (slot leaks at %s, %s); add defer %s() after the error check",
-			obj.Name(), at, where, obj.Name())
-	},
-	reportLoop: func(p *Pass, obj types.Object, acq token.Pos, at token.Position) {
-		p.Reportf(acq,
-			"gate release %s acquired in a loop is not called by %s; release the slot before the iteration ends",
-			obj.Name(), at)
-	},
-	reportDeferLoop: func(p *Pass, obj types.Object, acq token.Pos, at token.Position) {
-		p.Reportf(acq,
-			"gate release %s acquired in a loop is called only by a defer registered in the same iteration; defers run at function return, not at the iteration end (%s) — slots accumulate across iterations",
-			obj.Name(), at)
-	},
+	releases: releaseCallObj,
+	noun:     "gate release",
+	release:  func(name string) string { return name + "()" },
 }
 
 func runGateleak(pass *Pass) error {

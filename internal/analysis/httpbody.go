@@ -2,57 +2,36 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
 // Httpbody enforces the HTTP client hygiene contract the cluster
 // transport relies on: every *http.Response acquired in a function must
-// have its Body closed on every path out of the function (or out of the
-// loop iteration that acquired it). An unclosed body pins the
+// be bound to a local and have its Body closed by a defer right after
+// the acquisition's error check (`defer resp.Body.Close()`, or a
+// deferred closure that closes it). An unclosed body pins the
 // underlying connection — it never returns to the transport's idle
 // pool — so a frontend fanning thousands of calls across its backends
 // leaks sockets until the fleet wedges.
 //
-// Like spanhygiene, the check is an instance of the shared must-reach
-// dataflow engine (dataflow.go) over the per-function CFG (cfg.go). It
-// tracks responses bound to local variables, accepts resp.Body.Close()
-// directly, deferred, or inside a deferred closure, and exempts
-// responses that escape (returned, stored, or passed along — ownership
-// transfers with them). The standard acquisition idiom is understood:
-// on the branch edge where the acquisition's paired error is non-nil
-// (`resp, err := c.Do(req); if err != nil { ... }`) the response is nil
-// by the http.Client contract and needs no Close. Suppress a deliberate
-// exception with //lint:allow httpbody.
+// Like spanhygiene, the check is the shared defer rule (release.go): a
+// response acquired in a loop body, inside another statement, or with
+// its handle discarded is flagged, and so is one closed any other way.
+// A response returned to the caller is flagged too; hand the caller the
+// decoded body instead. Suppress a deliberate exception with
+// //lint:allow httpbody.
 var Httpbody = &Analyzer{
 	Name: "httpbody",
-	Doc:  "http.Response bodies must be closed on every path in client code",
+	Doc:  "http.Response bodies must be closed by a defer right after the error check in client code",
 	Run:  runHttpbody,
 }
 
-var httpbodyRule = &consumeRule{
-	isAcquire:      returnsResponse,
-	isResourceType: isResponsePtr,
-	consumes:       closedBodyObj,
-	pairErr:        true,
-	escapes: func(p *Pass, body *ast.BlockStmt, obj types.Object) bool {
-		return escapesWith(p, body, obj, escapeOpts{allowNilCompare: true})
-	},
-	reportExit: func(p *Pass, obj types.Object, acq token.Pos, at token.Position, where string) {
-		p.Reportf(acq,
-			"response body %s.Body is not closed on every path (leaks at %s, %s); add defer %s.Body.Close() after the error check",
-			obj.Name(), at, where, obj.Name())
-	},
-	reportLoop: func(p *Pass, obj types.Object, acq token.Pos, at token.Position) {
-		p.Reportf(acq,
-			"response body %s.Body acquired in a loop is not closed by %s; close it before the iteration ends",
-			obj.Name(), at)
-	},
-	reportDeferLoop: func(p *Pass, obj types.Object, acq token.Pos, at token.Position) {
-		p.Reportf(acq,
-			"response body %s.Body acquired in a loop is closed only by a defer registered in the same iteration; defers run at function return, not at the iteration end (%s) — close it directly before the iteration ends",
-			obj.Name(), at)
-	},
+var httpbodyRule = &releaseRule{
+	acquires: returnsResponse,
+	isHandle: isResponsePtr,
+	releases: closedBodyObj,
+	noun:     "response",
+	release:  func(name string) string { return name + ".Body.Close()" },
 }
 
 func runHttpbody(pass *Pass) error {
@@ -113,9 +92,4 @@ func isResponsePtr(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "net/http" && obj.Name() == "Response"
-}
-
-func isErrorType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
 }

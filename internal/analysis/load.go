@@ -27,7 +27,6 @@ type Package struct {
 	Info  *types.Info
 
 	directives directiveIndex
-	cfgs       map[*ast.BlockStmt]*funcCFG // shared per-function CFG cache (cfg.go)
 }
 
 // Loader enumerates packages with `go list -deps -json` and

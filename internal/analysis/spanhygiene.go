@@ -10,50 +10,33 @@ import (
 // well-formed (see internal/obs and docs/observability.md):
 //
 //  1. Every span opened in a function — tr.Start, sp.Start, sp.Child —
-//     must be Ended on every path out of the function (or out of the
-//     loop iteration that opened it). A span leaked on an error return
-//     never emits its event and silently truncates the trace.
+//     must be bound to a local and Ended by a defer on the next line
+//     (`defer sp.End()`, or a deferred closure that Ends it). A span
+//     leaked on an error return never emits its event and silently
+//     truncates the trace. This is the shared defer rule (release.go):
+//     a span opened in a loop body, inside another statement, or with
+//     its handle discarded is flagged. An explicit End at a section
+//     boundary may still precede the deferred one, since End is
+//     idempotent.
 //  2. Code running concurrently — a `go` statement or a par.ForEach /
 //     par.ForEachWorker worker closure — must open spans with
 //     Span.Child, never the ambient-stack forms Tracer.Start /
 //     Span.Start, whose implicit innermost-open-span nesting races
 //     across goroutines.
 //
-// The End check is an instance of the shared must-reach dataflow
-// engine (dataflow.go) over the per-function CFG (cfg.go): it tracks
-// spans bound to local variables, accepts `defer sp.End()` (directly
-// or inside a deferred closure) as ending every function exit, checks
-// loop iterations separately — a defer registered inside the loop body
-// does not run until function return, so it cannot cover iteration
-// ends — and gives up on spans that escape the function (returned,
-// stored, or passed as an argument). Suppress a deliberate exception
-// with //lint:allow spanhygiene.
+// Suppress a deliberate exception with //lint:allow spanhygiene.
 var Spanhygiene = &Analyzer{
 	Name: "spanhygiene",
-	Doc:  "obs spans must End on all paths; concurrent code must use Span.Child",
+	Doc:  "obs spans must be Ended by a defer right after they open; concurrent code must use Span.Child",
 	Run:  runSpanhygiene,
 }
 
-var spanRule = &consumeRule{
-	isAcquire:      isSpanOpen,
-	isResourceType: func(t types.Type) bool { return true }, // isAcquire is shape-exact; any bound handle counts
-	consumes:       spanEndedObj,
-	escapes: func(p *Pass, body *ast.BlockStmt, obj types.Object) bool {
-		return escapesWith(p, body, obj, escapeOpts{})
-	},
-	discardMsg: "span is opened but its handle is discarded, so it can never be Ended",
-	reportExit: func(p *Pass, obj types.Object, acq token.Pos, at token.Position, where string) {
-		p.Reportf(acq, "span %s is not Ended on every path (leaks at %s, %s); add defer %s.End() or End it before the exit",
-			obj.Name(), at, where, obj.Name())
-	},
-	reportLoop: func(p *Pass, obj types.Object, acq token.Pos, at token.Position) {
-		p.Reportf(acq, "span %s opened in a loop body is not Ended by %s; End it before the iteration ends",
-			obj.Name(), at)
-	},
-	reportDeferLoop: func(p *Pass, obj types.Object, acq token.Pos, at token.Position) {
-		p.Reportf(acq, "span %s opened in a loop body is Ended only by a defer registered in the same iteration; defers run at function return, not at the iteration end (%s) — End it directly before the iteration ends",
-			obj.Name(), at)
-	},
+var spanRule = &releaseRule{
+	acquires: isSpanOpen,
+	isHandle: func(types.Type) bool { return true }, // acquires is shape-exact; any bound result is the span
+	releases: spanEndedObj,
+	noun:     "span",
+	release:  func(name string) string { return name + ".End()" },
 }
 
 func runSpanhygiene(pass *Pass) error {

@@ -1,6 +1,5 @@
 // Package a is the gateleak golden package: the release func returned
-// by par.Gate.Acquire must be called or deferred on every path out of
-// the function and out of the loop iteration that acquired it.
+// by par.Gate.Acquire is deferred right after the error check.
 package a
 
 import (
@@ -12,7 +11,7 @@ import (
 
 // Flagged: the early return leaks the slot.
 func LeakOnReturn(ctx context.Context, g *par.Gate, fail bool) error {
-	release, err := g.Acquire(ctx) // want "gate release release is not called on every path"
+	release, err := g.Acquire(ctx) // want "gate release release is not released by a defer right after its acquisition"
 	if err != nil {
 		return err
 	}
@@ -25,14 +24,14 @@ func LeakOnReturn(ctx context.Context, g *par.Gate, fail bool) error {
 
 // Flagged: the release func is thrown away; the slot can never free.
 func Discarded(ctx context.Context, g *par.Gate) {
-	_, _ = g.Acquire(ctx) // want "gate release func is discarded"
+	_, _ = g.Acquire(ctx) // want "gate release handle is discarded"
 }
 
 // Flagged: the winner path releases, but slow iterations leak their
 // slot when the iteration ends.
 func LeakInLoop(ctx context.Context, g *par.Gate, n int) {
 	for i := 0; i < n; i++ {
-		release, err := g.Acquire(ctx) // want "gate release release acquired in a loop is not called"
+		release, err := g.Acquire(ctx) // want "gate release release is acquired in a loop body"
 		if err != nil {
 			return
 		}
@@ -46,12 +45,26 @@ func LeakInLoop(ctx context.Context, g *par.Gate, n int) {
 // function returns, so slots accumulate across iterations.
 func DeferInLoop(ctx context.Context, g *par.Gate, n int) {
 	for i := 0; i < n; i++ {
-		release, err := g.Acquire(ctx) // want "called only by a defer registered in the same iteration"
+		release, err := g.Acquire(ctx) // want "gate release release is acquired in a loop body, where a defer runs at function return"
 		if err != nil {
 			return
 		}
 		defer release()
 	}
+}
+
+// Flagged: acquired in an if init.
+func AcquiredInIfInit(ctx context.Context, g *par.Gate) error {
+	if release, err := g.Acquire(ctx); err == nil { // want "gate release is acquired inside another statement"
+		defer release()
+		return work(ctx)
+	}
+	return nil
+}
+
+// Flagged: acquired as a call argument.
+func AcquiredAsArgument(ctx context.Context, g *par.Gate) error {
+	return held(g.Acquire(ctx)) // want "gate release is acquired inside another statement"
 }
 
 // Clean: the standard idiom — acquire, check the error, defer.
@@ -76,9 +89,10 @@ func DeferredClosure(ctx context.Context, g *par.Gate) error {
 	return work(ctx)
 }
 
-// Clean: released explicitly on both branch exits.
+// Flagged: released explicitly on both branch exits, which only path
+// reasoning can confirm.
 func ReleasedOnAllPaths(ctx context.Context, g *par.Gate, fast bool) error {
-	release, err := g.Acquire(ctx)
+	release, err := g.Acquire(ctx) // want "gate release release is not released by a defer right after its acquisition"
 	if err != nil {
 		return err
 	}
@@ -91,10 +105,10 @@ func ReleasedOnAllPaths(ctx context.Context, g *par.Gate, fast bool) error {
 	return werr
 }
 
-// Clean: released before each iteration ends, hedge-loser style.
+// Flagged: released before each iteration ends, hedge-loser style.
 func ReleasedInLoop(ctx context.Context, g *par.Gate, n int) {
 	for i := 0; i < n; i++ {
-		release, err := g.Acquire(ctx)
+		release, err := g.Acquire(ctx) // want "gate release release is acquired in a loop body"
 		if err != nil {
 			continue
 		}
@@ -106,10 +120,10 @@ func ReleasedInLoop(ctx context.Context, g *par.Gate, n int) {
 	}
 }
 
-// Clean: the release escapes — ownership (and the obligation) moves to
-// the caller, as in a pool handing out slot-scoped cleanup funcs.
+// Flagged: the release escapes to the caller, as in a pool handing out
+// slot-scoped cleanup funcs — an obligation the rule cannot follow.
 func Escapes(ctx context.Context, g *par.Gate) (func(), error) {
-	release, err := g.Acquire(ctx)
+	release, err := g.Acquire(ctx) // want "gate release release is not released by a defer right after its acquisition"
 	if err != nil {
 		return nil, err
 	}
@@ -127,6 +141,34 @@ func Allowed(ctx context.Context, g *par.Gate, fail bool) error {
 		return nil
 	}
 	release()
+	return nil
+}
+
+// Clean: each iteration holds its slot in a function of its own, whose
+// defer releases it before the next iteration acquires.
+func DeferPerIteration(ctx context.Context, g *par.Gate, n int) error {
+	for i := 0; i < n; i++ {
+		if err := workHeld(ctx, g); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func workHeld(ctx context.Context, g *par.Gate) error {
+	release, err := g.Acquire(ctx)
+	if err != nil {
+		return err
+	}
+	defer release()
+	return work(ctx)
+}
+
+func held(release func(), err error) error {
+	if err != nil {
+		return err
+	}
+	defer release()
 	return nil
 }
 

@@ -1,5 +1,6 @@
 // Package client is the httpbody golden package: every *http.Response
-// acquired in a function must have its Body closed on every path.
+// acquired in a function has its Body closed by a defer right after the
+// error check.
 package client
 
 import (
@@ -11,7 +12,7 @@ import (
 
 // Flagged: the body is never closed at all.
 func NeverClosed(c *http.Client, url string) (int, error) {
-	resp, err := c.Get(url) // want "response body resp.Body is not closed on every path"
+	resp, err := c.Get(url) // want "response resp is not released by a defer right after its acquisition"
 	if err != nil {
 		return 0, err
 	}
@@ -20,7 +21,7 @@ func NeverClosed(c *http.Client, url string) (int, error) {
 
 // Flagged: closed on the happy path but leaked on the early return.
 func LeakOnEarlyReturn(c *http.Client, url string) ([]byte, error) {
-	resp, err := c.Get(url) // want "response body resp.Body is not closed on every path"
+	resp, err := c.Get(url) // want "response resp is not released by a defer right after its acquisition"
 	if err != nil {
 		return nil, err
 	}
@@ -34,7 +35,7 @@ func LeakOnEarlyReturn(c *http.Client, url string) ([]byte, error) {
 
 // Flagged: closed in only one switch arm.
 func LeakInSwitch(c *http.Client, url string) error {
-	resp, err := c.Get(url) // want "response body resp.Body is not closed on every path"
+	resp, err := c.Get(url) // want "response resp is not released by a defer right after its acquisition"
 	if err != nil {
 		return err
 	}
@@ -52,13 +53,33 @@ func LeakInSwitch(c *http.Client, url string) error {
 func LeakInLoop(c *http.Client, urls []string) int {
 	n := 0
 	for _, u := range urls {
-		resp, err := c.Get(u) // want "response body resp.Body acquired in a loop is not closed"
+		resp, err := c.Get(u) // want "response resp is acquired in a loop body"
 		if err != nil {
 			continue
 		}
 		n += resp.StatusCode
 	}
 	return n
+}
+
+// Flagged: the response is thrown away with its connection.
+func Discarded(c *http.Client, url string) error {
+	_, err := c.Get(url) // want "response handle is discarded"
+	return err
+}
+
+// Flagged: acquired in an if init.
+func AcquiredInIfInit(c *http.Client, url string) int {
+	if resp, err := c.Get(url); err == nil { // want "response is acquired inside another statement"
+		defer resp.Body.Close()
+		return resp.StatusCode
+	}
+	return 0
+}
+
+// Flagged: acquired as a call argument.
+func AcquiredAsArgument(c *http.Client, url string) int {
+	return status(c.Get(url)) // want "response is acquired inside another statement"
 }
 
 // Clean: the canonical idiom — error check, then defer Close.
@@ -84,9 +105,10 @@ func DeferredClosure(c *http.Client, url string) (string, error) {
 	return string(data), err
 }
 
-// Clean: closed explicitly on every path.
+// Flagged: closed explicitly on every path, which only path reasoning
+// can confirm.
 func ClosedOnAllPaths(c *http.Client, url string, out any) error {
-	resp, err := c.Get(url)
+	resp, err := c.Get(url) // want "response resp is not released by a defer right after its acquisition"
 	if err != nil {
 		return err
 	}
@@ -99,9 +121,10 @@ func ClosedOnAllPaths(c *http.Client, url string, out any) error {
 	return err
 }
 
-// Clean: the inverted guard — the response only exists when err == nil.
+// Flagged: the inverted guard — the response only exists when
+// err == nil, and its defer sits inside the branch.
 func InvertedGuard(c *http.Client, url string) int {
-	resp, err := c.Get(url)
+	resp, err := c.Get(url) // want "response resp is not released by a defer right after its acquisition"
 	if err == nil {
 		defer resp.Body.Close()
 		return resp.StatusCode
@@ -109,20 +132,21 @@ func InvertedGuard(c *http.Client, url string) int {
 	return 0
 }
 
-// Clean: the response escapes to the caller, which owns the Close.
+// Flagged: the response escapes to the caller, an obligation the rule
+// cannot follow; return the decoded body instead.
 func Escapes(c *http.Client, url string) (*http.Response, error) {
-	resp, err := c.Get(url)
+	resp, err := c.Get(url) // want "response resp is not released by a defer right after its acquisition"
 	if err != nil {
 		return nil, err
 	}
 	return resp, nil
 }
 
-// Clean: closed in a loop before the iteration ends.
+// Flagged: closed in a loop before the iteration ends.
 func ClosedInLoop(c *http.Client, urls []string) int {
 	n := 0
 	for _, u := range urls {
-		resp, err := c.Get(u)
+		resp, err := c.Get(u) // want "response resp is acquired in a loop body"
 		if err != nil {
 			continue
 		}
@@ -139,5 +163,32 @@ func Allowed(c *http.Client, url string) int {
 	if err != nil {
 		return 0
 	}
+	return resp.StatusCode
+}
+
+// Clean: a response acquired per iteration in a function of its own,
+// closed by that function's defer.
+func DeferPerIteration(c *http.Client, urls []string) int {
+	n := 0
+	for _, u := range urls {
+		n += fetchStatus(c, u)
+	}
+	return n
+}
+
+func fetchStatus(c *http.Client, url string) int {
+	resp, err := c.Get(url)
+	if err != nil {
+		return 0
+	}
+	defer resp.Body.Close()
+	return resp.StatusCode
+}
+
+func status(resp *http.Response, err error) int {
+	if err != nil {
+		return 0
+	}
+	defer resp.Body.Close()
 	return resp.StatusCode
 }

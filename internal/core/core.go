@@ -62,6 +62,17 @@ func (o Order) String() string {
 	}
 }
 
+// The optimizer's fixed settings.
+const (
+	// slewSafety derates the slew bound during optimization so the final
+	// network keeps headroom.
+	slewSafety = 0.98
+	// maxPasses bounds the downgrade sweeps.
+	maxPasses = 3
+	// repairIters bounds the skew-repair iterations of each repair call.
+	repairIters = 25
+)
+
 // Config controls Optimize.
 type Config struct {
 	// MaxSlew/MaxSkew override the technology bounds when nonzero.
@@ -70,21 +81,10 @@ type Config struct {
 	// InSlew is the clock transition at the root driver input
 	// (default sta.DefaultInSlew).
 	InSlew float64
-	// SlewSafety derates the slew bound during optimization so the final
-	// network keeps headroom (default 0.98).
-	SlewSafety float64
-	// MaxPasses bounds the downgrade sweeps (default 3).
-	MaxPasses int
-	// EdgeDeltaCap bounds the arrival shift a single edge change may
-	// introduce at any stage endpoint; keeps the post-pass skew repair
-	// cheap (default: the skew bound).
-	EdgeDeltaCap float64
 	// Order is the candidate ordering (ablation A1).
 	Order Order
 	// DisableRepair skips the integrated skew repair (ablation A2).
 	DisableRepair bool
-	// RepairIters bounds skew-repair iterations (default 25).
-	RepairIters int
 	// EM, when non-nil, activates electromigration awareness: per-edge
 	// width floors are computed up front and no edge is downgraded below
 	// its floor. Nil reproduces the slew/skew-only optimization.
@@ -105,18 +105,6 @@ func (c Config) withDefaults(te *tech.Tech) Config {
 	if c.InSlew == 0 {
 		c.InSlew = sta.DefaultInSlew
 	}
-	if c.SlewSafety == 0 {
-		c.SlewSafety = 0.98
-	}
-	if c.MaxPasses == 0 {
-		c.MaxPasses = 3
-	}
-	if c.EdgeDeltaCap == 0 {
-		c.EdgeDeltaCap = c.MaxSkew
-	}
-	if c.RepairIters == 0 {
-		c.RepairIters = 25
-	}
 	return c
 }
 
@@ -124,12 +112,6 @@ func (c Config) withDefaults(te *tech.Tech) Config {
 func (c Config) Validate() error {
 	if c.MaxSlew < 0 || c.MaxSkew < 0 || c.InSlew < 0 {
 		return errors.New("core: negative constraint")
-	}
-	if c.SlewSafety < 0 || c.SlewSafety > 1 {
-		return fmt.Errorf("core: slew safety %g out of [0,1]", c.SlewSafety)
-	}
-	if c.MaxPasses < 0 || c.RepairIters < 0 {
-		return errors.New("core: negative iteration bound")
 	}
 	return nil
 }

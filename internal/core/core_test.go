@@ -317,9 +317,6 @@ func TestAssignTopLevels(t *testing.T) {
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{MaxSlew: -1},
-		{SlewSafety: 2},
-		{MaxPasses: -1},
-		{RepairIters: -3},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -23,10 +23,11 @@ type EMLimit struct {
 	// JRms is the allowed RMS current density per micron of wire width,
 	// A/µm. Derated clock-layer copper at 45 nm sustains ≈ 0.5–1.5 mA/µm.
 	JRms float64
-	// WaveShape converts average charging current to RMS for a clock
-	// square wave (default 1.6, the usual triangle-pulse approximation).
-	WaveShape float64
 }
+
+// waveShape converts average charging current to RMS for a clock square
+// wave: the usual triangle-pulse approximation.
+const waveShape = 1.6
 
 // DefaultEMLimit returns a 45 nm-class clock EM rule: 0.7 mA/µm RMS,
 // the derated (105 °C, thin-barrier) copper limit clock signoff applies.
@@ -35,12 +36,12 @@ type EMLimit struct {
 // NDR already provides width, which is the practical reason clock NDRs
 // carry a width component at all.
 func DefaultEMLimit() EMLimit {
-	return EMLimit{JRms: 0.7e-3, WaveShape: 1.6}
+	return EMLimit{JRms: 0.7e-3}
 }
 
 // Validate checks the limit.
 func (l EMLimit) Validate() error {
-	if l.JRms <= 0 || l.WaveShape <= 0 {
+	if l.JRms <= 0 {
 		return fmt.Errorf("core: bad EM limit %+v", l)
 	}
 	return nil
@@ -53,7 +54,7 @@ func (l EMLimit) Validate() error {
 // input pins terminate the charge path, so within-stage downstream cap is
 // the right quantity — the same D the STA exposes).
 func edgeRmsCurrent(downCap float64, te *tech.Tech, l EMLimit) float64 {
-	return l.WaveShape * downCap * te.Vdd * te.Freq
+	return waveShape * downCap * te.Vdd * te.Freq
 }
 
 // EMFloors computes, per node, the minimum rule index (in the given

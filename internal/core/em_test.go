@@ -104,7 +104,7 @@ func TestEnforceEMImpossible(t *testing.T) {
 	te := tech.Tech45()
 	lib := cell.Default45()
 	tr := buildBlanket(t, 50, 71, 800, te, lib)
-	l := EMLimit{JRms: 1e-6, WaveShape: 1.6} // absurdly strict
+	l := EMLimit{JRms: 1e-6} // absurdly strict
 	if _, err := EnforceEM(tr, te, lib, 40e-12, l); err == nil {
 		t.Error("unsatisfiable EM rule must error")
 	}

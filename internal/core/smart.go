@@ -128,12 +128,12 @@ func optimize(t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config, tim t
 		return nil, err
 	}
 	stats.CapBefore = res.TotalSwitchedCap()
-	slewLimit := cfg.MaxSlew * cfg.SlewSafety
+	slewLimit := cfg.MaxSlew * slewSafety
 
 	if !cfg.DisableRepair {
 		rsp := tr.Start("init_repair")
 		defer rsp.End() // error paths; no-op after the explicit End below
-		rep, err := repairToTargets(tim, t, te, lib, cfg.InSlew, nil, cfg.MaxSkew, cfg.RepairIters)
+		rep, err := repairToTargets(tim, t, te, lib, cfg.InSlew, nil, cfg.MaxSkew, repairIters)
 		if err != nil {
 			return nil, err
 		}
@@ -150,96 +150,16 @@ func optimize(t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config, tim t
 	arrivals := make([]float64, len(span.node))
 	at := &arrTree{}
 
-	var emFloor []float64
 	var passCap []float64 // switched cap observed at the start of each sweep
-
-	for pass := 0; pass < cfg.MaxPasses; pass++ {
-		psp := tr.Start("pass", obs.I("pass", pass))
-		res, err = tim.Analyze(t, cfg.InSlew)
+	for pass := 0; pass < maxPasses; pass++ {
+		capAt, changed, err := sweep(pass, tim, se, cfg, span, at, arrivals, byCap, slewLimit)
 		if err != nil {
-			psp.End()
 			return nil, err
 		}
-		passCap = append(passCap, res.TotalSwitchedCap())
-		if cfg.EM != nil {
-			// EM width floors against the *current* parasitics: early
-			// passes see the conservative (heavier-wire) floors, later
-			// passes relax them as downstream capacitance drops — the
-			// assignment converges to the floors of its own final state.
-			// Through the shared engine this analysis is free: nothing
-			// changed since the pass-top query, so it is served from cache.
-			emFloor, err = emFloors(tim, t, te, cfg.InSlew, *cfg.EM)
-			if err != nil {
-				psp.End()
-				return nil, err
-			}
-		}
-		// Skew budget: never worse than what we started the pass with,
-		// and no worse than the bound when we are inside it.
-		for pos, v := range span.node {
-			arrivals[pos] = res.Arrival[v]
-		}
-		at.reset(arrivals)
-		// Stay comfortably inside the bound: the stage-model arrivals the
-		// segment tree tracks drift slightly from full STA (input-slew
-		// cascades), so targeting 80% of the bound keeps the *real* final
-		// skew under it without needing a heavy repair afterwards.
-		skewBudget := 0.8 * cfg.MaxSkew
-		if s := res.Skew(); s > skewBudget {
-			skewBudget = s
-		}
-
-		changed := 0
-		for _, u := range se.drivers {
-			se.reset(u)
-			if len(se.nodes) == 0 {
-				continue
-			}
-			inSlew := res.Slew[u]
-			// cur lives in se.arr[0] and every candidate is evaluated into
-			// se.arr[1]; an accepted candidate swaps the two.
-			cur := se.eval(inSlew, se.arr[0])
-			if cur.worstSlew > slewLimit {
-				continue // no headroom; recovery sweep handles true violations
-			}
-			for _, v := range se.candidateOrder(cfg.Order, byCap) {
-				curCost := te.Layer.CPerUm(te.Rule(t.Nodes[v].Rule))
-				for _, ri := range byCap {
-					if te.Layer.CPerUm(te.Rule(ri)) >= curCost {
-						break // remaining candidates are not cheaper
-					}
-					if emFloor != nil && te.Rule(ri).WMult < emFloor[v] {
-						continue // below the electromigration width floor
-					}
-					old := t.Nodes[v].Rule
-					t.Nodes[v].Rule = ri
-					cand := se.eval(inSlew, se.arr[1])
-					if cand.worstSlew > slewLimit ||
-						se.maxEndpointShift(cand, cur) > cfg.EdgeDeltaCap {
-						t.Nodes[v].Rule = old
-						continue
-					}
-					// Exact global skew check: shift each endpoint's sink
-					// subtree by its arrival delta.
-					se.applyShifts(at, span, cand, cur)
-					if at.Skew() > skewBudget {
-						se.applyShifts(at, span, cur, cand) // revert
-						t.Nodes[v].Rule = old
-						continue
-					}
-					cur = cand
-					se.arr[0], se.arr[1] = se.arr[1], se.arr[0]
-					tim.Touch(v) // accepted: next analysis sees one dirty edge
-					changed++
-					stats.Downgrades++
-					break // cheapest passing rule wins
-				}
-			}
-		}
+		passCap = append(passCap, capAt)
 		stats.Passes++
+		stats.Downgrades += changed
 		stats.PassDowngrades = append(stats.PassDowngrades, changed)
-		psp.Set("downgrades", changed)
-		psp.End()
 		if changed == 0 {
 			break
 		}
@@ -252,6 +172,7 @@ func optimize(t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config, tim t
 	// that create violations), and a fresh call restarts its adaptive
 	// damping, so re-invoking it after upgrades keeps making progress.
 	rvsp := tr.Start("recover")
+	defer rvsp.End() // no-op after the explicit End below
 	up0 := recoverViolations(tim, se, cfg, slewLimit, cfg.MaxSlew, byCap)
 	stats.Upgrades += up0
 	stats.RecoverRounds++
@@ -264,7 +185,7 @@ func optimize(t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config, tim t
 		rounds := 0
 		for round := 0; round < 8; round++ {
 			rounds = round + 1
-			rep, err := repairToTargets(tim, t, te, lib, cfg.InSlew, nil, cfg.MaxSkew, cfg.RepairIters)
+			rep, err := repairToTargets(tim, t, te, lib, cfg.InSlew, nil, cfg.MaxSkew, repairIters)
 			if err != nil {
 				return nil, err
 			}
@@ -328,6 +249,99 @@ func optimize(t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config, tim t
 	sp.Set("passes", stats.Passes)
 	sp.Set("downgrades", stats.Downgrades)
 	return stats, nil
+}
+
+// sweep runs downgrade sweep p. It visits every buffer stage and moves
+// each edge to the cheapest rule class that keeps all of the stage's
+// transitions within slewLimit and the global skew within budget. It
+// returns the switched cap at the sweep's start and the number of
+// downgrades it accepted. at and arrivals are scratch the sweep resets.
+func sweep(p int, tim timer, se *stageEval, cfg Config, span *sinkSpan, at *arrTree, arrivals []float64, byCap []int, slewLimit float64) (capAt float64, changed int, err error) {
+	t, te := se.t, se.te
+	sp := cfg.Tracer.Start("pass", obs.I("pass", p))
+	defer sp.End()
+	res, err := tim.Analyze(t, cfg.InSlew)
+	if err != nil {
+		return 0, 0, err
+	}
+	capAt = res.TotalSwitchedCap()
+	var emFloor []float64
+	if cfg.EM != nil {
+		// EM width floors against the *current* parasitics: early
+		// passes see the conservative (heavier-wire) floors, later
+		// passes relax them as downstream capacitance drops — the
+		// assignment converges to the floors of its own final state.
+		// Through the shared engine this analysis is free: nothing
+		// changed since the pass-top query, so it is served from cache.
+		emFloor, err = emFloors(tim, t, te, cfg.InSlew, *cfg.EM)
+		if err != nil {
+			return 0, 0, err
+		}
+	}
+	// Skew budget: never worse than what we started the pass with,
+	// and no worse than the bound when we are inside it.
+	for pos, v := range span.node {
+		arrivals[pos] = res.Arrival[v]
+	}
+	at.reset(arrivals)
+	// Stay comfortably inside the bound: the stage-model arrivals the
+	// segment tree tracks drift slightly from full STA (input-slew
+	// cascades), so targeting 80% of the bound keeps the *real* final
+	// skew under it without needing a heavy repair afterwards.
+	skewBudget := 0.8 * cfg.MaxSkew
+	if s := res.Skew(); s > skewBudget {
+		skewBudget = s
+	}
+
+	for _, u := range se.drivers {
+		se.reset(u)
+		if len(se.nodes) == 0 {
+			continue
+		}
+		inSlew := res.Slew[u]
+		// cur lives in se.arr[0] and every candidate is evaluated into
+		// se.arr[1]; an accepted candidate swaps the two.
+		cur := se.eval(inSlew, se.arr[0])
+		if cur.worstSlew > slewLimit {
+			continue // no headroom; recovery sweep handles true violations
+		}
+		for _, v := range se.candidateOrder(cfg.Order, byCap) {
+			curCost := te.Layer.CPerUm(te.Rule(t.Nodes[v].Rule))
+			for _, ri := range byCap {
+				if te.Layer.CPerUm(te.Rule(ri)) >= curCost {
+					break // remaining candidates are not cheaper
+				}
+				if emFloor != nil && te.Rule(ri).WMult < emFloor[v] {
+					continue // below the electromigration width floor
+				}
+				old := t.Nodes[v].Rule
+				t.Nodes[v].Rule = ri
+				cand := se.eval(inSlew, se.arr[1])
+				// One edge change may shift a stage endpoint by at most
+				// the skew bound, which keeps the post-pass repair cheap.
+				if cand.worstSlew > slewLimit ||
+					se.maxEndpointShift(cand, cur) > cfg.MaxSkew {
+					t.Nodes[v].Rule = old
+					continue
+				}
+				// Exact global skew check: shift each endpoint's sink
+				// subtree by its arrival delta.
+				se.applyShifts(at, span, cand, cur)
+				if at.Skew() > skewBudget {
+					se.applyShifts(at, span, cur, cand) // revert
+					t.Nodes[v].Rule = old
+					continue
+				}
+				cur = cand
+				se.arr[0], se.arr[1] = se.arr[1], se.arr[0]
+				tim.Touch(v) // accepted: next analysis sees one dirty edge
+				changed++
+				break // cheapest passing rule wins
+			}
+		}
+	}
+	sp.Set("downgrades", changed)
+	return capAt, changed, nil
 }
 
 // recoverViolations upgrades rule classes and, when drive-limited, the

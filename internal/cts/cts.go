@@ -47,16 +47,6 @@ import (
 
 // Options configure the builder.
 type Options struct {
-	// ClusterCapFrac is the fraction of MaxCapPerStage a leaf cluster may
-	// fill (default 0.8).
-	ClusterCapFrac float64
-	// TopCapFrac is the fraction of MaxCapPerStage one repeated-line
-	// segment may fill (default 0.5 — junction repeaters drive two
-	// segments, so half a budget each keeps junction stages legal).
-	TopCapFrac float64
-	// RefSlew is the reference input transition used for cell selection
-	// and linearization (default 50 ps).
-	RefSlew float64
 	// LinearTopModel switches the top-tree DME from the exact repeated-
 	// line model to the amortized linear-rate model. The linear model
 	// ignores the discreteness of repeater counts and leaves an extra
@@ -73,6 +63,19 @@ type Options struct {
 	Tracer *obs.Tracer
 }
 
+// clusterCapFrac is the fraction of MaxCapPerStage a leaf cluster may
+// fill.
+const clusterCapFrac = 0.8
+
+// topCapFrac is the fraction of MaxCapPerStage one repeated-line segment
+// may fill: junction repeaters drive two segments, so half a budget each
+// keeps junction stages legal.
+const topCapFrac = 0.5
+
+// refSlew is the reference input transition used for cell selection and
+// linearization, s.
+const refSlew = 50e-12
+
 // clusterSlewMargin is the fraction of the slew budget a cluster buffer's
 // lumped output transition may use; the rest covers in-cluster wire slew.
 const clusterSlewMargin = 0.6
@@ -84,35 +87,6 @@ const calibrationIters = 8
 // trimDamping under-corrects each trim iteration: lengthening a leaf edge
 // also loads its upstream junction, which the trim estimate does not see.
 const trimDamping = 0.9
-
-// withDefaults fills unset options.
-func (o Options) withDefaults() Options {
-	if o.ClusterCapFrac == 0 {
-		o.ClusterCapFrac = 0.8
-	}
-	if o.TopCapFrac == 0 {
-		o.TopCapFrac = 0.5
-	}
-	if o.RefSlew == 0 {
-		o.RefSlew = 50e-12
-	}
-	return o
-}
-
-// Validate checks the options.
-func (o Options) Validate() error {
-	o = o.withDefaults()
-	if o.ClusterCapFrac <= 0 || o.ClusterCapFrac > 1 {
-		return fmt.Errorf("cts: cluster cap fraction %g out of (0,1]", o.ClusterCapFrac)
-	}
-	if o.TopCapFrac <= 0 || o.TopCapFrac > 1 {
-		return fmt.Errorf("cts: top cap fraction %g out of (0,1]", o.TopCapFrac)
-	}
-	if o.RefSlew <= 0 {
-		return fmt.Errorf("cts: non-positive reference slew %g", o.RefSlew)
-	}
-	return nil
-}
 
 // Result is a built clock tree plus construction telemetry.
 type Result struct {
@@ -138,10 +112,6 @@ func Build(sinks []ctree.Sink, src geom.Point, te *tech.Tech, lib *cell.Library,
 	if err := lib.Validate(); err != nil {
 		return nil, err
 	}
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	opt = opt.withDefaults()
 	tr := opt.Tracer
 	sp := tr.Start("cts.build", obs.I("sinks", len(sinks)))
 	defer sp.End()
@@ -153,7 +123,7 @@ func Build(sinks []ctree.Sink, src geom.Point, te *tech.Tech, lib *cell.Library,
 	// Plan the top-level repeated line up front: its steady-state input
 	// transition is the slew every repeater *and* every cluster buffer
 	// actually sees, so all delay estimates below linearize around it.
-	rl, err := buffering.PlanRepeatedLine(lib, r, c, opt.TopCapFrac*te.MaxCapPerStage, te.MaxSlew, opt.RefSlew)
+	rl, err := buffering.PlanRepeatedLine(lib, r, c, topCapFrac*te.MaxCapPerStage, te.MaxSlew, refSlew)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +136,7 @@ func Build(sinks []ctree.Sink, src geom.Point, te *tech.Tech, lib *cell.Library,
 	if err != nil {
 		return nil, err
 	}
-	clusters, err := bp.clusterize(opt.ClusterCapFrac * te.MaxCapPerStage)
+	clusters, err := bp.clusterize(clusterCapFrac * te.MaxCapPerStage)
 	if err != nil {
 		return nil, err
 	}
@@ -304,7 +274,7 @@ func Build(sinks []ctree.Sink, src geom.Point, te *tech.Tech, lib *cell.Library,
 		if iter == iters-1 {
 			break
 		}
-		an, err := inc.Full(final, opt.RefSlew, nil, nil)
+		an, err := inc.Full(final, refSlew, nil, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -172,12 +172,6 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build(nil, geom.Point{}, te, lib, Options{}); err == nil {
 		t.Error("empty sink set must fail")
 	}
-	if _, err := Build(randomSinks(4, 1, 10), geom.Point{}, te, lib, Options{ClusterCapFrac: 2}); err == nil {
-		t.Error("cluster fraction > 1 must fail")
-	}
-	if _, err := Build(randomSinks(4, 1, 10), geom.Point{}, te, lib, Options{RefSlew: -1}); err == nil {
-		t.Error("negative ref slew must fail")
-	}
 	badTech := tech.Tech45()
 	badTech.Vdd = -1
 	if _, err := Build(randomSinks(4, 1, 10), geom.Point{}, badTech, lib, Options{}); err == nil {
@@ -292,7 +286,7 @@ func TestClusterizeMatchesReference(t *testing.T) {
 	for _, te := range []*tech.Tech{tech.Tech45(), tech.Tech65()} {
 		blanket := te.Rule(te.BlanketRule)
 		p := dme.Params{Model: dme.Elmore, RPerUm: te.Layer.RPerUm(blanket), CPerUm: te.Layer.CPerUm(blanket)}
-		budget := Options{}.withDefaults().ClusterCapFrac * te.MaxCapPerStage
+		budget := clusterCapFrac * te.MaxCapPerStage
 		for i := 0; i < 50; i++ {
 			sinks := oracleSinks(i)
 			name := fmt.Sprintf("%s/set%d(%d sinks)", te.Name, i, len(sinks))

@@ -58,8 +58,6 @@ type Config struct {
 	// measurement and the final global balance (default
 	// sta.DefaultInSlew).
 	InSlew float64
-	// BalanceIters bounds the final global skew-repair loop (default 40).
-	BalanceIters int
 	// CTS configures the per-region and top-tree builders. The top build
 	// always runs with NoCalibration — see Build.
 	CTS cts.Options
@@ -71,6 +69,9 @@ type Config struct {
 	// stitch, balance). Nil disables instrumentation at no cost.
 	Tracer *obs.Tracer
 }
+
+// balanceIters bounds the final global skew-repair loop.
+const balanceIters = 40
 
 func (c Config) withDefaults() Config {
 	if c.MaxRegionSinks == 0 {
@@ -84,9 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Opt.InSlew == 0 {
 		c.Opt.InSlew = c.InSlew
-	}
-	if c.BalanceIters == 0 {
-		c.BalanceIters = 40
 	}
 	return c
 }
@@ -103,7 +101,7 @@ func (c Config) Validate() error {
 	if c.InSlew <= 0 {
 		return fmt.Errorf("hier: non-positive input slew %g", c.InSlew)
 	}
-	return c.CTS.Validate()
+	return nil
 }
 
 // Result is a hierarchical build plus its telemetry.
@@ -289,7 +287,7 @@ func Build(ctx context.Context, sinks []ctree.Sink, src geom.Point, te *tech.Tec
 	}
 	balSpan := tr.Start("hier.balance")
 	defer balSpan.End() // error paths; no-op after the explicit End below
-	bal, err := core.RepairSkew(final, te, lib, cfg.InSlew, globalSkew, cfg.BalanceIters)
+	bal, err := core.RepairSkew(final, te, lib, cfg.InSlew, globalSkew, balanceIters)
 	if err != nil {
 		return nil, fmt.Errorf("hier: balance: %w", err)
 	}

@@ -12,22 +12,11 @@ import (
 // from re-generating and re-marshaling the library. A rise fails; a fall
 // is re-pinned with the change that earns it.
 func TestFlowKeyAllocs(t *testing.T) {
-	if testutil.RaceEnabled {
-		t.Skip("the race detector changes allocation counts")
-	}
 	fr := &FlowRunner{}
 	req := &FlowRequest{Bench: "cns01", Scheme: "smart-ndr"}
-	if _, err := fr.FlowKey(req); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+	testutil.PinAllocs(t, "FlowRunner.FlowKey", 5, 23, func() {
 		if _, err := fr.FlowKey(req); err != nil {
 			t.Fatal(err)
 		}
 	})
-	const ceil = 23
-	if allocs > ceil {
-		t.Errorf("FlowRunner.FlowKey allocates %.0f objects, ceiling %d", allocs, ceil)
-	}
-	t.Logf("allocs: FlowKey %.0f", allocs)
 }

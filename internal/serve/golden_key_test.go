@@ -9,18 +9,23 @@ import (
 )
 
 // TestGoldenKeysUnchangedByEditSupport pins the content addresses of
-// edit-free flow, sweep, and batch requests under flow key version v6.
+// edit-free flow, sweep, and batch requests under flow key version v7.
 // Edit-free requests must keep producing exactly these hashes: the edits
 // field is omitempty in the canonical serialization, so session support
-// never moves a plain run's address. The addresses were re-pinned three
+// never moves a plain run's address. The addresses were re-pinned four
 // times, deliberately: when the result-neutral incremental-STA switch left
 // the serialized optimizer config and the key version went from v2
 // (plain) / v3 (edited) to a single v4; when the optimizer's input slew
 // began resolving from the flow's (so the serialized optimizer config
-// carries it) and the version went to v5; and when the topology knob left
+// carries it) and the version went to v5; when the topology knob left
 // the serialized cts options (bipartition is the only topology; every
-// tree is unchanged) and the version went to v6. If this test fails, a
-// serialization change silently invalidated every deployed cache.
+// tree is unchanged) and the version went to v6; and when the engine
+// settings no caller set (the optimizer's slew safety, pass and repair
+// bounds and edge shift cap, the builder's cap fractions and reference
+// slew) became constants at the values they always took, leaving the
+// serialized cts options and optimizer config, and the version went to
+// v7. If this test fails, a serialization change silently invalidated
+// every deployed cache.
 func TestGoldenKeysUnchangedByEditSupport(t *testing.T) {
 	fr := &FlowRunner{}
 	spec := workload.Spec{Name: "gold", Dist: workload.Uniform, Sinks: 48,
@@ -30,13 +35,13 @@ func TestGoldenKeysUnchangedByEditSupport(t *testing.T) {
 		want string
 	}{
 		{&FlowRequest{Bench: "cns01", Scheme: "smart-ndr"},
-			"61d342ecc83874ffe8477b5cbcfeb797ba1f22ec3b086e7c48658d0e1d4873df"},
+			"df1a2817da753bb5834af9773b4a73133e65107d3b05ad88bdb9b796c55d47ef"},
 		{&FlowRequest{Bench: "cns03", Scheme: "blanket-ndr", Tech: "tech65", TopK: 3, InSlewPS: 60},
-			"5e9c4c374771a3b5ba31233d5e06f3616178607ae4dcb1a108e123972d43353c"},
+			"aa1455e4b376fe988008ac0a0bd2edcd0004d9be01e8be7a9c5d0c175a772af0"},
 		{&FlowRequest{Spec: &spec, Scheme: "top-k", TopK: 4},
-			"34fdf64985959dccacd33987e0d050dd676fa907aff144f31d93e7aa9714059b"},
+			"66b1d05a4c5ea6dd2c9fa9b97b5ed0847ac917e5f74372969d92c7f3c3ca9c30"},
 		{&FlowRequest{Spec: &spec, Scheme: "smart-ndr", MaxRegionSinks: 32, SkewSplit: 0.6},
-			"28771b8d51d3c081fdfa136c31cf447973d7cdd7d987a5ab0dccf4780118de50"},
+			"e6c55a1baeec6b02de21b8a0a4759b1d6d48b8ddf8bed0743b0991da9370cec4"},
 	}
 	for i, c := range flows {
 		got, err := fr.FlowKey(c.req)
@@ -54,7 +59,7 @@ func TestGoldenKeysUnchangedByEditSupport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "5e8a9df11b83ccaf9e46158316812c0e7a1e529b56d856ed0ed97dbad08f4063"; got != want {
+	if want := "aae033484103621bbc5019334c18708593e542d6fc3f319670615628c792848b"; got != want {
 		t.Errorf("sweep key = %s, want golden %s", got, want)
 	}
 
@@ -67,7 +72,7 @@ func TestGoldenKeysUnchangedByEditSupport(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := batchKey([]string{k0, k2}),
-		"715c8b2a163d3b6b3e714719485840716fccd9595ce26b50691c52b55996fea7"; got != want {
+		"682366e066103cc1c281ae3249947a738ca4c13716f81c0a2c1fef5facb4c91c"; got != want {
 		t.Errorf("batch key = %s, want golden %s", got, want)
 	}
 }

@@ -259,9 +259,9 @@ func (fr *FlowRunner) RunSweep(ctx context.Context, req *SweepRequest, tr *obs.T
 	cfg.Tracer = tr
 	flow := smartndr.NewFlow(cfg)
 	sp := tr.Start("sweep.build")
+	defer sp.End() // error paths; no-op after the explicit End below
 	bm, err := smartndr.GenerateBenchmark(spec)
 	if err != nil {
-		sp.End()
 		return nil, err
 	}
 	built, err := flow.Build(bm.Sinks, bm.Src)

@@ -1,6 +1,7 @@
 package sta_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -414,4 +415,73 @@ func TestIncrementalRootBufferResize(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareExact(t, "root-resize", tree, got, want)
+}
+
+// TestSummaryMatchesResultOnNonFiniteArrivals drives NaN and infinite
+// sink arrivals through Overrides.EdgeR and checks that the engine's
+// Summary holds exactly the bits of Result.Skew and
+// Result.MaxSinkArrival. A NaN arrival makes both NaN, even next to an
+// infinite one; on every other input they keep the bits of a math.Min
+// and math.Max fold, finite inputs included.
+func TestSummaryMatchesResultOnNonFiniteArrivals(t *testing.T) {
+	te := tech.Tech45()
+	lib := cell.Default45()
+	tree := synthTree(t, 60, 11, te, lib)
+	var leaves []int
+	for v := range tree.Nodes {
+		nd := &tree.Nodes[v]
+		if nd.SinkIdx != ctree.NoSink && nd.BufIdx == ctree.NoBuf && tree.IsLeaf(v) {
+			leaves = append(leaves, v)
+		}
+	}
+	if len(leaves) < 3 {
+		t.Fatalf("tree has %d unbuffered leaf sinks, want at least 3", len(leaves))
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name  string
+		edgeR []float64 // replaces the feeding-edge resistance of leaves[i]
+	}{
+		{"finite", nil},
+		{"nan", []float64{nan}},
+		{"+inf", []float64{inf}},
+		{"-inf", []float64{-inf}},
+		{"+inf,-inf", []float64{inf, -inf}},
+		{"nan,+inf", []float64{nan, inf}},
+		{"nan,-inf", []float64{nan, -inf}},
+		{"nan,+inf,-inf", []float64{nan, inf, -inf}},
+	}
+	bits := math.Float64bits
+	for _, c := range cases {
+		ov := scaledOverrides(tree, te, 1, 1, 1)
+		for i, r := range c.edgeR {
+			ov.EdgeR[leaves[i]] = r
+		}
+		inc := sta.NewIncremental(te, lib)
+		res, err := inc.Full(tree, 40e-12, ov, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		sum := inc.Summary()
+		skew, maxArr := res.Skew(), res.MaxSinkArrival()
+		if bits(sum.Skew) != bits(skew) || bits(sum.MaxSinkArrival) != bits(maxArr) {
+			t.Errorf("%s: Summary skew %v max %v, Result skew %v max %v",
+				c.name, sum.Skew, sum.MaxSinkArrival, skew, maxArr)
+		}
+		lo, hi, hasNaN := math.Inf(1), math.Inf(-1), false
+		for _, a := range res.SinkArrivals(tree) {
+			lo, hi = math.Min(lo, a), math.Max(hi, a)
+			hasNaN = hasNaN || math.IsNaN(a)
+		}
+		if hasNaN {
+			if !math.IsNaN(skew) || !math.IsNaN(maxArr) {
+				t.Errorf("%s: a NaN arrival gave skew %v max %v, want NaN", c.name, skew, maxArr)
+			}
+		} else if bits(skew) != bits(hi-lo) || bits(maxArr) != bits(hi) {
+			t.Errorf("%s: skew %v max %v, math.Min/Max fold %v %v", c.name, skew, maxArr, hi-lo, hi)
+		}
+		if hasNaN != (len(c.edgeR) > 0 && math.IsNaN(c.edgeR[0])) {
+			t.Errorf("%s: NaN arrival present %v, want it exactly where an edge is NaN", c.name, hasNaN)
+		}
+	}
 }

@@ -62,25 +62,34 @@ type Result struct {
 	sinkNodes []int
 }
 
+// sinkExtremes returns the least and the greatest sink arrival, +Inf and
+// −Inf without sinks. It folds with the min and max builtins, so one NaN
+// arrival makes both extremes NaN, even where another arrival is
+// infinite (math.Min and math.Max would let −Inf or +Inf win there). On
+// every input without a NaN the builtins give math.Min's and math.Max's
+// bits. Skew, MaxSinkArrival and Incremental.Summary all read this one
+// scan, so they agree bit for bit.
+func (r *Result) sinkExtremes() (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, v := range r.sinkNodes {
+		lo = min(lo, r.Arrival[v])
+		hi = max(hi, r.Arrival[v])
+	}
+	return lo, hi
+}
+
 // MaxSinkArrival returns the largest sink arrival (insertion delay).
 func (r *Result) MaxSinkArrival() float64 {
-	hi := math.Inf(-1)
-	for _, v := range r.sinkNodes {
-		hi = math.Max(hi, r.Arrival[v])
-	}
+	_, hi := r.sinkExtremes()
 	return hi
 }
 
-// Skew returns max−min sink arrival.
+// Skew returns max−min sink arrival, 0 without sinks.
 func (r *Result) Skew() float64 {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range r.sinkNodes {
-		lo = math.Min(lo, r.Arrival[v])
-		hi = math.Max(hi, r.Arrival[v])
-	}
 	if len(r.sinkNodes) == 0 {
 		return 0
 	}
+	lo, hi := r.sinkExtremes()
 	return hi - lo
 }
 
@@ -294,6 +303,7 @@ func (inc *Incremental) pass(t *ctree.Tree, inSlew float64, ov *Overrides, tr *o
 	// owning stage driver's output pin to v; stageOutArr/stageOutSlew are
 	// indexed by driver node.
 	propSpan := tr.Start("propagate")
+	defer propSpan.End() // no-op after the explicit End below
 	elm := inc.elm
 	stageOutArr := inc.stageOutArr
 	stageOutSlew := inc.stageOutSlew

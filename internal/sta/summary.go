@@ -1,7 +1,6 @@
 package sta
 
 import (
-	"math"
 	"slices"
 
 	"smartndr/internal/ctree"
@@ -42,14 +41,7 @@ type Summary struct {
 func (inc *Incremental) Summary() *Summary {
 	res, sum := &inc.res, &inc.sum
 	if inc.arrStale {
-		// The min and max builtins follow math.Min and math.Max on NaN,
-		// infinities and signed zeros, as Result.Skew does, inline.
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, v := range res.sinkNodes {
-			lo = min(lo, res.Arrival[v])
-			hi = max(hi, res.Arrival[v])
-		}
-		inc.sinkLo, inc.sinkHi = lo, hi
+		inc.sinkLo, inc.sinkHi = res.sinkExtremes()
 		inc.arrStale = false
 	}
 	sum.MaxSinkArrival, sum.Skew = inc.sinkHi, 0

@@ -41,8 +41,6 @@ type Params struct {
 	// SpatialFrac is the fraction of variance carried by the spatially
 	// correlated field (the rest is white), in [0, 1].
 	SpatialFrac float64
-	// GridCells is the resolution of the correlated field (default 8).
-	GridCells int
 	// Samples is the Monte Carlo sample count.
 	Samples int
 	// Seed makes the run deterministic.
@@ -55,16 +53,11 @@ type Params struct {
 	Workers int
 }
 
-func (p Params) withDefaults() Params {
-	if p.GridCells == 0 {
-		p.GridCells = 8
-	}
-	return p
-}
+// gridCells is the resolution of the correlated field, cells per side.
+const gridCells = 8
 
 // Validate checks the parameters.
 func (p Params) Validate() error {
-	p = p.withDefaults()
 	switch {
 	case p.WidthSigma < 0 || p.BufSigma < 0:
 		return errors.New("variation: negative sigma")
@@ -72,8 +65,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("variation: spatial fraction %g out of [0,1]", p.SpatialFrac)
 	case p.Samples <= 0:
 		return fmt.Errorf("variation: non-positive sample count %d", p.Samples)
-	case p.GridCells <= 0:
-		return fmt.Errorf("variation: non-positive grid resolution %d", p.GridCells)
 	}
 	return nil
 }
@@ -85,7 +76,6 @@ func Defaults(seed int64) Params {
 		WidthSigma:  0.004,
 		BufSigma:    0.03,
 		SpatialFrac: 0.6,
-		GridCells:   8,
 		Samples:     500,
 		Seed:        seed,
 	}
@@ -192,7 +182,6 @@ func MonteCarlo(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64,
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	p = p.withDefaults()
 	workers := par.Workers(p.Workers)
 	sp := tr.Start("variation.montecarlo",
 		obs.I("samples", p.Samples), obs.I("workers", workers))
@@ -214,8 +203,8 @@ func MonteCarlo(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64,
 		sc := scratch[w]
 		if sc == nil {
 			sc = &trialScratch{
-				fw: emptyField(p.GridCells, bb),
-				fb: emptyField(p.GridCells, bb),
+				fw: emptyField(gridCells, bb),
+				fb: emptyField(gridCells, bb),
 				ov: sta.Overrides{
 					EdgeR:    make([]float64, n),
 					EdgeC:    make([]float64, n),

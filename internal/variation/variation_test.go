@@ -124,7 +124,6 @@ func TestParamsValidate(t *testing.T) {
 		{BufSigma: -1, Samples: 10},
 		{SpatialFrac: 2, Samples: 10},
 		{Samples: 0},
-		{Samples: 10, GridCells: -1},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
