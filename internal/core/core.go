@@ -108,10 +108,11 @@ func (c Config) withDefaults(te *tech.Tech) Config {
 	return c
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. Zero selects a default; NaN, like
+// a negative value, is an error.
 func (c Config) Validate() error {
-	if c.MaxSlew < 0 || c.MaxSkew < 0 || c.InSlew < 0 {
-		return errors.New("core: negative constraint")
+	if !(c.MaxSlew >= 0 && c.MaxSkew >= 0 && c.InSlew >= 0) {
+		return errors.New("core: negative or NaN constraint")
 	}
 	return nil
 }

@@ -317,6 +317,9 @@ func TestAssignTopLevels(t *testing.T) {
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{MaxSlew: -1},
+		{MaxSlew: math.NaN()},
+		{MaxSkew: math.NaN()},
+		{InSlew: math.NaN()},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

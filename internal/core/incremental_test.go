@@ -270,7 +270,27 @@ func benchRepairSkew(b *testing.B, full bool) {
 			tim = sta.NewIncremental(te, lib)
 		}
 		b.StartTimer()
-		if _, err := repairToTargets(tim, tr, te, lib, 40e-12, nil, te.MaxSkew, 30); err != nil {
+		sc := newRepairScratch(len(tr.Nodes))
+		if _, err := repairToTargets(tim, &sc, tr, te, lib, 40e-12, nil, te.MaxSkew, 30); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRepairSkewRollback is skew repair on TestRepairSkewAllocBound's
+// staggered 400-sink tree, which rolls back five of its six iterations:
+// the workload where keeping the accepted state's plan saves the most.
+func BenchmarkRepairSkewRollback(b *testing.B) {
+	te := tech.Tech45()
+	lib := cell.Default45()
+	base := staggeredTree(b, te, lib)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tr := base.Clone()
+		b.StartTimer()
+		if _, err := RepairSkew(tr, te, lib, 40e-12, te.MaxSkew, 30); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,7 +20,7 @@ func TestOptimizeAllocs(t *testing.T) {
 	if _, err := core.RepairSkew(base, te, lib, 40e-12, te.MaxSkew, 30); err != nil {
 		t.Fatal(err)
 	}
-	testutil.PinAllocs(t, "Optimize", 5, 204, func() {
+	testutil.PinAllocs(t, "Optimize", 5, 191, func() {
 		if _, err := core.Optimize(base.Clone(), te, lib, core.Config{EM: &em}); err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func TestRepairSkewAllocs(t *testing.T) {
 	te := tech.Tech45()
 	lib := cell.Default45()
 	base := core.BuildBlanket(t, 300, 55, 3000, te, lib)
-	testutil.PinAllocs(t, "RepairSkew", 5, 67, func() {
+	testutil.PinAllocs(t, "RepairSkew", 5, 61, func() {
 		if _, err := core.RepairSkew(base.Clone(), te, lib, 40e-12, te.MaxSkew, 30); err != nil {
 			t.Fatal(err)
 		}
@@ -74,5 +74,5 @@ func TestRepairSkewAllocBound(t *testing.T) {
 	if st := run(); st.Iters < 2 {
 		t.Skipf("repair converged in %d iterations — workload too easy to guard the loop", st.Iters)
 	}
-	testutil.PinAllocs(t, "RepairSkew(400 sinks, staggered)", 5, 227, func() { run() })
+	testutil.PinAllocs(t, "RepairSkew(400 sinks, staggered)", 5, 128, func() { run() })
 }

@@ -130,16 +130,20 @@ func optimize(t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config, tim t
 	stats.CapBefore = res.TotalSwitchedCap()
 	slewLimit := cfg.MaxSlew * slewSafety
 
+	// One repair scratch serves the initial repair and every cleanup round.
+	var rsc repairScratch
 	if !cfg.DisableRepair {
+		rsc = newRepairScratch(len(t.Nodes))
 		rsp := tr.Start("init_repair")
 		defer rsp.End() // error paths; no-op after the explicit End below
-		rep, err := repairToTargets(tim, t, te, lib, cfg.InSlew, nil, cfg.MaxSkew, repairIters)
+		rep, err := repairToTargets(tim, &rsc, t, te, lib, cfg.InSlew, nil, cfg.MaxSkew, repairIters)
 		if err != nil {
 			return nil, err
 		}
 		stats.RepairWire += rep.AddedWire
 		stats.RepairRounds++
 		rsp.Set("iters", rep.Iters)
+		rsp.Set("rollbacks", rep.Rollbacks)
 		rsp.Set("added_wire_um", rep.AddedWire)
 		rsp.End()
 	}
@@ -185,7 +189,7 @@ func optimize(t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config, tim t
 		rounds := 0
 		for round := 0; round < 8; round++ {
 			rounds = round + 1
-			rep, err := repairToTargets(tim, t, te, lib, cfg.InSlew, nil, cfg.MaxSkew, repairIters)
+			rep, err := repairToTargets(tim, &rsc, t, te, lib, cfg.InSlew, nil, cfg.MaxSkew, repairIters)
 			if err != nil {
 				return nil, err
 			}

@@ -95,10 +95,11 @@ func (c Config) Validate() error {
 	if c.MaxRegionSinks < 1 {
 		return fmt.Errorf("hier: non-positive region bound %d", c.MaxRegionSinks)
 	}
-	if c.SkewSplit <= 0 || c.SkewSplit >= 1 {
+	// Negated comparisons, so that NaN fails them too.
+	if !(c.SkewSplit > 0 && c.SkewSplit < 1) {
 		return fmt.Errorf("hier: skew split %g out of (0,1)", c.SkewSplit)
 	}
-	if c.InSlew <= 0 {
+	if !(c.InSlew > 0) {
 		return fmt.Errorf("hier: non-positive input slew %g", c.InSlew)
 	}
 	return nil
@@ -292,6 +293,7 @@ func Build(ctx context.Context, sinks []ctree.Sink, src geom.Point, te *tech.Tec
 		return nil, fmt.Errorf("hier: balance: %w", err)
 	}
 	balSpan.Set("iters", bal.Iters)
+	balSpan.Set("rollbacks", bal.Rollbacks)
 	balSpan.Set("final_skew_ps", bal.FinalSkew*1e12)
 	balSpan.End()
 

@@ -163,6 +163,8 @@ func TestBuildRejectsBadConfig(t *testing.T) {
 		{SkewSplit: -0.1},
 		{MaxRegionSinks: -4},
 		{InSlew: -1e-12},
+		{SkewSplit: math.NaN(), Smart: true},
+		{InSlew: math.NaN()},
 	} {
 		if _, err := Build(context.Background(), sinks, bm.Src, tech.Tech45(), cell.Default45(), cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
