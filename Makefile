@@ -66,8 +66,9 @@ bench-smoke:
 
 # One iteration of the 100K-sink hierarchical-flow benchmark — the scale
 # path's CI canary (generation, partition, per-region smart builds,
-# stitch, global balance; ~4 s on one core). The million-sink variant is
-# opt-in: SMARTNDR_BENCH_1M=1 make bench-scale.
+# stitch, global balance; about 1.3 s on a 2-vCPU VM, see
+# docs/performance.md). The million-sink variant is opt-in:
+# SMARTNDR_BENCH_1M=1 make bench-scale.
 bench-scale:
 	$(GO) test -run '^$$' -bench 'FlowSmart100K|FlowSmart1M' -benchtime=1x -benchmem .
 
