@@ -32,7 +32,7 @@ func benchTree(t *testing.T, flow *smartndr.Flow, n int) *smartndr.Built {
 func TestFlowBuildAllocs(t *testing.T) {
 	bm := testutil.Gen(t, smartndr.Suite()[0])
 	flow := smartndr.NewFlow(nil)
-	testutil.PinAllocs(t, "Flow.Build(cns01)", 5, 116, func() {
+	testutil.PinAllocs(t, "Flow.Build(cns01)", 5, 109, func() {
 		if _, err := flow.Build(bm.Sinks, bm.Src); err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestFlowBuildAllocs(t *testing.T) {
 func TestFlowSmartAllocs(t *testing.T) {
 	flow := smartndr.NewFlow(nil)
 	built := benchTree(t, flow, 1000)
-	testutil.PinAllocs(t, "Flow.Apply(smart)", 5, 279, func() {
+	testutil.PinAllocs(t, "Flow.Apply(smart)", 5, 264, func() {
 		if _, err := flow.Apply(built, smartndr.SchemeSmart); err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestMonteCarlo100Allocs(t *testing.T) {
 		WidthSigma: 0.004, BufSigma: 0.03, SpatialFrac: 0.6,
 		Samples: 100, Seed: 3, Workers: 1,
 	}
-	testutil.PinAllocs(t, "Flow.MonteCarlo(100 trials)", 3, 264, func() {
+	testutil.PinAllocs(t, "Flow.MonteCarlo(100 trials)", 3, 164, func() {
 		if _, err := flow.MonteCarlo(built.Tree, p); err != nil {
 			t.Fatal(err)
 		}

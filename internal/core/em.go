@@ -62,13 +62,15 @@ func edgeRmsCurrent(downCap float64, te *tech.Tech, l EMLimit) float64 {
 // Returns the floor as a minimum *width multiplier* per edge; rule
 // legality is then a simple WMult comparison.
 func EMFloors(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64, l EMLimit) ([]float64, error) {
-	return emFloors(sta.NewIncremental(te, lib), t, te, inSlew, l)
+	return emFloors(sta.NewIncremental(te, lib), t, te, inSlew, l, nil)
 }
 
 // emFloors is EMFloors against a caller-supplied timing engine: called
 // right after another analysis of the same tree state (as Optimize does
-// per pass), the timing query is served from cache.
-func emFloors(tim timer, t *ctree.Tree, te *tech.Tech, inSlew float64, l EMLimit) ([]float64, error) {
+// per pass), the timing query is served from cache. The floors are
+// written into floors when it holds one entry per node, so Optimize's
+// passes share one slice; otherwise into a new one.
+func emFloors(tim timer, t *ctree.Tree, te *tech.Tech, inSlew float64, l EMLimit, floors []float64) ([]float64, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
@@ -76,9 +78,12 @@ func emFloors(tim timer, t *ctree.Tree, te *tech.Tech, inSlew float64, l EMLimit
 	if err != nil {
 		return nil, err
 	}
-	floors := make([]float64, len(t.Nodes))
+	if len(floors) != len(t.Nodes) {
+		floors = make([]float64, len(t.Nodes))
+	}
 	for i := range t.Nodes {
 		if t.Nodes[i].Parent == ctree.NoNode {
+			floors[i] = 0
 			continue
 		}
 		irms := edgeRmsCurrent(res.DownCap[i], te, l)
@@ -100,7 +105,7 @@ type EMViolation struct {
 // floor.
 func AuditEM(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64, l EMLimit) ([]EMViolation, error) {
 	tim := sta.NewIncremental(te, lib)
-	floors, err := emFloors(tim, t, te, inSlew, l)
+	floors, err := emFloors(tim, t, te, inSlew, l, nil)
 	if err != nil {
 		return nil, err
 	}

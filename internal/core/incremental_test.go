@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -294,4 +296,82 @@ func BenchmarkRepairSkewRollback(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRepairSkewRollbackFullSTA is BenchmarkRepairSkewRollback with
+// every state timed by a full pass: the pair prices the repair loop's
+// incremental engine against the full pass on a workload that iterates.
+func BenchmarkRepairSkewRollbackFullSTA(b *testing.B) {
+	te := tech.Tech45()
+	lib := cell.Default45()
+	base := staggeredTree(b, te, lib)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tr := base.Clone()
+		b.StartTimer()
+		sc := newRepairScratch(len(tr.Nodes))
+		if _, err := repairToTargets(newFullTimer(te, lib), &sc, tr, te, lib, 40e-12, nil, te.MaxSkew, 30); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestRepairSkewParallelMatchesSerial: the balance's entry point, whose
+// engine times every state with a full pass on its workers, returns
+// RepairSkew's stats and tree bit for bit at 1, 2, 3 and 8 workers, on
+// stitched trees, whose balances iterate and roll back, and on the
+// staggered tree.
+func TestRepairSkewParallelMatchesSerial(t *testing.T) {
+	te := tech.Tech45()
+	lib := cell.Default45()
+	for _, c := range []struct {
+		name string
+		tree *ctree.Tree
+	}{
+		{"stitched-smart", stitchedTree(t, 3000, 400, 2, true, te, lib)},
+		{"stitched-blanket", stitchedTree(t, 5000, 300, 3, false, te, lib)},
+		{"staggered", staggeredTree(t, te, lib)},
+	} {
+		want := c.tree.Clone()
+		stWant, err := RepairSkew(want, te, lib, 40e-12, te.MaxSkew, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stWant.Iters < 2 || stWant.Rollbacks == 0 {
+			t.Fatalf("%s: balance ran %d iterations, %d rolled back — too few to compare the engines", c.name, stWant.Iters, stWant.Rollbacks)
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			got := c.tree.Clone()
+			st, err := RepairSkewParallel(context.Background(), got, te, lib, 40e-12, te.MaxSkew, 40, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st != stWant {
+				t.Errorf("%s at %d workers: stats %+v, serial %+v", c.name, workers, st, stWant)
+			}
+			sameTree(t, c.name, got, want)
+		}
+	}
+}
+
+// TestRepairSkewParallelCancelled: with its context already cancelled,
+// the balance returns the context's error before timing anything and
+// leaves every edge length as it was.
+func TestRepairSkewParallelCancelled(t *testing.T) {
+	te := tech.Tech45()
+	lib := cell.Default45()
+	tr := staggeredTree(t, te, lib)
+	before := tr.Clone()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	st, err := RepairSkewParallel(ctx, tr, te, lib, 40e-12, te.MaxSkew, 40, 2)
+	if err != ctx.Err() || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled balance returned %v, want %v", err, ctx.Err())
+	}
+	if st.Iters != 0 || st.AddedWire != 0 {
+		t.Fatalf("cancelled balance reports work: %+v", st)
+	}
+	sameTree(t, "cancelled", tr, before)
 }

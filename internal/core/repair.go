@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -51,6 +52,18 @@ const repairPerEdgeDelta = 30e-12
 // out. Edge lengths only grow; rules and buffers are untouched.
 func RepairSkew(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew, targetSkew float64, maxIters int) (RepairStats, error) {
 	return RepairToTargets(t, te, lib, inSlew, nil, targetSkew, maxIters)
+}
+
+// RepairSkewParallel is RepairSkew timing every state with a full pass on
+// up to workers goroutines (see sta.NewParallel): the engine for a tree
+// that every iteration snakes nearly all over, where a dirty-region update
+// costs what a full pass costs. Its result is RepairSkew's, bit for bit,
+// at any worker count. ctx is checked once per iteration, before the
+// state is timed; once it is done, the error is returned with the tree in
+// the state that iteration would have timed.
+func RepairSkewParallel(ctx context.Context, t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew, targetSkew float64, maxIters, workers int) (RepairStats, error) {
+	sc := newRepairScratch(len(t.Nodes))
+	return repairToTargets(sta.NewParallel(ctx, te, lib, workers), &sc, t, te, lib, inSlew, nil, targetSkew, maxIters)
 }
 
 // RepairToTargets is the useful-skew generalization of RepairSkew: every
@@ -107,7 +120,8 @@ func newRepairScratch(n int) repairScratch {
 // snakes and rollback restores alike — is reported through tim.Touch.
 //
 // Each iteration times one state: the input tree first, then the state
-// the previous iteration's snakes produced. A state that improves is
+// the previous iteration's snakes produced. A cancelled engine (see
+// sta.NewParallel) fails that query, which ends the loop. A state that improves is
 // accepted and planned from; one that does not is rolled back, and the
 // accepted state's plan, still in sc, is applied again at half the
 // damping. The engine sees the restored edges

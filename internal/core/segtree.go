@@ -63,28 +63,61 @@ func (t *arrTree) push(node int) {
 	}
 }
 
-// Add shifts arrivals in [lo, hi] (inclusive sink positions) by delta.
-func (t *arrTree) Add(lo, hi int, delta float64) {
-	if t.n == 0 || lo > hi || delta == 0 {
-		return
-	}
-	t.add(1, 0, t.n-1, lo, hi, delta)
+// shift is one range-add of a batch: arrivals at sink positions [lo, hi]
+// (inclusive) move by d.
+type shift struct {
+	lo, hi int
+	d      float64
 }
 
-func (t *arrTree) add(node, nlo, nhi, lo, hi int, delta float64) {
-	if hi < nlo || nhi < lo {
+// AddAll applies a batch of range-adds in one descent. The shifts must be
+// non-empty ranges, pairwise disjoint and in ascending order, each with a
+// non-zero delta; a stage's endpoint spans are all three.
+//
+// The tree ends bit for bit where the same shifts applied one range-add
+// at a time, in order, would leave it, lazy values included. A node
+// covered by one shift overlaps no other, so it takes that shift's add
+// exactly as a lone range-add gives it. A partially covered node is
+// pushed before any child changes, once; no later shift covers it, so its
+// lazy value stays zero for the rest of the batch, as it does after the
+// first of the single adds that descend through it. And it is pulled
+// after its children's last change, which is the pull that survives the
+// sequence.
+func (t *arrTree) AddAll(shifts []shift) {
+	if t.n == 0 || len(shifts) == 0 {
 		return
 	}
-	if lo <= nlo && nhi <= hi {
-		t.mn[node] += delta
-		t.mx[node] += delta
-		t.lazy[node] += delta
+	t.addAll(1, 0, t.n-1, shifts)
+}
+
+// addAll applies the shifts, every one of which overlaps [nlo, nhi], to
+// the subtree at node.
+func (t *arrTree) addAll(node, nlo, nhi int, shifts []shift) {
+	if s := shifts[0]; len(shifts) == 1 && s.lo <= nlo && nhi <= s.hi {
+		t.mn[node] += s.d
+		t.mx[node] += s.d
+		t.lazy[node] += s.d
 		return
 	}
 	t.push(node)
 	mid := (nlo + nhi) / 2
-	t.add(2*node, nlo, mid, lo, hi, delta)
-	t.add(2*node+1, mid+1, nhi, lo, hi, delta)
+	// The left child gets the shifts starting at or before mid, the right
+	// child those ending after it; one shift may straddle mid and go to
+	// both.
+	left := 0
+	for left < len(shifts) && shifts[left].lo <= mid {
+		left++
+	}
+	right := 0
+	for right < len(shifts) && shifts[right].hi <= mid {
+		right++
+	}
+	if left > 0 {
+		t.addAll(2*node, nlo, mid, shifts[:left])
+	}
+	if right < len(shifts) {
+		t.addAll(2*node+1, mid+1, nhi, shifts[right:])
+	}
 	t.pull(node)
 }
 

@@ -13,6 +13,34 @@ func newArrTree(arr []float64) *arrTree {
 	return t
 }
 
+// Add shifts arrivals in [lo, hi] (inclusive sink positions) by delta,
+// one root-to-leaf descent per call: the range-add the optimizer made once
+// per moved endpoint before AddAll batched them, kept as AddAll's
+// reference.
+func (t *arrTree) Add(lo, hi int, delta float64) {
+	if t.n == 0 || lo > hi || delta == 0 {
+		return
+	}
+	t.add(1, 0, t.n-1, lo, hi, delta)
+}
+
+func (t *arrTree) add(node, nlo, nhi, lo, hi int, delta float64) {
+	if hi < nlo || nhi < lo {
+		return
+	}
+	if lo <= nlo && nhi <= hi {
+		t.mn[node] += delta
+		t.mx[node] += delta
+		t.lazy[node] += delta
+		return
+	}
+	t.push(node)
+	mid := (nlo + nhi) / 2
+	t.add(2*node, nlo, mid, lo, hi, delta)
+	t.add(2*node+1, mid+1, nhi, lo, hi, delta)
+	t.pull(node)
+}
+
 func TestArrTreeBasics(t *testing.T) {
 	at := newArrTree([]float64{3, 1, 4, 1, 5})
 	if at.Min() != 1 || at.Max() != 5 {
@@ -212,5 +240,81 @@ func TestArrTreeMatchesMathMinMax(t *testing.T) {
 				check(op)
 			}
 		}
+	}
+}
+
+// randomShifts returns a batch AddAll accepts over n positions: disjoint
+// ascending non-empty ranges with non-zero deltas, from none up to all n
+// single positions. Ranges are often adjacent, and often one position or
+// the whole tree, so ranges meet at and straddle node midpoints.
+func randomShifts(rng *rand.Rand, n int) []shift {
+	var out []shift
+	for lo := rng.Intn(2); lo < n; {
+		hi := lo
+		switch r := rng.Intn(4); {
+		case r == 0 && lo == 0 && rng.Intn(8) == 0:
+			hi = n - 1
+		case r < 2:
+			hi = lo + rng.Intn(min(n-lo, 1+n/4))
+		}
+		d := rng.NormFloat64() * 1e-11
+		if rng.Intn(6) == 0 {
+			d = float64(1+rng.Intn(3)) * 1e-12
+		}
+		out = append(out, shift{lo, hi, d})
+		lo = hi + 1 + rng.Intn(3)*rng.Intn(2)
+	}
+	return out
+}
+
+// TestAddAllMatchesAdds: one AddAll leaves every min, max and lazy entry
+// with the bits the same shifts applied one Add at a time give, on trees
+// of 1–300 positions. Half the batches are reverted at once with the
+// negated deltas, as the downgrade loop reverts a rejected candidate, so
+// the rounding residue of an apply and its revert, which later skew
+// checks read, is compared too.
+func TestAddAllMatchesAdds(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	batches, multi := 0, 0
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(300)
+		if trial < 4 {
+			n = 1 + trial
+		}
+		arr := make([]float64, n)
+		for i := range arr {
+			arr[i] = rng.NormFloat64() * 1e-10
+		}
+		batched, single := newArrTree(arr), newArrTree(arr)
+		check := func(op int, what string) {
+			t.Helper()
+			if !sameBits(batched.mn, single.mn) || !sameBits(batched.mx, single.mx) || !sameBits(batched.lazy, single.lazy) {
+				t.Fatalf("trial %d (n=%d) op %d %s: AddAll differs from the Add sequence", trial, n, op, what)
+			}
+		}
+		for op := 0; op < 80; op++ {
+			sh := randomShifts(rng, n)
+			apply := func(sign float64) {
+				batch := make([]shift, len(sh))
+				for i, s := range sh {
+					batch[i] = shift{s.lo, s.hi, sign * s.d}
+					single.Add(s.lo, s.hi, sign*s.d)
+				}
+				batched.AddAll(batch)
+			}
+			apply(1)
+			check(op, "apply")
+			if rng.Intn(2) == 0 {
+				apply(-1)
+				check(op, "revert")
+			}
+			batches++
+			if len(sh) > 1 {
+				multi++
+			}
+		}
+	}
+	if multi < batches/2 {
+		t.Fatalf("only %d of %d batches hold more than one shift", multi, batches)
 	}
 }

@@ -153,10 +153,14 @@ func optimize(t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config, tim t
 	se := newStageScratch(t, te, lib)
 	arrivals := make([]float64, len(span.node))
 	at := &arrTree{}
+	var emFloor []float64 // one slice for every pass's EM width floors
+	if cfg.EM != nil {
+		emFloor = make([]float64, len(t.Nodes))
+	}
 
 	var passCap []float64 // switched cap observed at the start of each sweep
 	for pass := 0; pass < maxPasses; pass++ {
-		capAt, changed, err := sweep(pass, tim, se, cfg, span, at, arrivals, byCap, slewLimit)
+		capAt, changed, err := sweep(pass, tim, se, cfg, span, at, arrivals, emFloor, byCap, slewLimit)
 		if err != nil {
 			return nil, err
 		}
@@ -259,8 +263,9 @@ func optimize(t *ctree.Tree, te *tech.Tech, lib *cell.Library, cfg Config, tim t
 // each edge to the cheapest rule class that keeps all of the stage's
 // transitions within slewLimit and the global skew within budget. It
 // returns the switched cap at the sweep's start and the number of
-// downgrades it accepted. at and arrivals are scratch the sweep resets.
-func sweep(p int, tim timer, se *stageEval, cfg Config, span *sinkSpan, at *arrTree, arrivals []float64, byCap []int, slewLimit float64) (capAt float64, changed int, err error) {
+// downgrades it accepted. at, arrivals and, under an EM limit, emFloor are
+// scratch the sweep rewrites.
+func sweep(p int, tim timer, se *stageEval, cfg Config, span *sinkSpan, at *arrTree, arrivals, emFloor []float64, byCap []int, slewLimit float64) (capAt float64, changed int, err error) {
 	t, te := se.t, se.te
 	sp := cfg.Tracer.Start("pass", obs.I("pass", p))
 	defer sp.End()
@@ -269,7 +274,6 @@ func sweep(p int, tim timer, se *stageEval, cfg Config, span *sinkSpan, at *arrT
 		return 0, 0, err
 	}
 	capAt = res.TotalSwitchedCap()
-	var emFloor []float64
 	if cfg.EM != nil {
 		// EM width floors against the *current* parasitics: early
 		// passes see the conservative (heavier-wire) floors, later
@@ -277,7 +281,7 @@ func sweep(p int, tim timer, se *stageEval, cfg Config, span *sinkSpan, at *arrT
 		// assignment converges to the floors of its own final state.
 		// Through the shared engine this analysis is free: nothing
 		// changed since the pass-top query, so it is served from cache.
-		emFloor, err = emFloors(tim, t, te, cfg.InSlew, *cfg.EM)
+		emFloor, err = emFloors(tim, t, te, cfg.InSlew, *cfg.EM, emFloor)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -394,17 +398,23 @@ func recoverViolations(tim timer, se *stageEval, cfg Config, enforceLimit, exitL
 	return total
 }
 
-// applyShifts moves the arrival tree from state `from` to state `to` by
-// range-adding each endpoint's delta over its sink span.
+// applyShifts moves the arrival tree from state `from` to state `to`:
+// every endpoint whose arrival moved shifts its sink span by the delta,
+// all in one descent. reset walks the stage in Kids order, the order
+// newSinkSpan numbers sinks in, and no endpoint lies below another, so
+// the spans come out disjoint and ascending, as AddAll requires.
 func (se *stageEval) applyShifts(at *arrTree, span *sinkSpan, to, from stageState) {
+	batch := se.shifts[:0]
 	for i, v := range se.nodes {
-		if !se.endpoint[i] {
+		if !se.endpoint[i] || span.lo[v] >= span.hi[v] {
 			continue
 		}
 		if d := to.arr[i] - from.arr[i]; d != 0 {
-			at.Add(span.lo[v], span.hi[v]-1, d)
+			batch = append(batch, shift{span.lo[v], span.hi[v] - 1, d})
 		}
 	}
+	at.AddAll(batch)
+	se.shifts = batch
 }
 
 // nodeGain is an edge node and the cap its cheapest rule would save.

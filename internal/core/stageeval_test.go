@@ -9,6 +9,7 @@ import (
 
 	"smartndr/internal/cell"
 	"smartndr/internal/ctree"
+	"smartndr/internal/rctree"
 	"smartndr/internal/tech"
 )
 
@@ -86,4 +87,122 @@ func TestCandidateOrderMatchesSortSlice(t *testing.T) {
 		t.Fatalf("workload too easy: %d tied neighbours, %d stages over 12 edges", ties, wide)
 	}
 	t.Logf("%d tied neighbours, %d stages over 12 edges", ties, wide)
+}
+
+// refEval is eval as it was before reset recorded the stage's topology and
+// the scratch its per-rule parasitics: it derives every edge's R and C
+// through te.WireR and te.WireC, each C twice, and looks up each node's
+// parent, kind and children again. local maps a tree node to its index in
+// se.nodes plus one. It writes down and elm into the given arrays.
+func refEval(se *stageEval, local []int, down, elm []float64, inSlew float64, arr []float64) stageState {
+	t, te := se.t, se.te
+	for i := len(se.nodes) - 1; i >= 0; i-- {
+		v := se.nodes[i]
+		nd := &t.Nodes[v]
+		ec := te.WireC(nd.EdgeLen, nd.Rule)
+		d := ec / 2
+		switch {
+		case nd.BufIdx != ctree.NoBuf:
+			d += se.lib.Buffers[nd.BufIdx].InputCap
+		case t.IsLeaf(v):
+			d += t.Sinks[nd.SinkIdx].Cap
+		default:
+			for _, k := range nd.Kids {
+				if k == ctree.NoNode {
+					continue
+				}
+				j := local[k] - 1
+				d += down[j] + te.WireC(t.Nodes[k].EdgeLen, t.Nodes[k].Rule)/2
+			}
+		}
+		down[i] = d
+	}
+	st := stageState{arr: arr}
+	for _, k := range t.Nodes[se.driver].Kids {
+		if k == ctree.NoNode {
+			continue
+		}
+		j := local[k] - 1
+		st.stageCap += down[j] + te.WireC(t.Nodes[k].EdgeLen, t.Nodes[k].Rule)/2
+	}
+	b := &se.lib.Buffers[t.Nodes[se.driver].BufIdx]
+	st.bufDelay = b.DelayAt(inSlew, st.stageCap)
+	st.outSlew = b.OutSlewAt(inSlew, st.stageCap)
+	for i, v := range se.nodes {
+		nd := &t.Nodes[v]
+		base := 0.0
+		if p := nd.Parent; p != se.driver {
+			base = elm[local[p]-1]
+		}
+		elm[i] = base + te.WireR(nd.EdgeLen, nd.Rule)*down[i]
+		st.arr[i] = st.bufDelay + elm[i]
+		if se.endpoint[i] {
+			if s := math.Hypot(st.outSlew, rctree.Ln9*elm[i]); s > st.worstSlew {
+				st.worstSlew = s
+			}
+		}
+	}
+	if len(se.nodes) == 0 {
+		st.worstSlew = st.outSlew
+	}
+	return st
+}
+
+// TestEvalMatchesReference: on every stage of seeded trees, under random
+// rule assignments and random driver sizes, eval returns the reference's
+// stage cap, delay, slews and arrivals bit for bit, and leaves the same
+// downstream caps and Elmore delays in its scratch. The same trees with
+// every buffer but the root's removed make one stage of hundreds of
+// edges, and a deep chain makes one stage of a thousand.
+func TestEvalMatchesReference(t *testing.T) {
+	te := tech.Tech45()
+	lib := cell.Default45()
+	rng := rand.New(rand.NewSource(21))
+	var trees []*ctree.Tree
+	for seed := int64(1); seed <= 6; seed++ {
+		tr := buildBlanket(t, 80+60*int(seed), seed, 3000, te, lib)
+		flat := tr.Clone()
+		for v := range flat.Nodes {
+			if v != flat.Root {
+				flat.Nodes[v].BufIdx = ctree.NoBuf
+			}
+		}
+		trees = append(trees, tr, flat)
+	}
+	trees = append(trees, deepChain(1000, te))
+	stages, evals := 0, 0
+	for ti, tr := range trees {
+		se := newStageScratch(tr, te, lib)
+		local := make([]int, len(tr.Nodes))
+		for _, u := range se.drivers {
+			se.reset(u)
+			for i, v := range se.nodes {
+				local[v] = i + 1
+			}
+			n := len(se.nodes)
+			down, elm, arr := make([]float64, n), make([]float64, n), make([]float64, n)
+			for round := 0; round < 6; round++ {
+				if round > 0 {
+					for _, v := range se.nodes {
+						tr.Nodes[v].Rule = rng.Intn(te.NumRules())
+					}
+					tr.Nodes[u].BufIdx = rng.Intn(len(lib.Buffers))
+				}
+				inSlew := (20 + 60*rng.Float64()) * 1e-12
+				want := refEval(se, local, down, elm, inSlew, arr)
+				got := se.eval(inSlew, se.arr[round%2])
+				if !sameBits([]float64{got.stageCap, got.bufDelay, got.outSlew, got.worstSlew},
+					[]float64{want.stageCap, want.bufDelay, want.outSlew, want.worstSlew}) ||
+					!sameBits(got.arr, want.arr) || !sameBits(se.down, down) || !sameBits(se.elm, elm) {
+					t.Fatalf("tree %d stage %d round %d: eval %+v, reference %+v", ti, u, round, got, want)
+				}
+				evals++
+			}
+			for _, v := range se.nodes {
+				local[v] = 0
+			}
+			stages++
+		}
+	}
+	t.Logf("%d stages, %d evaluations", stages, evals)
 }

@@ -51,8 +51,9 @@ type Config struct {
 	// region (before the top tree is built, so region insertion delays are
 	// measured post-optimization). False leaves the blanket rule everywhere.
 	Smart bool
-	// Workers bounds the region fan-out: 0 uses GOMAXPROCS, 1 is serial.
-	// Results are bit-identical for every value.
+	// Workers bounds the region fan-out and the global balance's timing
+	// passes: 0 uses GOMAXPROCS, 1 is serial. Results are bit-identical
+	// for every value.
 	Workers int
 	// InSlew is the root input transition used for region delay
 	// measurement and the final global balance (default
@@ -288,7 +289,7 @@ func Build(ctx context.Context, sinks []ctree.Sink, src geom.Point, te *tech.Tec
 	}
 	balSpan := tr.Start("hier.balance")
 	defer balSpan.End() // error paths; no-op after the explicit End below
-	bal, err := core.RepairSkew(final, te, lib, cfg.InSlew, globalSkew, balanceIters)
+	bal, err := core.RepairSkewParallel(ctx, final, te, lib, cfg.InSlew, globalSkew, balanceIters, workers)
 	if err != nil {
 		return nil, fmt.Errorf("hier: balance: %w", err)
 	}

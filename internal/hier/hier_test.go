@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -181,5 +182,42 @@ func TestBuildHonorsContext(t *testing.T) {
 	cancel()
 	if _, err := Build(ctx, sinks, bm.Src, tech.Tech45(), cell.Default45(), Config{MaxRegionSinks: 500}); err == nil {
 		t.Error("cancelled context did not stop the build")
+	}
+}
+
+// BenchmarkBalancePass times one full timing pass over the stitched tree
+// of a 100K-sink smart design (2048-sink regions, about 209k nodes): the
+// query the global balance makes of its engine, at 1 and 2 workers. The
+// 1-worker pass is the serial engine's. The design is built once, outside
+// the timer; -short skips it.
+func BenchmarkBalancePass(b *testing.B) {
+	if testing.Short() {
+		b.Skip("100K-sink build skipped in -short mode")
+	}
+	te := tech.Tech45()
+	lib := cell.Default45()
+	bm, err := workload.Generate(workload.Scale("scale100k", 100_000, 7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := Build(context.Background(), bm.Sinks, bm.Src, te, lib, Config{MaxRegionSinks: 2048, Smart: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			inc := sta.NewParallel(context.Background(), te, lib, workers)
+			if _, err := inc.Full(res.Tree, sta.DefaultInSlew, nil, nil); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := inc.Full(res.Tree, sta.DefaultInSlew, nil, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(res.Tree.Nodes)), "nodes")
+		})
 	}
 }

@@ -63,6 +63,10 @@ import (
 // pass, which also refreshes every cache. Zero pending edits return the
 // cached Result for free.
 //
+// An engine from NewParallel runs its full passes on several workers and
+// answers every query with pending edits by one (see NewParallel); every
+// other engine runs them on the caller's goroutine.
+//
 // An Incremental is not safe for concurrent use — give each worker
 // goroutine its own.
 type Incremental struct {
@@ -85,10 +89,8 @@ type Incremental struct {
 	// reuses it to re-derive stageOutArr for stages whose input slew and
 	// load did not change, bitwise-identically to a fresh startStage.
 	stageDelay []float64
-	// Traversal stacks, reused so the tree walks stay allocation-free
-	// (ctree's PostOrder/PreOrder allocate their stacks per call).
-	postStack []postFrame
-	preStack  []int
+	// The full pass's walks and their workers (see parallel.go).
+	pool
 
 	valid    bool
 	tree     *ctree.Tree // the tree of the latest full pass
@@ -214,12 +216,20 @@ func (inc *Incremental) Touch(v int) {
 // the next query, like Full's. Overrides are not supported on the
 // incremental path; corner and variation analysis use Full.
 func (inc *Incremental) Analyze(t *ctree.Tree, inSlew float64) (*Result, error) {
+	if inc.ctx != nil {
+		if err := inc.ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
 	if !inc.valid || t != inc.tree || len(t.Nodes) != inc.n || inSlew != inc.lastSlew {
 		return inc.full(t, inSlew)
 	}
 	if len(inc.pending) == 0 {
 		inc.stats.CachedRuns++
 		return &inc.res, nil
+	}
+	if inc.workers > 1 {
+		return inc.full(t, inSlew)
 	}
 	if !inc.update(t) {
 		inc.stats.Fallbacks++
@@ -243,16 +253,21 @@ func (inc *Incremental) full(t *ctree.Tree, inSlew float64) (*Result, error) {
 
 // capture snapshots the per-node state the update path diffs against. It
 // runs right after Full, which has already cleared the pending marks
-// (they may index the old tree, so they must go before resizing).
+// (they may index the old tree, so they must go before resizing). An
+// engine with several workers never updates, so it keeps only the marks.
 func (inc *Incremental) capture(t *ctree.Tree, inSlew float64) {
 	n := len(t.Nodes)
 	inc.n, inc.lastSlew = n, inSlew
 	// The marks are all clear between queries, over the whole capacity,
 	// so resized arrays need no clearing.
+	inc.pendingMark = slices.Grow(inc.pendingMark[:0], n)[:n]
+	if inc.workers > 1 {
+		inc.valid = true
+		return
+	}
 	inc.bufIdx = slices.Grow(inc.bufIdx[:0], n)[:n]
 	inc.depth = slices.Grow(inc.depth[:0], n)[:n]
 	inc.stageSize = slices.Grow(inc.stageSize[:0], n)[:n]
-	inc.pendingMark = slices.Grow(inc.pendingMark[:0], n)[:n]
 	inc.capDirty = slices.Grow(inc.capDirty[:0], n)[:n]
 	inc.delayDirty = slices.Grow(inc.delayDirty[:0], n)[:n]
 	inc.mode = slices.Grow(inc.mode[:0], n)[:n]

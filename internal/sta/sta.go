@@ -186,6 +186,16 @@ func (inc *Incremental) resize(n int) {
 // pass is the from-scratch analysis every other path must match: it
 // rewrites all of the engine's full-pass storage and its Result. A nil
 // tracer adds no overhead.
+//
+// The walks run over the split of the tree (see split): the subtrees on
+// the engine's workers, the part above them on the caller. Every node's
+// arithmetic reads only its own edge, its children (for caps) or its
+// ancestors (for timing), so any order that puts children before parents,
+// or parents before children, gives it the same operands; the sums over
+// the whole tree run serially in node-index order. A pass therefore
+// writes the same bits at every worker count. With one worker the split
+// is the root alone, and the walks are one post-order and one pre-order
+// traversal of the whole tree.
 func (inc *Incremental) pass(t *ctree.Tree, inSlew float64, ov *Overrides, tr *obs.Tracer) (*Result, error) {
 	te, lib := inc.te, inc.lib
 	if t.Root == ctree.NoNode {
@@ -197,67 +207,140 @@ func (inc *Incremental) pass(t *ctree.Tree, inSlew float64, ov *Overrides, tr *o
 	if inSlew <= 0 {
 		return nil, fmt.Errorf("sta: non-positive input slew %g", inSlew)
 	}
-	sp := tr.Start("sta.analyze", obs.I("nodes", len(t.Nodes)))
+	sp := tr.Start("sta.analyze")
 	defer sp.End()
+	if tr.Enabled() {
+		sp.Set("nodes", len(t.Nodes)) // boxing the count allocates: only when tracing
+	}
 	rcSpan := tr.Start("rc_build")
 	defer rcSpan.End() // error paths; no-op after the explicit End below
 	n := len(t.Nodes)
 	inc.resize(n)
 	inc.tree = t
+	inc.ov = ov
+	defer inc.dropOverrides()
 	res := &inc.res
+	inc.split(t)
 
-	// Per-edge parasitics under the assigned rules.
-	edgeR, edgeC := inc.edgeR, inc.edgeC
-	for i := range t.Nodes {
-		nd := &t.Nodes[i]
-		if nd.Parent == ctree.NoNode {
-			edgeR[i], edgeC[i] = 0, 0
-			continue
-		}
-		if nd.Rule < 0 || nd.Rule >= te.NumRules() {
-			return nil, fmt.Errorf("sta: node %d has out-of-range rule %d", i, nd.Rule)
-		}
-		if ov != nil && ov.EdgeR != nil {
-			edgeR[i] = ov.EdgeR[i]
-		} else {
-			edgeR[i] = te.WireR(nd.EdgeLen, nd.Rule)
-		}
-		if ov != nil && ov.EdgeC != nil {
-			edgeC[i] = ov.EdgeC[i]
-		} else {
-			edgeC[i] = te.WireC(nd.EdgeLen, nd.Rule)
-		}
-		res.WireCap += edgeC[i]
+	// Per-edge parasitics under the assigned rules, and L[v], the
+	// endpoint cap v presents to its parent's stage, in node-index chunks.
+	if err := inc.fanOut(phaseWire, inc.chunks(n)); err != nil {
+		return nil, err
 	}
-
-	// L[v]: endpoint cap v presents to its parent's stage.
-	// D[v]: π-model lumped cap at-and-below v within the stage owning v's
-	// feeding edge.
-	L := inc.endCap
-	D := inc.downCap
+	// The inventory, serially in node-index order. A bad rule is reported
+	// before any bad buffer, each at its lowest node.
+	badBuf := -1
 	for i := range t.Nodes {
 		nd := &t.Nodes[i]
-		L[i] = 0
+		if nd.Parent != ctree.NoNode {
+			if nd.Rule < 0 || nd.Rule >= te.NumRules() {
+				return nil, fmt.Errorf("sta: node %d has out-of-range rule %d", i, nd.Rule)
+			}
+			res.WireCap += inc.edgeC[i]
+		}
 		switch {
 		case nd.BufIdx != ctree.NoBuf:
-			b := &lib.Buffers[nd.BufIdx]
 			if nd.BufIdx < 0 || nd.BufIdx >= len(lib.Buffers) {
-				return nil, fmt.Errorf("sta: node %d has out-of-range buffer %d", i, nd.BufIdx)
+				if badBuf < 0 {
+					badBuf = i
+				}
+				continue
 			}
-			L[i] = b.InputCap
+			b := &lib.Buffers[nd.BufIdx]
 			res.BufInCap += b.InputCap
 			res.BufIntCap += b.InternalCap
 			res.LeakageTot += b.Leakage
 			res.BufferCount++
 			res.Drivers = append(res.Drivers, i)
 		case t.IsLeaf(i):
-			L[i] = t.Sinks[nd.SinkIdx].Cap
-			res.SinkCap += L[i]
+			res.SinkCap += inc.endCap[i]
+		}
+		if nd.SinkIdx != ctree.NoSink {
+			res.sinkNodes = append(res.sinkNodes, i)
 		}
 	}
-	// Post-order walk (children before parents), inlined on the reusable
-	// stack — semantically identical to ctree.PostOrder.
-	post := append(inc.postStack[:0], postFrame{t.Root, 0})
+	if badBuf >= 0 {
+		return nil, fmt.Errorf("sta: node %d has out-of-range buffer %d", badBuf, t.Nodes[badBuf].BufIdx)
+	}
+
+	// D[v]: π-model lumped cap at-and-below v within the stage owning v's
+	// feeding edge; StageCap at buffered nodes. Each subtree bottom-up on
+	// the workers, then the top part, children before parents.
+	if err := inc.fanOut(phaseCap, inc.subtrees()); err != nil {
+		return nil, err
+	}
+	for i := len(inc.top) - 1; i >= 0; i-- {
+		inc.capNode(t, inc.top[i])
+	}
+	rcSpan.End()
+
+	// Timing, top-down: the top part, then each subtree on the workers.
+	// elm[v] is the Elmore delay from the owning stage driver's output pin
+	// to v; stageOutArr/stageOutSlew are indexed by driver node.
+	propSpan := tr.Start("propagate")
+	defer propSpan.End() // no-op after the explicit End below
+	res.Arrival[t.Root] = 0
+	res.Slew[t.Root] = inSlew
+	inc.elm[t.Root] = 0
+	inc.drv[t.Root] = t.Root
+	inc.startStage(t, t.Root)
+	for _, v := range inc.top {
+		if v != t.Root {
+			inc.timeNode(t, v)
+		}
+	}
+	if err := inc.fanOut(phaseTime, inc.subtrees()); err != nil {
+		return nil, err
+	}
+	res.DownCap = inc.downCap
+	propSpan.End()
+	return res, nil
+}
+
+// dropOverrides forgets the pass's overrides, so the engine holds no
+// reference to the caller's slices between passes.
+func (inc *Incremental) dropOverrides() { inc.ov = nil }
+
+// wireChunk derives the parasitics and endpoint caps of nodes [lo, hi).
+// Out-of-range rules and buffers are skipped here; the serial inventory
+// reports them.
+func (inc *Incremental) wireChunk(t *ctree.Tree, lo, hi int) {
+	te, lib, ov := inc.te, inc.lib, inc.ov
+	edgeR, edgeC, L := inc.edgeR, inc.edgeC, inc.endCap
+	for i := lo; i < hi; i++ {
+		nd := &t.Nodes[i]
+		switch {
+		case nd.Parent == ctree.NoNode:
+			edgeR[i], edgeC[i] = 0, 0
+		case nd.Rule >= 0 && nd.Rule < te.NumRules():
+			if ov != nil && ov.EdgeR != nil {
+				edgeR[i] = ov.EdgeR[i]
+			} else {
+				edgeR[i] = te.WireR(nd.EdgeLen, nd.Rule)
+			}
+			if ov != nil && ov.EdgeC != nil {
+				edgeC[i] = ov.EdgeC[i]
+			} else {
+				edgeC[i] = te.WireC(nd.EdgeLen, nd.Rule)
+			}
+		}
+		L[i] = 0
+		switch {
+		case nd.BufIdx != ctree.NoBuf:
+			if nd.BufIdx >= 0 && nd.BufIdx < len(lib.Buffers) {
+				L[i] = lib.Buffers[nd.BufIdx].InputCap
+			}
+		case t.IsLeaf(i):
+			L[i] = t.Sinks[nd.SinkIdx].Cap
+		}
+	}
+}
+
+// capSubtree computes the lumped caps of the subtree at c, children
+// before parents, on worker w's stack.
+func (inc *Incremental) capSubtree(t *ctree.Tree, w, c int) {
+	ws := inc.stacksOf(w)
+	post := append(ws.post[:0], postFrame{c, 0})
 	for len(post) > 0 {
 		f := &post[len(post)-1]
 		advanced := false
@@ -275,58 +358,41 @@ func (inc *Incremental) pass(t *ctree.Tree, inSlew float64, ov *Overrides, tr *o
 		}
 		v := f.node
 		post = post[:len(post)-1]
+		inc.capNode(t, v)
+	}
+	ws.post = post[:0]
+}
 
-		nd := &t.Nodes[v]
-		D[v] = L[v] + edgeC[v]/2
-		if nd.BufIdx != ctree.NoBuf {
-			// Children belong to v's own (new) stage; accumulate its load.
-			load := 0.0
-			for _, k := range nd.Kids {
-				if k != ctree.NoNode {
-					load += D[k] + edgeC[k]/2
-				}
-			}
-			res.StageCap[v] = load
-			continue
-		}
+// capNode sets D[v] from v's endpoint cap, its edge and its children's
+// caps; a buffered v instead sums its children into the load of the
+// stage it drives.
+func (inc *Incremental) capNode(t *ctree.Tree, v int) {
+	D, edgeC := inc.downCap, inc.edgeC
+	nd := &t.Nodes[v]
+	D[v] = inc.endCap[v] + edgeC[v]/2
+	if nd.BufIdx != ctree.NoBuf {
+		// Children belong to v's own (new) stage; accumulate its load.
+		load := 0.0
 		for _, k := range nd.Kids {
 			if k != ctree.NoNode {
-				D[v] += D[k] + edgeC[k]/2
+				load += D[k] + edgeC[k]/2
 			}
 		}
+		inc.res.StageCap[v] = load
+		return
 	}
-	inc.postStack = post[:0]
-
-	rcSpan.End()
-
-	// Timing, one pre-order pass. elm[v] is the Elmore delay from the
-	// owning stage driver's output pin to v; stageOutArr/stageOutSlew are
-	// indexed by driver node.
-	propSpan := tr.Start("propagate")
-	defer propSpan.End() // no-op after the explicit End below
-	elm := inc.elm
-	stageOutArr := inc.stageOutArr
-	stageOutSlew := inc.stageOutSlew
-	drv := inc.drv
-	startStage := func(v int) {
-		b := &lib.Buffers[t.Nodes[v].BufIdx]
-		load := res.StageCap[v]
-		d := b.DelayAt(res.Slew[v], load)
-		inc.stageDelay[v] = d
-		if ov != nil && ov.BufScale != nil {
-			d *= ov.BufScale[v]
+	for _, k := range nd.Kids {
+		if k != ctree.NoNode {
+			D[v] += D[k] + edgeC[k]/2
 		}
-		stageOutArr[v] = res.Arrival[v] + d
-		stageOutSlew[v] = b.OutSlewAt(res.Slew[v], load)
 	}
-	res.Arrival[t.Root] = 0
-	res.Slew[t.Root] = inSlew
-	elm[t.Root] = 0
-	drv[t.Root] = t.Root
-	startStage(t.Root)
-	// Pre-order walk (parents before children), inlined on the reusable
-	// stack — semantically identical to ctree.PreOrder.
-	pre := append(inc.preStack[:0], t.Root)
+}
+
+// timeSubtree times the subtree at c, parents before children, on worker
+// w's stack. The root's own timing is the pass's to set.
+func (inc *Incremental) timeSubtree(t *ctree.Tree, w, c int) {
+	ws := inc.stacksOf(w)
+	pre := append(ws.pre[:0], c)
 	for len(pre) > 0 {
 		v := pre[len(pre)-1]
 		pre = pre[:len(pre)-1]
@@ -335,36 +401,48 @@ func (inc *Incremental) pass(t *ctree.Tree, inSlew float64, ov *Overrides, tr *o
 				pre = append(pre, k)
 			}
 		}
-		if v == t.Root {
-			continue
-		}
-		p := t.Nodes[v].Parent
-		var d int
-		var base float64
-		if t.Nodes[p].BufIdx != ctree.NoBuf {
-			d = p
-			base = 0
-		} else {
-			d = drv[p]
-			base = elm[p]
-		}
-		drv[v] = d
-		elm[v] = base + edgeR[v]*D[v]
-		res.Arrival[v] = stageOutArr[d] + elm[v]
-		res.Slew[v] = math.Hypot(stageOutSlew[d], rctree.Ln9*elm[v])
-		if t.Nodes[v].BufIdx != ctree.NoBuf {
-			startStage(v)
+		if v != t.Root {
+			inc.timeNode(t, v)
 		}
 	}
-	inc.preStack = pre[:0]
-	for i := range t.Nodes {
-		if t.Nodes[i].SinkIdx != ctree.NoSink {
-			res.sinkNodes = append(res.sinkNodes, i)
-		}
+	ws.pre = pre[:0]
+}
+
+// timeNode times non-root node v from its parent's timing.
+func (inc *Incremental) timeNode(t *ctree.Tree, v int) {
+	res, elm, drv := &inc.res, inc.elm, inc.drv
+	p := t.Nodes[v].Parent
+	var d int
+	var base float64
+	if t.Nodes[p].BufIdx != ctree.NoBuf {
+		d = p
+		base = 0
+	} else {
+		d = drv[p]
+		base = elm[p]
 	}
-	res.DownCap = D
-	propSpan.End()
-	return res, nil
+	drv[v] = d
+	elm[v] = base + inc.edgeR[v]*inc.downCap[v]
+	res.Arrival[v] = inc.stageOutArr[d] + elm[v]
+	res.Slew[v] = math.Hypot(inc.stageOutSlew[d], rctree.Ln9*elm[v])
+	if t.Nodes[v].BufIdx != ctree.NoBuf {
+		inc.startStage(t, v)
+	}
+}
+
+// startStage derives the output arrival and transition of the buffer at
+// v from its input timing and its stage load.
+func (inc *Incremental) startStage(t *ctree.Tree, v int) {
+	res := &inc.res
+	b := &inc.lib.Buffers[t.Nodes[v].BufIdx]
+	load := res.StageCap[v]
+	d := b.DelayAt(res.Slew[v], load)
+	inc.stageDelay[v] = d
+	if ov := inc.ov; ov != nil && ov.BufScale != nil {
+		d *= ov.BufScale[v]
+	}
+	inc.stageOutArr[v] = res.Arrival[v] + d
+	inc.stageOutSlew[v] = b.OutSlewAt(res.Slew[v], load)
 }
 
 // TotalSwitchedCap returns the capacitance toggling every clock cycle:
