@@ -120,13 +120,14 @@ func newRepairScratch(n int) repairScratch {
 // snakes and rollback restores alike — is reported through tim.Touch.
 //
 // Each iteration times one state: the input tree first, then the state
-// the previous iteration's snakes produced. A cancelled engine (see
-// sta.NewParallel) fails that query, which ends the loop. A state that improves is
+// the previous iteration's snakes produced. A state that improves is
 // accepted and planned from; one that does not is rolled back, and the
 // accepted state's plan, still in sc, is applied again at half the
 // damping. The engine sees the restored edges
 // as pending edits, so its next Analyze, of the next snaked state or the
-// caller's next query, is still exact.
+// caller's next query, is still exact. An engine whose context is done
+// (see sta.NewParallel) fails the iteration's query, which ends the loop
+// with the context's error.
 func repairToTargets(tim timer, sc *repairScratch, t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64, targets []float64, tol float64, maxIters int) (RepairStats, error) {
 	if !(tol > 0) {
 		return RepairStats{}, fmt.Errorf("core: non-positive tolerance %g", tol)

@@ -9,15 +9,17 @@
 // optimized) to SkewSplit × budget of internal skew, and the stitched
 // tree's residual *inter-region* skew — the top model's error plus
 // whatever the region measurement missed — is cleaned up by a final
-// global wire-snaking balance driven by the incremental STA engine, to
-// the full budget.
+// global wire-snaking balance, to the full budget. Its snakes touch most
+// of the tree every iteration, so it times each state with a full pass
+// that walks disjoint subtrees on the worker pool (sta.NewParallel).
 //
 // Determinism contract: the output is a pure function of (sinks, src,
 // technology, library, config) — Workers only bounds the fan-out. Region
 // builds are independent, results land in index-addressed slices
 // (internal/par's contract), and every aggregation runs serially in
-// region-index order, so the stitched tree is byte-identical at any
-// worker count. The invariance test in this package pins that down.
+// region-index order; the balance's pooled passes write every node with
+// the serial pass's arithmetic. So the stitched tree is byte-identical at
+// any worker count. The invariance test in this package pins that down.
 package hier
 
 import (
