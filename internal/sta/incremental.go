@@ -63,9 +63,9 @@ import (
 // pass, which also refreshes every cache. Zero pending edits return the
 // cached Result for free.
 //
-// An engine from NewParallel runs its full passes on several workers and
-// answers every query with pending edits by one (see NewParallel); every
-// other engine runs them on the caller's goroutine.
+// An engine from NewParallel answers every query with pending edits by a
+// full pass, run on its workers (see NewParallel); every other engine
+// runs its passes on the caller's goroutine.
 //
 // An Incremental is not safe for concurrent use — give each worker
 // goroutine its own.
@@ -228,7 +228,7 @@ func (inc *Incremental) Analyze(t *ctree.Tree, inSlew float64) (*Result, error) 
 		inc.stats.CachedRuns++
 		return &inc.res, nil
 	}
-	if inc.workers > 1 {
+	if inc.passOnly {
 		return inc.full(t, inSlew)
 	}
 	if !inc.update(t) {
@@ -254,14 +254,14 @@ func (inc *Incremental) full(t *ctree.Tree, inSlew float64) (*Result, error) {
 // capture snapshots the per-node state the update path diffs against. It
 // runs right after Full, which has already cleared the pending marks
 // (they may index the old tree, so they must go before resizing). An
-// engine with several workers never updates, so it keeps only the marks.
+// engine from NewParallel never updates, so it keeps only the marks.
 func (inc *Incremental) capture(t *ctree.Tree, inSlew float64) {
 	n := len(t.Nodes)
 	inc.n, inc.lastSlew = n, inSlew
 	// The marks are all clear between queries, over the whole capacity,
 	// so resized arrays need no clearing.
 	inc.pendingMark = slices.Grow(inc.pendingMark[:0], n)[:n]
-	if inc.workers > 1 {
+	if inc.passOnly {
 		inc.valid = true
 		return
 	}

@@ -17,7 +17,7 @@ import (
 // most of the tree between queries, like the hierarchical flow's global
 // balance, where an update costs what a full pass costs. Results are
 // bitwise those of NewIncremental's engine at any worker count; with one
-// worker it is that engine.
+// worker the pass is that engine's.
 //
 // ctx bounds the engine's work: once it is done, Analyze returns its
 // error before doing any, and a pass it interrupts returns the error with
@@ -31,6 +31,7 @@ func NewParallel(ctx context.Context, te *tech.Tech, lib *cell.Library, workers 
 	inc := NewIncremental(te, lib)
 	inc.ctx = ctx
 	inc.workers = max(workers, 1)
+	inc.passOnly = true
 	if inc.workers > 1 {
 		inc.stacks = make([]walkStacks, inc.workers-1)
 		c := &crew{inc: inc}
@@ -65,9 +66,10 @@ const (
 
 // pool is the full pass's split of the tree and the workers that walk it.
 type pool struct {
-	ctx     context.Context // nil: never cancelled
-	workers int             // 0 or 1: the caller walks alone
-	ov      *Overrides      // the running pass's overrides
+	ctx      context.Context // nil: never cancelled
+	workers  int             // 0 or 1: the caller walks alone
+	passOnly bool            // every query with pending edits runs a full pass
+	ov       *Overrides      // the running pass's overrides
 
 	// The split: cuts are the roots of disjoint subtrees the workers walk
 	// whole, top the nodes above them, in pre-order. splitTree and splitN

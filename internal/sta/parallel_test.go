@@ -179,16 +179,22 @@ func TestParallelFullMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelAnalyzeRunsFullPasses: an engine with several workers
-// answers every query with pending edits by a full pass, never by a
-// dirty-region update, and its answers equal the serial engine's, which
-// updates.
+// TestParallelAnalyzeRunsFullPasses: an engine from NewParallel answers
+// every query with pending edits by a full pass, never by a dirty-region
+// update, at one worker as at two, and its answers equal the incremental
+// engine's, which updates.
 func TestParallelAnalyzeRunsFullPasses(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		analyzeFullPasses(t, workers)
+	}
+}
+
+func analyzeFullPasses(t *testing.T, workers int) {
 	te := tech.Tech45()
 	lib := cell.Default45()
 	tree := stitched(t, 2000, 300, 4, te, lib)
 	serialTree := tree.Clone()
-	pooled := sta.NewParallel(context.Background(), te, lib, 2)
+	pooled := sta.NewParallel(context.Background(), te, lib, workers)
 	serial := sta.NewIncremental(te, lib)
 	rng := rand.New(rand.NewSource(5))
 	for q := 0; q < 6; q++ {
@@ -218,7 +224,7 @@ func TestParallelAnalyzeRunsFullPasses(t *testing.T) {
 	}
 	st := pooled.Stats()
 	if st.FullRuns != 6 || st.IncRuns != 0 || st.CachedRuns != 1 {
-		t.Fatalf("pooled engine stats %+v, want 6 full runs, 1 cached and no updates", st)
+		t.Fatalf("%d workers: engine stats %+v, want 6 full runs, 1 cached and no updates", workers, st)
 	}
 	if serial.Stats().IncRuns == 0 {
 		t.Fatal("the serial engine never updated: the workload does not tell the policies apart")

@@ -303,7 +303,9 @@ func (inc *Incremental) dropOverrides() { inc.ov = nil }
 
 // wireChunk derives the parasitics and endpoint caps of nodes [lo, hi).
 // Out-of-range rules and buffers are skipped here; the serial inventory
-// reports them.
+// reports them. The endpoint caps get a loop of their own: a sink's pin
+// cap is a cache miss on the 100K-sink trees, and a short loop keeps many
+// of them in flight, where the divisions of the parasitics would not.
 func (inc *Incremental) wireChunk(t *ctree.Tree, lo, hi int) {
 	te, lib, ov := inc.te, inc.lib, inc.ov
 	edgeR, edgeC, L := inc.edgeR, inc.edgeC, inc.endCap
@@ -324,6 +326,9 @@ func (inc *Incremental) wireChunk(t *ctree.Tree, lo, hi int) {
 				edgeC[i] = te.WireC(nd.EdgeLen, nd.Rule)
 			}
 		}
+	}
+	for i := lo; i < hi; i++ {
+		nd := &t.Nodes[i]
 		L[i] = 0
 		switch {
 		case nd.BufIdx != ctree.NoBuf:
