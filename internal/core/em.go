@@ -62,14 +62,13 @@ func edgeRmsCurrent(downCap float64, te *tech.Tech, l EMLimit) float64 {
 // Returns the floor as a minimum *width multiplier* per edge; rule
 // legality is then a simple WMult comparison.
 func EMFloors(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64, l EMLimit) ([]float64, error) {
-	return emFloors(sta.NewIncremental(te, lib), t, te, inSlew, l, nil)
+	return emFloors(sta.NewIncremental(te, lib), t, te, inSlew, l, make([]float64, len(t.Nodes)))
 }
 
-// emFloors is EMFloors against a caller-supplied timing engine: called
-// right after another analysis of the same tree state (as Optimize does
-// per pass), the timing query is served from cache. The floors are
-// written into floors when it holds one entry per node, so Optimize's
-// passes share one slice; otherwise into a new one.
+// emFloors is EMFloors against a caller-supplied timing engine, written
+// into floors, one entry per node: called right after another analysis of
+// the same tree state (as Optimize does per pass, into one slice for all
+// its passes), the timing query is served from cache.
 func emFloors(tim timer, t *ctree.Tree, te *tech.Tech, inSlew float64, l EMLimit, floors []float64) ([]float64, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
@@ -77,9 +76,6 @@ func emFloors(tim timer, t *ctree.Tree, te *tech.Tech, inSlew float64, l EMLimit
 	res, err := tim.Analyze(t, inSlew)
 	if err != nil {
 		return nil, err
-	}
-	if len(floors) != len(t.Nodes) {
-		floors = make([]float64, len(t.Nodes))
 	}
 	for i := range t.Nodes {
 		if t.Nodes[i].Parent == ctree.NoNode {
@@ -105,7 +101,7 @@ type EMViolation struct {
 // floor.
 func AuditEM(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64, l EMLimit) ([]EMViolation, error) {
 	tim := sta.NewIncremental(te, lib)
-	floors, err := emFloors(tim, t, te, inSlew, l, nil)
+	floors, err := emFloors(tim, t, te, inSlew, l, make([]float64, len(t.Nodes)))
 	if err != nil {
 		return nil, err
 	}

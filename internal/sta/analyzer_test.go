@@ -196,6 +196,11 @@ func TestAnalyzerErrors(t *testing.T) {
 	if _, err := an.Full(bad, 40e-12, nil, nil); err == nil {
 		t.Error("out-of-range rule must fail")
 	}
+	badBuf := tree.Clone()
+	badBuf.Nodes[badBuf.Root].BufIdx = 99
+	if _, err := an.Full(badBuf, 40e-12, nil, nil); err == nil {
+		t.Error("out-of-range buffer must fail")
+	}
 	// The engine must recover from an error and produce correct results.
 	got, err := an.Full(tree, 40e-12, nil, nil)
 	if err != nil {
