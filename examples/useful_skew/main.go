@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -54,7 +55,7 @@ func main() {
 			targets[si] = lag
 		}
 	}
-	if err := flow.RealizeSchedule(tr, targets, 8e-12); err != nil {
+	if err := flow.RealizeSchedule(context.Background(), tr, targets, 8e-12); err != nil {
 		log.Fatal(err)
 	}
 

@@ -20,6 +20,7 @@ import (
 	"smartndr/internal/geom"
 	"smartndr/internal/hier"
 	"smartndr/internal/obs"
+	"smartndr/internal/par"
 	"smartndr/internal/sta"
 	"smartndr/internal/tech"
 	"smartndr/internal/variation"
@@ -194,7 +195,8 @@ type FlowConfig struct {
 	// with NewTracer and a sink. Nil disables instrumentation at no cost.
 	Tracer *Tracer
 	// Workers bounds parallel sections (Monte Carlo trials, hierarchical
-	// region builds, sharded benchmark generation): 0 uses
+	// region builds, sharded benchmark generation, the timing passes of
+	// RepairSkew and RealizeSchedule): 0 uses
 	// runtime.GOMAXPROCS(0), 1 forces serial execution. Results are
 	// bit-identical for every value — each parallel unit draws from an
 	// RNG substream derived from (Seed, unit index) alone and lands in an
@@ -656,18 +658,21 @@ func (f *Flow) ApplyTopK(b *Built, k int) (*Result, error) {
 
 // RepairSkew balances a result tree to the skew target by wire snaking
 // (already integrated in SchemeSmart; exposed for baseline conditioning).
-func (f *Flow) RepairSkew(t *Tree, targetSkew float64) error {
-	_, err := core.RepairSkew(t, f.cfg.Tech, f.cfg.Library, f.cfg.InSlew, targetSkew, 25)
+// Its timing passes run on up to Workers goroutines. Once ctx is done it
+// stops before timing the next state and returns ctx's error.
+func (f *Flow) RepairSkew(ctx context.Context, t *Tree, targetSkew float64) error {
+	_, err := core.RepairToTargets(ctx, t, f.cfg.Tech, f.cfg.Library, f.cfg.InSlew, nil, targetSkew, 25, par.Workers(f.cfg.Workers))
 	return err
 }
 
 // RealizeSchedule applies a useful-skew schedule: sink i is balanced to
 // arrive `targets[i]` later than the common base (indexed by sink order).
 // Schedules should be bank-granular — per-flip-flop offsets inside one
-// buffer stage are not realizable with wire alone.
-func (f *Flow) RealizeSchedule(t *Tree, targets []float64, tol float64) error {
+// buffer stage are not realizable with wire alone. ctx and Workers act
+// as in RepairSkew.
+func (f *Flow) RealizeSchedule(ctx context.Context, t *Tree, targets []float64, tol float64) error {
 	for round := 0; round < 3; round++ {
-		st, err := core.RepairToTargets(t, f.cfg.Tech, f.cfg.Library, f.cfg.InSlew, targets, tol, 40)
+		st, err := core.RepairToTargets(ctx, t, f.cfg.Tech, f.cfg.Library, f.cfg.InSlew, targets, tol, 40, par.Workers(f.cfg.Workers))
 		if err != nil {
 			return err
 		}

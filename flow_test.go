@@ -357,7 +357,19 @@ func TestFlowRepairSkewPublic(t *testing.T) {
 	bm := testutil.SmallBench(t, 60, 1000)
 	flow, built := testutil.BuildFlow(t, nil, bm)
 	r := testutil.Apply(t, flow, built, smartndr.SchemeBlanket)
-	if err := flow.RepairSkew(r.Tree, flow.Config().Tech.MaxSkew); err != nil {
+	// A done context stops the repair before it times or snakes anything.
+	before := r.Tree.Clone()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := flow.RepairSkew(ctx, r.Tree, 1e-12); err != ctx.Err() {
+		t.Fatalf("cancelled repair returned %v, want %v", err, ctx.Err())
+	}
+	for i := range r.Tree.Nodes {
+		if r.Tree.Nodes[i].EdgeLen != before.Nodes[i].EdgeLen {
+			t.Fatalf("cancelled repair changed edge %d: %g → %g µm", i, before.Nodes[i].EdgeLen, r.Tree.Nodes[i].EdgeLen)
+		}
+	}
+	if err := flow.RepairSkew(context.Background(), r.Tree, flow.Config().Tech.MaxSkew); err != nil {
 		t.Fatal(err)
 	}
 	m, err := flow.Evaluate(r.Tree)
@@ -394,7 +406,7 @@ func TestFlowRealizeSchedule(t *testing.T) {
 	flow, built := testutil.BuildFlow(t, nil, bm)
 	r := testutil.Apply(t, flow, built, smartndr.SchemeBlanket)
 	targets := make([]float64, len(bm.Sinks)) // zero schedule == plain balance
-	if err := flow.RealizeSchedule(r.Tree, targets, flow.Config().Tech.MaxSkew); err != nil {
+	if err := flow.RealizeSchedule(context.Background(), r.Tree, targets, flow.Config().Tech.MaxSkew); err != nil {
 		t.Fatal(err)
 	}
 	m, err := flow.Evaluate(r.Tree)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -45,7 +46,7 @@ func TestRepairSkewConverges(t *testing.T) {
 		spread float64
 	}{{60, 1000}, {250, 2500}, {600, 4500}} {
 		tr := buildBlanket(t, tc.n, int64(tc.n), tc.spread, te, lib)
-		st, err := RepairSkew(tr, te, lib, 40e-12, te.MaxSkew, 30)
+		st, err := RepairToTargets(context.Background(), tr, te, lib, 40e-12, nil, te.MaxSkew, 30, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,11 +70,11 @@ func TestRepairSkewNoopOnBalanced(t *testing.T) {
 	te := tech.Tech45()
 	lib := cell.Default45()
 	tr := buildBlanket(t, 100, 3, 1500, te, lib)
-	if _, err := RepairSkew(tr, te, lib, 40e-12, te.MaxSkew, 30); err != nil {
+	if _, err := RepairToTargets(context.Background(), tr, te, lib, 40e-12, nil, te.MaxSkew, 30, 1); err != nil {
 		t.Fatal(err)
 	}
 	wl := tr.TotalWirelength()
-	st, err := RepairSkew(tr, te, lib, 40e-12, te.MaxSkew, 30)
+	st, err := RepairToTargets(context.Background(), tr, te, lib, 40e-12, nil, te.MaxSkew, 30, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestRepairSkewBadTarget(t *testing.T) {
 	te := tech.Tech45()
 	lib := cell.Default45()
 	tr := buildBlanket(t, 10, 5, 200, te, lib)
-	if _, err := RepairSkew(tr, te, lib, 40e-12, 0, 5); err == nil {
+	if _, err := RepairToTargets(context.Background(), tr, te, lib, 40e-12, nil, 0, 5, 1); err == nil {
 		t.Error("zero target must fail")
 	}
 }
@@ -99,7 +100,7 @@ func TestOptimizeReducesPower(t *testing.T) {
 		spread float64
 	}{{80, 1200}, {300, 3000}} {
 		tr := buildBlanket(t, tc.n, int64(tc.n)+100, tc.spread, te, lib)
-		if _, err := RepairSkew(tr, te, lib, 40e-12, te.MaxSkew, 30); err != nil {
+		if _, err := RepairToTargets(context.Background(), tr, te, lib, 40e-12, nil, te.MaxSkew, 30, 1); err != nil {
 			t.Fatal(err)
 		}
 		before, _, err := EvaluateTr(tr, te, lib, 40e-12, nil)
@@ -141,7 +142,7 @@ func TestOptimizeBeatsTopKBaselines(t *testing.T) {
 	te := tech.Tech45()
 	lib := cell.Default45()
 	tr := buildBlanket(t, 300, 41, 3000, te, lib)
-	if _, err := RepairSkew(tr, te, lib, 40e-12, te.MaxSkew, 30); err != nil {
+	if _, err := RepairToTargets(context.Background(), tr, te, lib, 40e-12, nil, te.MaxSkew, 30, 1); err != nil {
 		t.Fatal(err)
 	}
 	smart := tr.Clone()
@@ -178,7 +179,7 @@ func TestOptimizeOrdersAllFeasible(t *testing.T) {
 	var caps []float64
 	for _, o := range []Order{BySensitivity, ByIndex, ByReverse} {
 		tr := buildBlanket(t, 150, 77, 2000, te, lib)
-		if _, err := RepairSkew(tr, te, lib, 40e-12, te.MaxSkew, 30); err != nil {
+		if _, err := RepairToTargets(context.Background(), tr, te, lib, 40e-12, nil, te.MaxSkew, 30, 1); err != nil {
 			t.Fatal(err)
 		}
 		st, err := Optimize(tr, te, lib, Config{Order: o})
@@ -207,7 +208,7 @@ func TestOptimizeDisableRepair(t *testing.T) {
 	te := tech.Tech45()
 	lib := cell.Default45()
 	tr := buildBlanket(t, 150, 99, 2000, te, lib)
-	if _, err := RepairSkew(tr, te, lib, 40e-12, te.MaxSkew, 30); err != nil {
+	if _, err := RepairToTargets(context.Background(), tr, te, lib, 40e-12, nil, te.MaxSkew, 30, 1); err != nil {
 		t.Fatal(err)
 	}
 	norepair := tr.Clone()
@@ -345,7 +346,7 @@ func BenchmarkOptimize300(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		tr := buildBlanket(b, 300, 55, 3000, te, lib)
-		if _, err := RepairSkew(tr, te, lib, 40e-12, te.MaxSkew, 30); err != nil {
+		if _, err := RepairToTargets(context.Background(), tr, te, lib, 40e-12, nil, te.MaxSkew, 30, 1); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()

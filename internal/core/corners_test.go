@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"smartndr/internal/cell"
@@ -68,7 +69,7 @@ func TestEvaluateCornersProportionalSkew(t *testing.T) {
 	te := tech.Tech45()
 	lib := cell.Default45()
 	tr := buildBlanket(t, 200, 37, 2500, te, lib)
-	if _, err := RepairSkew(tr, te, lib, 40e-12, te.MaxSkew, 30); err != nil {
+	if _, err := RepairToTargets(context.Background(), tr, te, lib, 40e-12, nil, te.MaxSkew, 30, 1); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := EvaluateCorners(tr, te, lib, 40e-12, tech.StandardCorners())

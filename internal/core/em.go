@@ -57,26 +57,11 @@ func edgeRmsCurrent(downCap float64, te *tech.Tech, l EMLimit) float64 {
 	return waveShape * downCap * te.Vdd * te.Freq
 }
 
-// EMFloors computes, per node, the minimum rule index (in the given
-// cap-ascending rule order) whose width sustains the edge's RMS current.
-// Returns the floor as a minimum *width multiplier* per edge; rule
-// legality is then a simple WMult comparison.
-func EMFloors(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64, l EMLimit) ([]float64, error) {
-	return emFloors(sta.NewIncremental(te, lib), t, te, inSlew, l, make([]float64, len(t.Nodes)))
-}
-
-// emFloors is EMFloors against a caller-supplied timing engine, written
-// into floors, one entry per node: called right after another analysis of
-// the same tree state (as Optimize does per pass, into one slice for all
-// its passes), the timing query is served from cache.
-func emFloors(tim timer, t *ctree.Tree, te *tech.Tech, inSlew float64, l EMLimit, floors []float64) ([]float64, error) {
-	if err := l.Validate(); err != nil {
-		return nil, err
-	}
-	res, err := tim.Analyze(t, inSlew)
-	if err != nil {
-		return nil, err
-	}
+// emFloors writes into floors, per node, the minimum width multiplier
+// whose wire sustains the edge's RMS current under the analysis res (0 at
+// the root), and returns floors. Rule legality is then a simple WMult
+// comparison.
+func emFloors(res *sta.Result, t *ctree.Tree, te *tech.Tech, l EMLimit, floors []float64) []float64 {
 	for i := range t.Nodes {
 		if t.Nodes[i].Parent == ctree.NoNode {
 			floors[i] = 0
@@ -85,7 +70,20 @@ func emFloors(tim timer, t *ctree.Tree, te *tech.Tech, inSlew float64, l EMLimit
 		irms := edgeRmsCurrent(res.DownCap[i], te, l)
 		floors[i] = irms / (l.JRms * te.Layer.MinWidth)
 	}
-	return floors, nil
+	return floors
+}
+
+// analyzeEM validates l, analyses the tree, and returns the analysis with
+// its EM width floors.
+func analyzeEM(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64, l EMLimit) (*sta.Result, []float64, error) {
+	if err := l.Validate(); err != nil {
+		return nil, nil, err
+	}
+	res, err := sta.Analyze(t, te, lib, inSlew)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, emFloors(res, t, te, l, make([]float64, len(t.Nodes))), nil
 }
 
 // EMViolation is one edge below its EM width floor.
@@ -100,12 +98,7 @@ type EMViolation struct {
 // AuditEM lists every edge whose assigned rule is narrower than its EM
 // floor.
 func AuditEM(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64, l EMLimit) ([]EMViolation, error) {
-	tim := sta.NewIncremental(te, lib)
-	floors, err := emFloors(tim, t, te, inSlew, l, make([]float64, len(t.Nodes)))
-	if err != nil {
-		return nil, err
-	}
-	res, err := tim.Analyze(t, inSlew) // cached: same tree state as the floors
+	res, floors, err := analyzeEM(t, te, lib, inSlew, l)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +126,7 @@ func AuditEM(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64, l 
 // meeting its width floor. Returns the number of upgraded edges; errors
 // if some edge's floor exceeds every class in the menu.
 func EnforceEM(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64, l EMLimit) (int, error) {
-	floors, err := EMFloors(t, te, lib, inSlew, l)
+	_, floors, err := analyzeEM(t, te, lib, inSlew, l)
 	if err != nil {
 		return 0, err
 	}

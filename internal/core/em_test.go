@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"smartndr/internal/cell"
+	"smartndr/internal/sta"
 	"smartndr/internal/tech"
 )
 
@@ -30,10 +31,11 @@ func TestEMFloorsMonotone(t *testing.T) {
 	te := tech.Tech45()
 	lib := cell.Default45()
 	tr := buildBlanket(t, 120, 61, 1800, te, lib)
-	floors, err := EMFloors(tr, te, lib, 40e-12, DefaultEMLimit())
+	res, err := sta.Analyze(tr, te, lib, 40e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
+	floors := emFloors(res, tr, te, DefaultEMLimit(), make([]float64, len(tr.Nodes)))
 	// Floors are nonnegative and the root stage's first edges (heaviest
 	// in-stage loads) need at least as much width as typical leaf edges.
 	var maxFloor float64
@@ -117,6 +119,16 @@ func TestEMLimitValidate(t *testing.T) {
 	if err := DefaultEMLimit().Validate(); err != nil {
 		t.Error(err)
 	}
+	// Optimize rejects a bad limit before its initial repair snakes the
+	// caller's tree.
+	te := tech.Tech45()
+	lib := cell.Default45()
+	tr := staggeredTree(t, te, lib)
+	before := tr.Clone()
+	if _, err := Optimize(tr, te, lib, Config{EM: &EMLimit{}}); err == nil {
+		t.Error("Optimize with a zero EM limit must fail")
+	}
+	sameTree(t, "bad EM limit", tr, before)
 }
 
 func TestSmartWithEMFloor(t *testing.T) {

@@ -110,7 +110,7 @@ func TestOptimizeNodeVisitReduction(t *testing.T) {
 	cfg := Config{EM: &em}
 
 	base := buildBlanket(t, 300, 55, 3000, te, lib)
-	if _, err := RepairSkew(base, te, lib, 40e-12, te.MaxSkew, 30); err != nil {
+	if _, err := RepairToTargets(context.Background(), base, te, lib, 40e-12, nil, te.MaxSkew, 30, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -225,7 +225,7 @@ func benchOptimize(b *testing.B, full bool) {
 	lib := cell.Default45()
 	em := DefaultEMLimit()
 	base := buildBlanket(b, 300, 55, 3000, te, lib)
-	if _, err := RepairSkew(base, te, lib, 40e-12, te.MaxSkew, 30); err != nil {
+	if _, err := RepairToTargets(context.Background(), base, te, lib, 40e-12, nil, te.MaxSkew, 30, 1); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -246,110 +246,92 @@ func benchOptimize(b *testing.B, full bool) {
 	}
 }
 
-// BenchmarkRepairSkew measures the skew-repair loop through the shared
-// incremental engine; BenchmarkRepairSkewFullSTA answers every query with
-// a full pass.
+// BenchmarkRepairSkew measures skew repair through its entry point,
+// which times every state with a full pass, on a 300-sink tree that
+// converges on its first analysis. BenchmarkRepairSkewIncremental runs
+// the same loop on the dirty-region engine, the policy the entry point
+// does not take.
 func BenchmarkRepairSkew(b *testing.B) {
-	benchRepairSkew(b, false)
-}
-
-func BenchmarkRepairSkewFullSTA(b *testing.B) {
-	benchRepairSkew(b, true)
-}
-
-func benchRepairSkew(b *testing.B, full bool) {
 	te := tech.Tech45()
 	lib := cell.Default45()
-	base := buildBlanket(b, 300, 55, 3000, te, lib)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		tr := base.Clone()
-		var tim timer
-		if full {
-			tim = newFullTimer(te, lib)
-		} else {
-			tim = sta.NewIncremental(te, lib)
-		}
-		b.StartTimer()
-		sc := newRepairScratch(len(tr.Nodes))
-		if _, err := repairToTargets(tim, &sc, tr, te, lib, 40e-12, nil, te.MaxSkew, 30); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchRepair(b, buildBlanket(b, 300, 55, 3000, te, lib), te, lib, false)
+}
+
+func BenchmarkRepairSkewIncremental(b *testing.B) {
+	te := tech.Tech45()
+	lib := cell.Default45()
+	benchRepair(b, buildBlanket(b, 300, 55, 3000, te, lib), te, lib, true)
 }
 
 // BenchmarkRepairSkewRollback is skew repair on TestRepairSkewAllocBound's
 // staggered 400-sink tree, which rolls back five of its six iterations:
-// the workload where keeping the accepted state's plan saves the most.
+// the pair with BenchmarkRepairSkewRollbackIncremental prices the two
+// timing policies on a workload that iterates.
 func BenchmarkRepairSkewRollback(b *testing.B) {
 	te := tech.Tech45()
 	lib := cell.Default45()
-	base := staggeredTree(b, te, lib)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		tr := base.Clone()
-		b.StartTimer()
-		if _, err := RepairSkew(tr, te, lib, 40e-12, te.MaxSkew, 30); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchRepair(b, staggeredTree(b, te, lib), te, lib, false)
 }
 
-// BenchmarkRepairSkewRollbackFullSTA is BenchmarkRepairSkewRollback with
-// every state timed by a full pass: the pair prices the repair loop's
-// incremental engine against the full pass on a workload that iterates.
-func BenchmarkRepairSkewRollbackFullSTA(b *testing.B) {
+func BenchmarkRepairSkewRollbackIncremental(b *testing.B) {
 	te := tech.Tech45()
 	lib := cell.Default45()
-	base := staggeredTree(b, te, lib)
+	benchRepair(b, staggeredTree(b, te, lib), te, lib, true)
+}
+
+// benchRepair repairs a clone of base per operation: through
+// RepairToTargets on one worker, or, when incremental is set, through the
+// repair loop on a fresh dirty-region engine.
+func benchRepair(b *testing.B, base *ctree.Tree, te *tech.Tech, lib *cell.Library, incremental bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		tr := base.Clone()
 		b.StartTimer()
-		sc := newRepairScratch(len(tr.Nodes))
-		if _, err := repairToTargets(newFullTimer(te, lib), &sc, tr, te, lib, 40e-12, nil, te.MaxSkew, 30); err != nil {
+		var err error
+		if incremental {
+			sc := newRepairScratch(len(tr.Nodes))
+			_, err = repairToTargets(sta.NewIncremental(te, lib), &sc, tr, te, lib, 40e-12, nil, te.MaxSkew, 30)
+		} else {
+			_, err = RepairToTargets(context.Background(), tr, te, lib, 40e-12, nil, te.MaxSkew, 30, 1)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// TestRepairSkewParallelMatchesSerial: the balance's entry point, whose
-// engine times every state with a full pass on its workers, returns
-// RepairSkew's stats and tree bit for bit at 1, 2, 3 and 8 workers, on
-// stitched trees, whose balances iterate and roll back, and on the
-// staggered tree.
+// TestRepairSkewParallelMatchesSerial: RepairToTargets, which times every
+// state with a full pass on its workers, returns the stats and tree of
+// the same loop on the dirty-region engine, bit for bit, at 1, 2, 3 and 8
+// workers. The cases are the seeded repairs that roll back: stitched
+// trees, the staggered tree, and useful-skew schedules with non-nil
+// targets.
 func TestRepairSkewParallelMatchesSerial(t *testing.T) {
 	te := tech.Tech45()
 	lib := cell.Default45()
-	for _, c := range []struct {
-		name string
-		tree *ctree.Tree
-	}{
-		{"stitched-smart", stitchedTree(t, 3000, 400, 2, true, te, lib)},
-		{"stitched-blanket", stitchedTree(t, 5000, 300, 3, false, te, lib)},
-		{"staggered", staggeredTree(t, te, lib)},
-	} {
+	for _, c := range repairCases(t, te, lib) {
+		if !c.wantRolls {
+			continue
+		}
 		want := c.tree.Clone()
-		stWant, err := RepairSkew(want, te, lib, 40e-12, te.MaxSkew, 40)
+		sc := newRepairScratch(len(want.Nodes))
+		stWant, err := repairToTargets(sta.NewIncremental(te, lib), &sc, want, te, lib, 40e-12, c.targets, c.tol, c.iters)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if stWant.Iters < 2 || stWant.Rollbacks == 0 {
-			t.Fatalf("%s: balance ran %d iterations, %d rolled back — too few to compare the engines", c.name, stWant.Iters, stWant.Rollbacks)
+			t.Fatalf("%s: repair ran %d iterations, %d rolled back — too few to compare the engines", c.name, stWant.Iters, stWant.Rollbacks)
 		}
 		for _, workers := range []int{1, 2, 3, 8} {
 			got := c.tree.Clone()
-			st, err := RepairSkewParallel(context.Background(), got, te, lib, 40e-12, te.MaxSkew, 40, workers)
+			st, err := RepairToTargets(context.Background(), got, te, lib, 40e-12, c.targets, c.tol, c.iters, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if st != stWant {
-				t.Errorf("%s at %d workers: stats %+v, serial %+v", c.name, workers, st, stWant)
+				t.Errorf("%s at %d workers: stats %+v, dirty-region engine %+v", c.name, workers, st, stWant)
 			}
 			sameTree(t, c.name, got, want)
 		}
@@ -357,8 +339,8 @@ func TestRepairSkewParallelMatchesSerial(t *testing.T) {
 }
 
 // TestRepairSkewParallelCancelled: with its context already cancelled,
-// the balance returns the context's error before timing anything and
-// leaves every edge length as it was.
+// repair returns the context's error before timing anything and leaves
+// every edge length as it was.
 func TestRepairSkewParallelCancelled(t *testing.T) {
 	te := tech.Tech45()
 	lib := cell.Default45()
@@ -366,12 +348,12 @@ func TestRepairSkewParallelCancelled(t *testing.T) {
 	before := tr.Clone()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	st, err := RepairSkewParallel(ctx, tr, te, lib, 40e-12, te.MaxSkew, 40, 2)
+	st, err := RepairToTargets(ctx, tr, te, lib, 40e-12, nil, te.MaxSkew, 40, 2)
 	if err != ctx.Err() || !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled balance returned %v, want %v", err, ctx.Err())
+		t.Fatalf("cancelled repair returned %v, want %v", err, ctx.Err())
 	}
 	if st.Iters != 0 || st.AddedWire != 0 {
-		t.Fatalf("cancelled balance reports work: %+v", st)
+		t.Fatalf("cancelled repair reports work: %+v", st)
 	}
 	sameTree(t, "cancelled", tr, before)
 }

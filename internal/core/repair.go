@@ -41,40 +41,31 @@ const repairSlewCeil = 0.95
 // into leaf edges where a picosecond costs tens of microns of wire.
 const repairPerEdgeDelta = 30e-12
 
-// RepairSkew equalizes sink arrival times by wire snaking: every sink's
-// lag behind the latest sink is scheduled onto tree edges (highest common
-// ancestor first, so shared wire serves whole subtrees), converted to
-// extra electrical length via the local Elmore load, and applied with
-// damping. Each snake is clipped so the projected transition at the pins
-// below stays under the slew bound; lag that cannot be placed on an edge
-// falls through to deeper edges with more headroom. Iterates with full
-// re-analysis until the skew target is met or the iteration budget runs
-// out. Edge lengths only grow; rules and buffers are untouched.
-func RepairSkew(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew, targetSkew float64, maxIters int) (RepairStats, error) {
-	return RepairToTargets(t, te, lib, inSlew, nil, targetSkew, maxIters)
-}
-
-// RepairSkewParallel is RepairSkew timing every state with a full pass on
-// up to workers goroutines (see sta.NewParallel): the engine for a tree
-// that every iteration snakes nearly all over, where a dirty-region update
-// costs what a full pass costs. Its result is RepairSkew's, bit for bit,
-// at any worker count. ctx is checked once per iteration, before the
-// state is timed; once it is done, the error is returned with the tree in
-// the state that iteration would have timed.
-func RepairSkewParallel(ctx context.Context, t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew, targetSkew float64, maxIters, workers int) (RepairStats, error) {
-	sc := newRepairScratch(len(t.Nodes))
-	return repairToTargets(sta.NewParallel(ctx, te, lib, workers), &sc, t, te, lib, inSlew, nil, targetSkew, maxIters)
-}
-
-// RepairToTargets is the useful-skew generalization of RepairSkew: every
+// RepairToTargets equalizes sink arrival times by wire snaking. Every
 // sink i aims at arrival base + targets[i] (indexed by sink order, i.e.
-// Tree.Sinks). Convergence means the spread of target-adjusted arrivals
-// (arrival − target) is at most tol — with zero targets this is exactly
-// the global skew. A clock scheduler derives targets from launch/capture
-// slacks; this routine realizes them with wire.
-func RepairToTargets(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64, targets []float64, tol float64, maxIters int) (RepairStats, error) {
+// Tree.Sinks); nil targets aim every sink at the same arrival. Each
+// sink's lag behind the latest target-adjusted sink is scheduled onto
+// tree edges (highest common ancestor first, so shared wire serves whole
+// subtrees), converted to extra electrical length via the local Elmore
+// load, and applied with damping. Each snake is clipped so the projected
+// transition at the pins below stays under the slew bound; lag that
+// cannot be placed on an edge falls through to deeper edges with more
+// headroom. It iterates with full re-analysis until the spread of
+// target-adjusted arrivals (arrival − target) is at most tol — with nil
+// targets exactly the global skew — or the iteration budget runs out.
+// Edge lengths only grow; rules and buffers are untouched. A clock
+// scheduler derives targets from launch/capture slacks; this routine
+// realizes them with wire.
+//
+// Every state is timed by a full pass on up to workers goroutines (see
+// sta.NewParallel): snakes dirty stages all over the tree, so a
+// dirty-region update costs what a full pass costs. The result is the
+// same bit for bit at any worker count. ctx is checked once per
+// iteration, before the state is timed; once it is done, its error is
+// returned with the tree in the state that iteration would have timed.
+func RepairToTargets(ctx context.Context, t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64, targets []float64, tol float64, maxIters, workers int) (RepairStats, error) {
 	sc := newRepairScratch(len(t.Nodes))
-	return repairToTargets(sta.NewIncremental(te, lib), &sc, t, te, lib, inSlew, targets, tol, maxIters)
+	return repairToTargets(sta.NewParallel(ctx, te, lib, workers), &sc, t, te, lib, inSlew, targets, tol, maxIters)
 }
 
 // repairScratch is the repair loop's storage: five per-node arrays in
@@ -115,9 +106,11 @@ func newRepairScratch(n int) repairScratch {
 }
 
 // repairToTargets runs the repair loop against a caller-supplied timing
-// engine and scratch, so Optimize's repair rounds share one engine (and
-// its incremental state) with the rest of the run. Every edge edit —
-// snakes and rollback restores alike — is reported through tim.Touch.
+// engine and scratch. RepairToTargets hands it a full-pass engine;
+// Optimize hands it the dirty-region engine its sweeps and recoveries
+// share, so the queries after a repair round update from the round's
+// state instead of timing the tree again. Every edge edit — snakes and
+// rollback restores alike — is reported through tim.Touch.
 //
 // Each iteration times one state: the input tree first, then the state
 // the previous iteration's snakes produced. A state that improves is

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestRepairToTargetsRealizesSchedule(t *testing.T) {
 	var st RepairStats
 	for round := 0; round < 3; round++ {
 		var err error
-		st, err = RepairToTargets(tr, te, lib, 40e-12, targets, 8e-12, 40)
+		st, err = RepairToTargets(context.Background(), tr, te, lib, 40e-12, targets, 8e-12, 40, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,38 +79,20 @@ func TestRepairToTargetsValidation(t *testing.T) {
 	te := tech.Tech45()
 	lib := cell.Default45()
 	tr := buildBlanket(t, 10, 213, 200, te, lib)
-	if _, err := RepairToTargets(tr, te, lib, 40e-12, []float64{1e-12}, 5e-12, 5); err == nil {
+	if _, err := RepairToTargets(context.Background(), tr, te, lib, 40e-12, []float64{1e-12}, 5e-12, 5, 1); err == nil {
 		t.Error("target length mismatch must fail")
 	}
-	if _, err := RepairToTargets(tr, te, lib, 40e-12, nil, 0, 5); err == nil {
+	if _, err := RepairToTargets(context.Background(), tr, te, lib, 40e-12, nil, 0, 5, 1); err == nil {
 		t.Error("zero tolerance must fail")
 	}
-	if _, err := RepairToTargets(tr, te, lib, 40e-12, nil, math.NaN(), 5); err == nil {
+	if _, err := RepairToTargets(context.Background(), tr, te, lib, 40e-12, nil, math.NaN(), 5, 1); err == nil {
 		t.Error("NaN tolerance must fail")
 	}
 	// A budget of no iterations is an error, and it must leave every
 	// edge alone: no iteration ran, so no snapshot exists to restore.
 	before := tr.Clone()
-	if _, err := RepairToTargets(tr, te, lib, 40e-12, nil, 5e-12, 0); err == nil {
+	if _, err := RepairToTargets(context.Background(), tr, te, lib, 40e-12, nil, 5e-12, 0, 1); err == nil {
 		t.Error("zero iteration budget must fail")
 	}
 	sameTree(t, "zero budget", tr, before)
-}
-
-func TestRepairToTargetsNilMatchesRepairSkew(t *testing.T) {
-	te := tech.Tech45()
-	lib := cell.Default45()
-	a := buildBlanket(t, 80, 217, 1200, te, lib)
-	b := a.Clone()
-	sa, err := RepairSkew(a, te, lib, 40e-12, te.MaxSkew, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := RepairToTargets(b, te, lib, 40e-12, nil, te.MaxSkew, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sa.FinalSkew != sb.FinalSkew || sa.AddedWire != sb.AddedWire {
-		t.Errorf("nil-target repair differs from RepairSkew: %+v vs %+v", sa, sb)
-	}
 }

@@ -417,6 +417,75 @@ func TestIncrementalRootBufferResize(t *testing.T) {
 	compareExact(t, "root-resize", tree, got, want)
 }
 
+// TestIncrementalStageRebuildExact: updates whose stage rebuilds and
+// driver restarts interact leave the Result and every engine array
+// bitwise equal to a fresh pass's. One update edits a stage and the stage
+// below one of its buffered endpoints, touched in both orders, so each
+// stage is rebuilt before and after the other; another resizes the root
+// together with an edit in the root stage, in both orders.
+func TestIncrementalStageRebuildExact(t *testing.T) {
+	te := tech.Tech45()
+	lib := cell.Default45()
+	base := synthTree(t, 120, 21, te, lib)
+	// e is a buffered endpoint of the stage above it; k, its first kid,
+	// lies in the stage e drives. r is a node of the root stage.
+	e, r := -1, -1
+	for v := range base.Nodes {
+		nd := &base.Nodes[v]
+		if e < 0 && v != base.Root && nd.BufIdx != ctree.NoBuf && nd.Kids[0] != ctree.NoNode {
+			e = v
+		}
+		if r < 0 && nd.Parent == base.Root {
+			r = v
+		}
+	}
+	if e < 0 || r < 0 {
+		t.Fatal("synth tree has no buffered endpoint with kids, or no root kid")
+	}
+	k := base.Nodes[e].Kids[0]
+	resizeRoot := func(tree *ctree.Tree) int {
+		tree.Nodes[tree.Root].BufIdx = (tree.Nodes[tree.Root].BufIdx + 1) % len(lib.Buffers)
+		return tree.Root
+	}
+	snake := func(v int) func(*ctree.Tree) int {
+		return func(tree *ctree.Tree) int {
+			tree.Nodes[v].EdgeLen += 30
+			return v
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		edits []func(*ctree.Tree) int
+	}{
+		{"stage-then-below", []func(*ctree.Tree) int{snake(e), snake(k)}},
+		{"below-then-stage", []func(*ctree.Tree) int{snake(k), snake(e)}},
+		{"root-resize-then-root-stage", []func(*ctree.Tree) int{resizeRoot, snake(r)}},
+		{"root-stage-then-root-resize", []func(*ctree.Tree) int{snake(r), resizeRoot}},
+	} {
+		tree := base.Clone()
+		inc := sta.NewIncremental(te, lib)
+		if _, err := inc.Analyze(tree, 40e-12); err != nil {
+			t.Fatal(err)
+		}
+		for _, edit := range c.edits {
+			inc.Touch(edit(tree))
+		}
+		got, err := inc.Analyze(tree, 40e-12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := inc.Stats(); st.IncRuns != 1 {
+			t.Fatalf("%s: the edits did not take the update path: %+v", c.name, st)
+		}
+		ref := sta.NewIncremental(te, lib)
+		want, err := ref.Full(tree, 40e-12, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameEngine(t, c.name, tree, inc, ref, got, want)
+	}
+}
+
 // TestSummaryMatchesResultOnNonFiniteArrivals drives NaN and infinite
 // sink arrivals through Overrides.EdgeR and checks that the engine's
 // Summary holds exactly the bits of Result.Skew and
