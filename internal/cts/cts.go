@@ -140,7 +140,7 @@ func Build(sinks []ctree.Sink, src geom.Point, te *tech.Tech, lib *cell.Library,
 	if err != nil {
 		return nil, err
 	}
-	clSpan.Set("clusters", len(clusters))
+	clSpan.Set(obs.I("clusters", len(clusters)))
 	clSpan.End()
 	leafSpan := tr.Start("leaf_embed")
 	defer leafSpan.End() // error paths; no-op after the explicit End below
@@ -299,8 +299,8 @@ func Build(sinks []ctree.Sink, src geom.Point, te *tech.Tech, lib *cell.Library,
 		}
 	}
 
-	calSpan.Set("iters", calIters)
-	calSpan.Set("spread_ps", lastSpread*1e12)
+	calSpan.Set(obs.I("iters", calIters))
+	calSpan.Set(obs.F("spread_ps", lastSpread*1e12))
 	calSpan.End()
 
 	// No post-hoc resizing: the cell choices above are exactly what the

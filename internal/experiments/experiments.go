@@ -133,7 +133,7 @@ func RunOne(r Runner, o Options) error {
 	defer sp.End()
 	err := r.Run(o)
 	if err != nil {
-		sp.Set("error", err.Error())
+		sp.Set(obs.S("error", err.Error()))
 	}
 	return err
 }

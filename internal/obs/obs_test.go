@@ -15,7 +15,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 		t.Error("nil tracer reports enabled")
 	}
 	sp := tr.Start("a", I("k", 1))
-	sp.Set("x", 2)
+	sp.Set(I("x", 2))
 	child := sp.Start("b")
 	child.End()
 	sp.End()
@@ -27,6 +27,20 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 	if err := tr.Close(); err != nil {
 		t.Errorf("nil Close: %v", err)
+	}
+	// Attributes on disabled spans allocate nothing: floats, integers
+	// over 255 and non-empty strings are boxed only when a live span
+	// emits them.
+	key, n, f := strings.Repeat("k", 3), 1000, 2.5
+	allocs := testing.AllocsPerRun(100, func() {
+		sp := tr.Start("a", S("key", key), I("n", n), F("f", f))
+		sp.Set(F("f", f+1))
+		sp.Set(I("n", n+1))
+		sp.Set(S("key", key))
+		sp.End()
+	})
+	if allocs != 0 {
+		t.Errorf("attributes on a nil tracer's span allocate %v objects, want 0", allocs)
 	}
 }
 
@@ -48,7 +62,7 @@ func TestSpanNestingAndEvents(t *testing.T) {
 	root := tr.Start("flow", S("scheme", "smart"))
 	inner := tr.Start("optimize")
 	leaf := inner.Start("pass", I("pass", 0))
-	leaf.Set("downgrades", 7)
+	leaf.Set(I("downgrades", 7))
 	leaf.End()
 	inner.End()
 	root.End()
@@ -186,7 +200,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			for j := 0; j < 100; j++ {
 				tr.Add("n", 1)
 				sp := tr.Start("work")
-				sp.Set("j", j)
+				sp.Set(I("j", j))
 				sp.End()
 			}
 		}()
@@ -214,7 +228,7 @@ func TestSpanChildConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			c := root.Child("trial", I("trial", i))
-			c.Set("ok", 1)
+			c.Set(I("ok", 1))
 			c.End()
 		}(i)
 	}
@@ -242,7 +256,7 @@ func TestSpanChildConcurrent(t *testing.T) {
 func TestSpanChildNilSafe(t *testing.T) {
 	var s *Span
 	c := s.Child("x")
-	c.Set("k", 1)
+	c.Set(I("k", 1))
 	c.End() // all no-ops
 	if c != nil {
 		t.Error("nil span's Child must be nil")

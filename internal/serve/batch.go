@@ -126,7 +126,7 @@ func (s *Server) batch(r *http.Request, body []byte, sp *obs.Span, rtr *obs.Trac
 		return reply{}, badRequest(err)
 	}
 	n := len(req.Requests)
-	sp.Set("items", n)
+	sp.Set(obs.I("items", n))
 	keys := make([]string, n)
 	for i := range req.Requests {
 		keys[i], err = s.runner.FlowKey(&req.Requests[i])

@@ -425,17 +425,17 @@ func (s *Server) endpoint(method, name string, do work) http.HandlerFunc {
 			rep, err = do(r, body, sp, rtr)
 		}
 		if rep.key != "" {
-			sp.Set("key", rep.key)
+			sp.Set(obs.S("key", rep.key))
 		}
 		if rep.cache != "" {
-			sp.Set("cache", rep.cache)
+			sp.Set(obs.S("cache", rep.cache))
 		}
 		if err != nil {
 			status = s.fail(w, sp, err)
 			return
 		}
 		status = http.StatusOK
-		sp.Set("status", status)
+		sp.Set(obs.I("status", status))
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Cache", rep.cache)
 		w.Header().Set("X-Key", rep.key)
@@ -623,8 +623,8 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 // refuse writes a retryable refusal (429 saturated / 503 draining)
 // with a Retry-After hint.
 func (s *Server) refuse(w http.ResponseWriter, sp *obs.Span, status int, reason string) {
-	sp.Set("status", status)
-	sp.Set("refused", reason)
+	sp.Set(obs.I("status", status))
+	sp.Set(obs.S("refused", reason))
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Retry-After", s.retryAfterSeconds())
 	w.WriteHeader(status)
@@ -700,8 +700,8 @@ func (s *Server) fail(w http.ResponseWriter, sp *obs.Span, err error) int {
 		s.refuse(w, sp, status, "saturated")
 		return status
 	}
-	sp.Set("status", status)
-	sp.Set("error", err.Error())
+	sp.Set(obs.I("status", status))
+	sp.Set(obs.S("error", err.Error()))
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(errorResponse{Error: err.Error()})

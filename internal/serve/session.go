@@ -373,7 +373,7 @@ func errNoSession(id string) error {
 // in: "" (cold) for work that runs the engine, CacheHit for pure state
 // reads.
 func sessionReply(sp *obs.Span, resp *SessionResponse, cache string) (reply, error) {
-	sp.Set("session", resp.Session)
+	sp.Set(obs.S("session", resp.Session))
 	body, err := json.Marshal(resp)
 	return reply{key: resp.Key, cache: cache, body: body}, err
 }

@@ -253,7 +253,7 @@ func MonteCarlo(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64,
 			WorstSlew: worst,
 			Insertion: res.MaxSinkArrival(),
 		}
-		tsp.Set("skew_ps", skew*1e12)
+		tsp.Set(obs.F("skew_ps", skew*1e12))
 		tr.Add("mc.trials", 1)
 		return nil
 	})
@@ -265,7 +265,7 @@ func MonteCarlo(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64,
 	tr.Gauge("mc.mean_skew_ps", st.MeanSkew*1e12)
 	tr.Gauge("mc.p95_skew_ps", st.P95Skew*1e12)
 	tr.Gauge("mc.yield_at_bound", st.YieldAt(te.MaxSkew))
-	sp.Set("p95_skew_ps", st.P95Skew*1e12)
+	sp.Set(obs.F("p95_skew_ps", st.P95Skew*1e12))
 	return st, nil
 }
 
