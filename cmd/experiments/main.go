@@ -46,7 +46,7 @@ func main() {
 		}
 	}
 	startPprof(*pprofAddr)
-	tracer, collector, closeTrace, err := setupTracing(*traceFile, *timing)
+	tracer, collector, closeTrace, err := obs.Setup(*traceFile, *timing)
 	if err != nil {
 		fatal(err)
 	}
@@ -77,38 +77,6 @@ func main() {
 	if err := experiments.RunOne(r, opt); err != nil {
 		fatal(err)
 	}
-}
-
-// setupTracing builds the tracer for the requested outputs: a JSONL
-// file sink for -trace, an in-memory collector for -timing, or both.
-// The returned closer flushes and closes whatever was opened.
-func setupTracing(traceFile string, timing bool) (*obs.Tracer, *obs.Collector, func() error, error) {
-	var sinks []obs.Sink
-	var f *os.File
-	if traceFile != "" {
-		var err error
-		f, err = os.Create(traceFile)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		sinks = append(sinks, obs.NewJSONL(f))
-	}
-	var col *obs.Collector
-	if timing {
-		col = obs.NewCollector()
-		sinks = append(sinks, col)
-	}
-	tracer := obs.New(obs.Multi(sinks...))
-	closer := func() error {
-		err := tracer.Close()
-		if f != nil {
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		return err
-	}
-	return tracer, col, closer, nil
 }
 
 // startPprof serves net/http/pprof on addr when non-empty.

@@ -109,15 +109,3 @@ func ExhaustiveOptimal(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew, 
 	}
 	return res, nil
 }
-
-// ApplyRules copies a per-node rule vector (e.g. ExhaustiveResult.BestRules)
-// onto the tree.
-func ApplyRules(t *ctree.Tree, rules []int) error {
-	if len(rules) != len(t.Nodes) {
-		return fmt.Errorf("core: rule vector has %d entries for %d nodes", len(rules), len(t.Nodes))
-	}
-	for i := range t.Nodes {
-		t.Nodes[i].Rule = rules[i]
-	}
-	return nil
-}

@@ -24,12 +24,6 @@ func (p Point) Dist(q Point) float64 {
 	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
 }
 
-// DistEuclid returns the Euclidean distance between p and q. It is used only
-// for reporting; all routing-relevant distances are Manhattan.
-func (p Point) DistEuclid(q Point) float64 {
-	return math.Hypot(p.X-q.X, p.Y-q.Y)
-}
-
 // Add returns p translated by q.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 
@@ -63,14 +57,6 @@ func NewEmptyBBox() BBox {
 	}
 }
 
-// NewBBox returns the bounding box of the two corner points, in any order.
-func NewBBox(a, b Point) BBox {
-	bb := NewEmptyBBox()
-	bb.Extend(a)
-	bb.Extend(b)
-	return bb
-}
-
 // Empty reports whether the box contains no points.
 func (b BBox) Empty() bool { return b.MinX > b.MaxX || b.MinY > b.MaxY }
 
@@ -80,15 +66,6 @@ func (b *BBox) Extend(p Point) {
 	b.MinY = math.Min(b.MinY, p.Y)
 	b.MaxX = math.Max(b.MaxX, p.X)
 	b.MaxY = math.Max(b.MaxY, p.Y)
-}
-
-// Union grows the box to include all of o.
-func (b *BBox) Union(o BBox) {
-	if o.Empty() {
-		return
-	}
-	b.Extend(Point{o.MinX, o.MinY})
-	b.Extend(Point{o.MaxX, o.MaxY})
 }
 
 // Contains reports whether p lies inside or on the boundary of the box.
@@ -111,15 +88,6 @@ func (b BBox) Height() float64 {
 	}
 	return b.MaxY - b.MinY
 }
-
-// Center returns the center point of the box.
-func (b BBox) Center() Point {
-	return Point{(b.MinX + b.MaxX) / 2, (b.MinY + b.MaxY) / 2}
-}
-
-// HalfPerimeter returns the half-perimeter wirelength (HPWL) of the box, the
-// standard lower bound for the length of a net spanning it.
-func (b BBox) HalfPerimeter() float64 { return b.Width() + b.Height() }
 
 // UV is a location in rotated space: U = X+Y, V = X−Y. Manhattan distance in
 // chip space equals Chebyshev (L∞) distance in UV space.

@@ -26,12 +26,6 @@ func TestPointDist(t *testing.T) {
 	}
 }
 
-func TestPointDistEuclid(t *testing.T) {
-	if got := (Point{0, 0}).DistEuclid(Point{3, 4}); got != 5 {
-		t.Errorf("DistEuclid = %v, want 5", got)
-	}
-}
-
 func TestPointArith(t *testing.T) {
 	p := Point{1, 2}
 	q := Point{3, -4}
@@ -114,32 +108,11 @@ func TestBBoxBasics(t *testing.T) {
 	if got := bb.Height(); got != 3 {
 		t.Errorf("Height = %v", got)
 	}
-	if got := bb.HalfPerimeter(); got != 7 {
-		t.Errorf("HalfPerimeter = %v", got)
-	}
-	if got := bb.Center(); got != (Point{-1, 3.5}) {
-		t.Errorf("Center = %v", got)
-	}
 	if !bb.Contains(Point{0, 3}) {
 		t.Error("Contains should include interior point")
 	}
 	if bb.Contains(Point{2, 3}) {
 		t.Error("Contains should exclude exterior point")
-	}
-}
-
-func TestBBoxUnion(t *testing.T) {
-	a := NewBBox(Point{0, 0}, Point{1, 1})
-	b := NewBBox(Point{2, -1}, Point{3, 0.5})
-	a.Union(b)
-	if a.MinX != 0 || a.MinY != -1 || a.MaxX != 3 || a.MaxY != 1 {
-		t.Errorf("Union = %+v", a)
-	}
-	empty := NewEmptyBBox()
-	before := a
-	a.Union(empty)
-	if a != before {
-		t.Error("union with empty box must be a no-op")
 	}
 }
 

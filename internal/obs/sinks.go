@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -212,4 +213,37 @@ func (m multiSink) Close() error {
 		}
 	}
 	return first
+}
+
+// Setup builds the tracer a command's -trace and -timing flags ask for:
+// a JSONL sink writing to traceFile when it is non-empty, an in-memory
+// collector when timing is set (returned for rendering), or both. The
+// returned closer closes the tracer, then the file.
+func Setup(traceFile string, timing bool) (*Tracer, *Collector, func() error, error) {
+	var sinks []Sink
+	var f *os.File
+	if traceFile != "" {
+		var err error
+		f, err = os.Create(traceFile)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		sinks = append(sinks, NewJSONL(f))
+	}
+	var col *Collector
+	if timing {
+		col = NewCollector()
+		sinks = append(sinks, col)
+	}
+	tracer := New(Multi(sinks...))
+	closer := func() error {
+		err := tracer.Close()
+		if f != nil {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		return err
+	}
+	return tracer, col, closer, nil
 }

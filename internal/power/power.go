@@ -26,15 +26,6 @@ func (b Breakdown) Total() float64 {
 	return b.Wire + b.SinkPins + b.BufPins + b.BufInt + b.Leakage
 }
 
-// WireShare returns the wire fraction of total power.
-func (b Breakdown) WireShare() float64 {
-	t := b.Total()
-	if t == 0 {
-		return 0
-	}
-	return b.Wire / t
-}
-
 // String implements fmt.Stringer in mW.
 func (b Breakdown) String() string {
 	return fmt.Sprintf("total %.3f mW (wire %.3f, sinks %.3f, buf pins %.3f, buf int %.3f, leak %.3f)",

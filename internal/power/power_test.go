@@ -80,19 +80,6 @@ func TestPowerScalesWithFreqAndVdd(t *testing.T) {
 	}
 }
 
-func TestWireShare(t *testing.T) {
-	te := tech.Tech45()
-	lib := cell.Default45()
-	b := Compute(analyzedPair(t, te, lib), te)
-	share := b.WireShare()
-	if share <= 0 || share >= 1 {
-		t.Errorf("WireShare = %g", share)
-	}
-	if (Breakdown{}).WireShare() != 0 {
-		t.Error("empty breakdown share must be 0")
-	}
-}
-
 func TestString(t *testing.T) {
 	te := tech.Tech45()
 	lib := cell.Default45()

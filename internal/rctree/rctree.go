@@ -196,12 +196,6 @@ func (t *Tree) Analyze() *Result {
 	return res
 }
 
-// PropagateSlew combines the driver's output transition with the wire's
-// step transition at a node (PERI / root-sum-square composition).
-func PropagateSlew(driverOutSlew, wireStepSlew float64) float64 {
-	return math.Hypot(driverOutSlew, wireStepSlew)
-}
-
 // Endpoints returns the IDs of all marked endpoints in topological order.
 func (t *Tree) Endpoints() []NodeID {
 	var eps []NodeID

@@ -161,15 +161,6 @@ func TestTotalCapEqualsSumProperty(t *testing.T) {
 	}
 }
 
-func TestPropagateSlew(t *testing.T) {
-	if got := PropagateSlew(30e-12, 40e-12); !approx(got, 50e-12, 1e-18) {
-		t.Errorf("PropagateSlew = %g, want 50 ps", got)
-	}
-	if got := PropagateSlew(0, 40e-12); !approx(got, 40e-12, 1e-18) {
-		t.Errorf("PropagateSlew with zero input = %g", got)
-	}
-}
-
 func TestEndpoints(t *testing.T) {
 	tr := New(0)
 	a := tr.AddNode(tr.Root(), 1, 1e-15, 1e-15)

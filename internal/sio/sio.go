@@ -1,7 +1,7 @@
-// Package sio persists the flow's artifacts — benchmarks, technologies,
-// clock trees, and experiment results — as JSON, and emits CSV series for
-// plotting. All readers validate what they load; a corrupted or
-// hand-edited file fails loudly, never half-loads.
+// Package sio persists the flow's artifacts — benchmarks, clock trees,
+// and experiment results — as JSON, and emits CSV series for plotting.
+// All readers validate what they load; a corrupted or hand-edited file
+// fails loudly, never half-loads.
 package sio
 
 import (
@@ -13,7 +13,6 @@ import (
 	"strconv"
 
 	"smartndr/internal/ctree"
-	"smartndr/internal/tech"
 	"smartndr/internal/workload"
 )
 
@@ -64,18 +63,6 @@ func LoadBenchmark(path string) (*workload.Benchmark, error) {
 		}
 	}
 	return &bm, nil
-}
-
-// LoadTech reads a technology and validates it.
-func LoadTech(path string) (*tech.Tech, error) {
-	var te tech.Tech
-	if err := loadJSON(path, &te); err != nil {
-		return nil, err
-	}
-	if err := te.Validate(); err != nil {
-		return nil, err
-	}
-	return &te, nil
 }
 
 // treeFile is the serialized form of a clock tree.

@@ -37,22 +37,6 @@ func TestBenchmarkRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTechRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "tech.json")
-	if err := SaveJSON(path, tech.Tech45()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTech(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tech.Tech45()
-	if got.Name != want.Name || got.Vdd != want.Vdd || len(got.Rules) != len(want.Rules) {
-		t.Error("tech round trip mismatch")
-	}
-}
-
 func TestTreeRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	bm, _ := workload.Generate(workload.Spec{
@@ -104,24 +88,8 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 	if _, err := LoadBenchmark(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing file should fail")
 	}
-	if _, err := LoadTech(filepath.Join(dir, "garbage.json")); err == nil {
-		t.Error("corrupt tech should fail")
-	}
 	if _, err := LoadTree(filepath.Join(dir, "garbage.json")); err == nil {
 		t.Error("corrupt tree should fail")
-	}
-}
-
-func TestLoadTechRejectsInvalid(t *testing.T) {
-	dir := t.TempDir()
-	bad := tech.Tech45()
-	bad.Vdd = -1
-	p := filepath.Join(dir, "bad.json")
-	if err := SaveJSON(p, bad); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadTech(p); err == nil {
-		t.Error("invalid tech must fail validation on load")
 	}
 }
 

@@ -3,10 +3,7 @@ package workload
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-
-	"smartndr/internal/ctree"
 )
 
 // canonVersion prefixes every canonical serialization. Bump it whenever
@@ -33,20 +30,4 @@ func (s Spec) Canonical() []byte {
 func (s Spec) Hash() string {
 	sum := sha256.Sum256(s.Canonical())
 	return hex.EncodeToString(sum[:])
-}
-
-// HashSinks returns the SHA-256 content address (hex) of an explicit
-// sink set — the cache-key form for callers that bring their own
-// placement instead of a generator spec. The hash covers every field of
-// every sink in order; permuting sinks changes the address, matching
-// the engine, whose results are sink-order dependent.
-func HashSinks(sinks []ctree.Sink) string {
-	h := sha256.New()
-	h.Write([]byte(canonVersion + "|sinks|"))
-	enc := json.NewEncoder(h)
-	for i := range sinks {
-		// Encode cannot fail for a flat struct of strings and floats.
-		_ = enc.Encode(&sinks[i])
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }

@@ -3,9 +3,6 @@ package workload
 import (
 	"bytes"
 	"testing"
-
-	"smartndr/internal/ctree"
-	"smartndr/internal/geom"
 )
 
 func TestSpecCanonicalDeterministic(t *testing.T) {
@@ -48,31 +45,5 @@ func TestSpecHashSeparatesSpecs(t *testing.T) {
 		if m.Hash() == base.Hash() {
 			t.Errorf("mutation %d did not change the hash", i)
 		}
-	}
-}
-
-func TestHashSinksOrderAndContentSensitive(t *testing.T) {
-	a := []ctree.Sink{
-		{Name: "s0", Loc: geom.Point{X: 1, Y: 2}, Cap: 1e-15},
-		{Name: "s1", Loc: geom.Point{X: 3, Y: 4}, Cap: 2e-15},
-	}
-	if HashSinks(a) != HashSinks(a) {
-		t.Fatal("HashSinks not deterministic")
-	}
-	swapped := []ctree.Sink{a[1], a[0]}
-	if HashSinks(a) == HashSinks(swapped) {
-		t.Error("sink order must change the hash (results are order dependent)")
-	}
-	bumped := []ctree.Sink{a[0], {Name: "s1", Loc: geom.Point{X: 3, Y: 4}, Cap: 3e-15}}
-	if HashSinks(a) == HashSinks(bumped) {
-		t.Error("sink cap must change the hash")
-	}
-	if HashSinks(nil) == HashSinks(a) {
-		t.Error("empty sink set must differ")
-	}
-	// A spec hash and a sink hash over related content must never
-	// collide — the domain prefix separates them.
-	if CNSSuite()[0].Hash() == HashSinks(nil) {
-		t.Error("spec and sink hash domains collide")
 	}
 }
