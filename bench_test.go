@@ -6,10 +6,13 @@ package smartndr
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 
+	"smartndr/internal/core"
 	"smartndr/internal/workload"
 )
 
@@ -86,6 +89,105 @@ func BenchmarkColdFlowCNS(b *testing.B) {
 			}
 		}
 	}
+}
+
+// openSessions opens a smart-scheme session on each of the first n suite
+// designs (cns01 first).
+func openSessions(b *testing.B, n int) ([]*FlowSession, []*workload.Benchmark) {
+	b.Helper()
+	flow := NewFlow(nil)
+	var sessions []*FlowSession
+	var designs []*workload.Benchmark
+	for _, spec := range Suite()[:n] {
+		bm, err := GenerateBenchmark(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := flow.OpenSession(context.Background(), spec, SchemeSmart)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sessions, designs = append(sessions, s), append(designs, bm)
+	}
+	return sessions, designs
+}
+
+// BenchmarkSessionInSlew is one design-session delta that moves the root
+// input slew: ApplyState on cns03, alternating between 35 and 52 ps.
+func BenchmarkSessionInSlew(b *testing.B) {
+	sessions, _ := openSessions(b, 3)
+	s := sessions[2]
+	states := [2][]Edit{{{Op: core.OpInSlew, InSlewPS: 35}}, {{Op: core.OpInSlew, InSlewPS: 52}}}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.ApplyState(ctx, states[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSessionDeltaMix is the in-process mirror of perfbench's
+// interactive deltas: sessions on cns01–04, each delta one edit drawn
+// uniformly from the five ops on a random session, and every 8th delta
+// on a session a rollback to its pristine state. One op is one delta,
+// the state fold included. full/delta is the share of deltas the
+// sessions' engines answered with a full pass.
+func BenchmarkSessionDeltaMix(b *testing.B) {
+	sessions, designs := openSessions(b, 4)
+	rules := NewFlow(nil).Config().Tech.NumRules()
+	rng := rand.New(rand.NewSource(1))
+	type delta struct {
+		s    int
+		live []Edit // the session's edits since its last rollback
+	}
+	mix := make([]delta, 4096)
+	var live [4][]Edit
+	var count [4]int
+	for i := range mix {
+		k := rng.Intn(len(sessions))
+		if count[k]++; count[k]%8 == 0 {
+			live[k] = nil
+		} else {
+			sinks, spec := designs[k].Sinks, designs[k].Spec
+			var e Edit
+			switch j := rng.Intn(len(sinks)); rng.Intn(5) {
+			case 0: // a local move of up to 50 µm per axis
+				p := sinks[j].Loc
+				e = Edit{Op: core.OpMoveSink, Sink: j,
+					X: max(0, min(spec.DieX, p.X+(rng.Float64()-0.5)*100)),
+					Y: max(0, min(spec.DieY, p.Y+(rng.Float64()-0.5)*100))}
+			case 1:
+				e = Edit{Op: core.OpSinkCap, Sink: j, Cap: (1 + 3*rng.Float64()) * 1e-15}
+			case 2:
+				e = Edit{Op: core.OpSinkRule, Sink: j, Rule: rng.Intn(rules)}
+			case 3:
+				e = Edit{Op: core.OpNodeRule, Node: rng.Intn(sessions[k].Nodes()), Rule: rng.Intn(rules)}
+			default:
+				e = Edit{Op: core.OpInSlew, InSlewPS: 30 + 30*rng.Float64()}
+			}
+			live[k] = append(slices.Clone(live[k]), e)
+		}
+		mix[i] = delta{k, live[k]}
+	}
+	full := func() (n int) {
+		for _, s := range sessions {
+			n += s.EngineStats().FullRuns
+		}
+		return n
+	}
+	ctx := context.Background()
+	full0 := full()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := mix[i%len(mix)]
+		if _, err := sessions[d.s].ApplyState(ctx, core.CanonicalEdits(d.live)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(full()-full0)/float64(b.N), "full/delta")
 }
 
 func BenchmarkSmartApply2k(b *testing.B) {

@@ -152,7 +152,8 @@ func TestContentKeyLibraryMemoCannotAlias(t *testing.T) {
 
 // TestInteractivePathAllocs pins the allocations of a session's two
 // per-delta calls on cns01: ApplyState (ECO state change, dirty-region
-// analysis, metrics from the maintained summary) and Key (the key hash
+// analysis, metrics from the maintained summary), on edits and on an
+// input-slew alternation that re-times the tree, and Key (the key hash
 // resumed after the session's fixed head). A rise fails; a fall is
 // re-pinned with the change that earns it.
 func TestInteractivePathAllocs(t *testing.T) {
@@ -176,6 +177,13 @@ func TestInteractivePathAllocs(t *testing.T) {
 	i := 0
 	testutil.PinAllocs(t, "FlowSession.ApplyState", 5, 2, func() {
 		if _, err := sess.ApplyState(ctx, states[i%2]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	slews := [2][]smartndr.Edit{{{Op: core.OpInSlew, InSlewPS: 35}}, {{Op: core.OpInSlew, InSlewPS: 52}}}
+	testutil.PinAllocs(t, "FlowSession.ApplyState(in_slew)", 5, 2, func() {
+		if _, err := sess.ApplyState(ctx, slews[i%2]); err != nil {
 			t.Fatal(err)
 		}
 		i++

@@ -13,19 +13,19 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Table is a 2-D NLDM lookup table: Values[i][j] is the table value at
-// input slew SlewAxis[i] and load LoadAxis[j]. Both axes must be strictly
-// increasing.
+// input slew SlewAxis[i] and load LoadAxis[j]. Both axes must be finite
+// and strictly increasing.
 type Table struct {
 	SlewAxis []float64   `json:"slew_axis"` // s
 	LoadAxis []float64   `json:"load_axis"` // F
 	Values   [][]float64 `json:"values"`
 }
 
-// Validate checks table shape and axis monotonicity.
+// Validate checks table shape, and that both axes are finite and strictly
+// increasing.
 func (t *Table) Validate() error {
 	if len(t.SlewAxis) < 2 || len(t.LoadAxis) < 2 {
 		return errors.New("cell: table axes need at least 2 points")
@@ -38,17 +38,24 @@ func (t *Table) Validate() error {
 			return fmt.Errorf("cell: table row %d has %d cols, want %d", i, len(row), len(t.LoadAxis))
 		}
 	}
-	for i := 1; i < len(t.SlewAxis); i++ {
-		if t.SlewAxis[i] <= t.SlewAxis[i-1] {
-			return errors.New("cell: slew axis not strictly increasing")
-		}
+	if !increasing(t.SlewAxis) {
+		return errors.New("cell: slew axis not finite and strictly increasing")
 	}
-	for j := 1; j < len(t.LoadAxis); j++ {
-		if t.LoadAxis[j] <= t.LoadAxis[j-1] {
-			return errors.New("cell: load axis not strictly increasing")
-		}
+	if !increasing(t.LoadAxis) {
+		return errors.New("cell: load axis not finite and strictly increasing")
 	}
 	return nil
+}
+
+// increasing reports whether every point of axis is finite and above the
+// one before it. The order test is written so that a NaN fails it too.
+func increasing(axis []float64) bool {
+	for i, x := range axis {
+		if math.IsNaN(x) || math.IsInf(x, 0) || i > 0 && !(x > axis[i-1]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Lookup evaluates the table at (slew, load) with bilinear interpolation
@@ -66,9 +73,18 @@ func (t *Table) Lookup(slew, load float64) float64 {
 // bracket finds the axis interval for x and the interpolation fraction.
 // Outside the axis range the nearest interval is used with a fraction
 // outside [0,1], which yields linear extrapolation.
+//
+// k is the first axis point not below x, found by a forward scan: the
+// axes have six or seven points, where a scan beats a bisection. On a
+// validated axis axis[k] >= x is false up to some index and true from it
+// on (false everywhere for a NaN x), so the scan stops at the index
+// sort.SearchFloat64s's bisection finds.
 func bracket(axis []float64, x float64) (lo, hi int, frac float64) {
 	n := len(axis)
-	k := sort.SearchFloat64s(axis, x)
+	k := 0
+	for k < n && !(axis[k] >= x) {
+		k++
+	}
 	switch {
 	case k <= 0:
 		lo, hi = 0, 1

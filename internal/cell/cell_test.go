@@ -2,6 +2,8 @@ package cell
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -242,5 +244,80 @@ func TestOutSlewIncreasesWithLoad(t *testing.T) {
 	b := lib.Buffers[2]
 	if b.OutSlewAt(50e-12, 10e-15) >= b.OutSlewAt(50e-12, 100e-15) {
 		t.Error("output slew must grow with load")
+	}
+}
+
+// TestTableValidateRejectsNonFinite: an axis with a NaN or an infinite
+// point is rejected. A NaN fails every ordered comparison, so a check
+// written as a[i] <= a[i-1] let [1, NaN, 3] through.
+func TestTableValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, axis := range [][]float64{
+		{1, nan, 3}, {nan, 2, 3}, {1, 2, nan}, {1, 2, inf}, {-inf, 2, 3},
+	} {
+		bad := simpleTable()
+		bad.SlewAxis = axis
+		if err := bad.Validate(); err == nil {
+			t.Errorf("slew axis %v accepted", axis)
+		}
+	}
+	for _, axis := range [][]float64{{10, nan}, {nan, 20}, {10, inf}, {-inf, 20}} {
+		bad := simpleTable()
+		bad.LoadAxis = axis
+		if err := bad.Validate(); err == nil {
+			t.Errorf("load axis %v accepted", axis)
+		}
+	}
+}
+
+// bracketBisect is bracket as it was written with sort.SearchFloat64s: the
+// reference the forward scan must reproduce.
+func bracketBisect(axis []float64, x float64) (lo, hi int, frac float64) {
+	n := len(axis)
+	k := sort.SearchFloat64s(axis, x)
+	switch {
+	case k <= 0:
+		lo, hi = 0, 1
+	case k >= n:
+		lo, hi = n-2, n-1
+	default:
+		lo, hi = k-1, k
+	}
+	frac = (x - axis[lo]) / (axis[hi] - axis[lo])
+	return lo, hi, frac
+}
+
+// TestBracketMatchesBisection: on both built-in libraries' axes, the
+// forward scan returns the bisection's interval and the bits of its
+// fraction at every axis point, at random points inside, below and above
+// the range, and at ±0, ±Inf and NaN.
+func TestBracketMatchesBisection(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var axes [][]float64
+	for _, lib := range []*Library{Default45(), Default65()} {
+		for i := range lib.Buffers {
+			b := &lib.Buffers[i]
+			axes = append(axes, b.Delay.SlewAxis, b.Delay.LoadAxis, b.OutSlew.SlewAxis, b.OutSlew.LoadAxis)
+		}
+	}
+	for _, axis := range axes {
+		first, last := axis[0], axis[len(axis)-1]
+		xs := append([]float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}, axis...)
+		for range 200 {
+			span := last - first
+			xs = append(xs,
+				first+rng.Float64()*span,    // inside
+				first-rng.Float64()*span,    // below
+				last+rng.Float64()*span,     // above
+				math.Nextafter(first, 0),    // just below the first point
+				math.Nextafter(last, 1e300)) // just above the last
+		}
+		for _, x := range xs {
+			lo, hi, frac := bracket(axis, x)
+			wlo, whi, wfrac := bracketBisect(axis, x)
+			if lo != wlo || hi != whi || math.Float64bits(frac) != math.Float64bits(wfrac) {
+				t.Fatalf("axis %v at %g: (%d,%d,%v), bisection (%d,%d,%v)", axis, x, lo, hi, frac, wlo, whi, wfrac)
+			}
+		}
 	}
 }

@@ -34,7 +34,7 @@ func TestRepairSkewAllocs(t *testing.T) {
 	te := tech.Tech45()
 	lib := cell.Default45()
 	base := core.BuildBlanket(t, 300, 55, 3000, te, lib)
-	testutil.PinAllocs(t, "RepairSkew", 5, 49, func() {
+	testutil.PinAllocs(t, "RepairSkew", 5, 48, func() {
 		if _, err := core.RepairToTargets(context.Background(), base.Clone(), te, lib, 40e-12, nil, te.MaxSkew, 30, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -75,5 +75,5 @@ func TestRepairSkewAllocBound(t *testing.T) {
 	if st := run(); st.Iters < 2 {
 		t.Skipf("repair converged in %d iterations — workload too easy to guard the loop", st.Iters)
 	}
-	testutil.PinAllocs(t, "RepairSkew(400 sinks, staggered)", 5, 76, func() { run() })
+	testutil.PinAllocs(t, "RepairSkew(400 sinks, staggered)", 5, 62, func() { run() })
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 	"time"
+	"unsafe"
 
 	"smartndr"
 	"smartndr/internal/core"
@@ -137,9 +138,70 @@ func (r *SessionDeltaRequest) Validate() error {
 // rebuilding any state replays at most checkpointEvery-1 deltas. Keys are
 // not stored: a key is a pure function of the state, and the handle
 // recomputes it when a rollback re-applies one.
+//
+// A delta rev that adds exactly one edit, the common interactive delta,
+// holds that edit in its own fields instead of a list (see deltaRev), so
+// it costs its slot and no allocation.
 type sessionRev struct {
 	base  int
 	edits []smartndr.Edit
+	// The packed edit: op is one more than its op's index in packedOps,
+	// 0 on a rev that keeps its edits in the list.
+	idx  int32 // Sink or Node
+	rule int16
+	op   uint8
+	x, y float64 // X and Y, Cap, or InSlewPS
+}
+
+// packedOps are the ops a packed rev can hold, by op code minus one.
+var packedOps = [...]string{core.OpMoveSink, core.OpSinkCap, core.OpSinkRule, core.OpNodeRule, core.OpInSlew}
+
+// deltaRev records the canonical delta on top of rev base. A one-edit
+// delta is packed into the rev's own fields when it unpacks to the same
+// edit, which also rules out an index or rule too wide for them; any
+// other delta keeps its list.
+func deltaRev(base int, delta []smartndr.Edit) sessionRev {
+	if len(delta) == 1 {
+		e := delta[0]
+		r := sessionRev{base: base, idx: int32(e.Sink), rule: int16(e.Rule), x: e.X, y: e.Y,
+			op: uint8(slices.Index(packedOps[:], e.Op) + 1)}
+		switch e.Op {
+		case core.OpNodeRule:
+			r.idx = int32(e.Node)
+		case core.OpSinkCap:
+			r.x = e.Cap
+		case core.OpInSlew:
+			r.x = e.InSlewPS
+		}
+		if r.op != 0 && r.edit() == e {
+			return r
+		}
+	}
+	return sessionRev{base: base, edits: delta}
+}
+
+// edit unpacks a packed rev's edit: the fields fill as a move_sink's,
+// then move to where the op keeps them. A canonical edit carries only
+// the fields its op reads, so that is the whole edit.
+func (r sessionRev) edit() smartndr.Edit {
+	e := smartndr.Edit{Op: packedOps[r.op-1], Sink: int(r.idx), Rule: int(r.rule), X: r.x, Y: r.y}
+	switch e.Op {
+	case core.OpNodeRule:
+		e.Sink, e.Node = 0, e.Sink
+	case core.OpSinkCap:
+		e.X, e.Cap = 0, e.X
+	case core.OpInSlew:
+		e.X, e.InSlewPS = 0, e.X
+	}
+	return e
+}
+
+// delta returns the canonical edits a delta rev adds.
+func (r sessionRev) delta() []smartndr.Edit {
+	if r.op == 0 {
+		return r.edits
+	}
+	return []smartndr.Edit{r.edit()}
 }
 
 // checkpointEvery is the rev interval at which a delta stores its full
@@ -148,9 +210,10 @@ const checkpointEvery = 32
 
 // Rev footprint estimate for the store's byte accounting, in the spirit
 // of SessionHandle.MemoryBytes: the rev's slot in the history slice plus
-// its edits (an Edit is 72 bytes; 80 with allocator rounding).
+// the edits of its list (an Edit is 72 bytes; 80 with allocator
+// rounding). A packed rev has no list.
 const (
-	revSlotBytes = 32
+	revSlotBytes = int64(unsafe.Sizeof(sessionRev{}))
 	editBytes    = 80
 )
 
@@ -192,7 +255,7 @@ func (s *session) state(rev int) []smartndr.Edit {
 	if r.base < 0 {
 		return r.edits
 	}
-	return extend(s.state(r.base), r.edits)
+	return extend(s.state(r.base), r.delta())
 }
 
 // extend is the state fold: the canonical state reached by applying
@@ -460,7 +523,7 @@ func (s *Server) sessionDelta(r *http.Request, body []byte, sp *obs.Span, rtr *o
 		state = extend(sess.live, delta)
 		rev.edits = state
 		if next%checkpointEvery != 0 {
-			rev = sessionRev{base: next - 1, edits: delta}
+			rev = deltaRev(next-1, delta)
 		}
 	}
 	result, key, err := sess.handle.Apply(ctx, state)

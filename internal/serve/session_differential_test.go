@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"smartndr"
 	"smartndr/internal/core"
@@ -355,6 +358,90 @@ func TestServeSessionDeepHistoryRollback(t *testing.T) {
 		}
 		if !bytes.Equal(coldBody, recorded[rb]) || coldResp.Header.Get("X-Key") != keys[rb] {
 			t.Fatalf("rev %d differs from a cold run of its mirrored state", rb)
+		}
+	}
+}
+
+// TestSessionRevPacking: a one-edit delta rev holds its edit in the rev
+// itself. For each of the five ops the packed rev unpacks to the
+// canonical edit and costs its slot alone, and a rollback to it returns
+// the bytes and key of a cold /v1/flow of the state the client mirrored.
+// Multi-edit deltas and values that do not fit the packed fields keep
+// their list.
+func TestSessionRevPacking(t *testing.T) {
+	if revSlotBytes != int64(unsafe.Sizeof(sessionRev{})) || revSlotBytes > 56 {
+		t.Fatalf("revSlotBytes %d, rev size %d: want them equal, at most 56",
+			revSlotBytes, unsafe.Sizeof(sessionRev{}))
+	}
+	for _, delta := range [][]smartndr.Edit{
+		{{Op: core.OpSinkCap, Sink: 1, Cap: 2e-15}, {Op: core.OpInSlew, InSlewPS: 50}},
+		{{Op: core.OpMoveSink, Sink: math.MaxInt32 + 1, X: 1, Y: 2}},
+		{{Op: core.OpNodeRule, Node: 4, Rule: math.MaxInt16 + 1}},
+	} {
+		if r := deltaRev(3, delta); r.op != 0 || !slices.Equal(r.edits, delta) || r.base != 3 {
+			t.Errorf("%v: rev %+v, want it unpacked", delta, r)
+		}
+	}
+
+	srv := New(Config{})
+	warm := httptest.NewServer(srv.Handler())
+	defer warm.Close()
+	cold := httptest.NewServer(New(Config{CacheEntries: 1}).Handler())
+	defer cold.Close()
+	spec := testutil.UniformSpec("pack", 24, 600, 31)
+	createResp, createBody := postJSON(t, warm, "/v1/session", &SessionCreateRequest{
+		FlowRequest: FlowRequest{Spec: &spec, Scheme: "smart-ndr"},
+	})
+	if createResp.StatusCode != http.StatusOK {
+		t.Fatalf("create status %d: %s", createResp.StatusCode, createBody)
+	}
+	sess := decodeSessionResponse(t, createBody)
+	edits := []smartndr.Edit{
+		{Op: core.OpMoveSink, Sink: 3, X: 101.5, Y: math.Copysign(0, -1)},
+		{Op: core.OpSinkCap, Sink: 5, Cap: 2.5e-15},
+		{Op: core.OpSinkRule, Sink: 7, Rule: 1},
+		{Op: core.OpNodeRule, Node: sess.Nodes / 3, Rule: 2},
+		{Op: core.OpInSlew, InSlewPS: 52.25},
+	}
+	states := [][]smartndr.Edit{nil}
+	for _, e := range edits {
+		req := e
+		if e.Op != core.OpSinkRule && e.Op != core.OpNodeRule {
+			req.Rule = 3 // a field the op does not read: the rev keeps the canonical edit
+		}
+		resp, body := postJSON(t, warm, "/v1/session/"+sess.Session+"/delta",
+			&SessionDeltaRequest{Edits: []smartndr.Edit{req}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: delta status %d: %s", e.Op, resp.StatusCode, body)
+		}
+		states = append(states, core.CanonicalEdits(append(slices.Clone(states[len(states)-1]), e)))
+	}
+	ss := srv.sessions.get(sess.Session)
+	ss.mu.RLock()
+	for i, e := range edits {
+		r := ss.revs[i+1]
+		if r.op == 0 || r.edits != nil || r.base != i || revBytes(r) != revSlotBytes {
+			t.Errorf("%s: rev %d is not packed: %+v", e.Op, i+1, r)
+		}
+		if got := r.delta(); len(got) != 1 || got[0] != e {
+			t.Errorf("%s: rev %d unpacks to %+v, want %+v", e.Op, i+1, got, e)
+		}
+	}
+	ss.mu.RUnlock()
+	for rev := len(edits); rev >= 1; rev-- {
+		rb := rev
+		resp, body := postJSON(t, warm, "/v1/session/"+sess.Session+"/delta", &SessionDeltaRequest{RollbackTo: &rb})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("rollback to %d: status %d: %s", rev, resp.StatusCode, body)
+		}
+		out := decodeSessionResponse(t, body)
+		coldResp, coldBody := postJSON(t, cold, "/v1/flow",
+			&FlowRequest{Spec: &spec, Scheme: "smart-ndr", Edits: states[rev]})
+		if coldResp.StatusCode != http.StatusOK {
+			t.Fatalf("cold run of rev %d: status %d: %s", rev, coldResp.StatusCode, coldBody)
+		}
+		if !bytes.Equal(out.Result, coldBody) || out.Key != coldResp.Header.Get("X-Key") {
+			t.Fatalf("rollback to packed rev %d differs from a cold run of its state", rev)
 		}
 	}
 }

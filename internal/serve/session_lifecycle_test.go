@@ -576,8 +576,9 @@ func TestSessionMetricsAndStatsz(t *testing.T) {
 		t.Errorf("statsz sessions = %+v", st.Sessions)
 	}
 	// The handle's 1 KiB plus the two revs the deltas appended: a
-	// one-edit delta rev and the rollback's full (empty) state.
-	wantBytes := int64(1<<10) + revSlotBytes + editBytes + revSlotBytes
+	// one-edit delta rev, packed into its slot, and the rollback's full
+	// (empty) state.
+	wantBytes := int64(1<<10) + revSlotBytes + revSlotBytes
 	if st.Sessions.Bytes != wantBytes || st.Sessions.MaxBytes != 1<<20 {
 		t.Errorf("statsz session bytes = %+v", st.Sessions)
 	}

@@ -19,8 +19,8 @@ import (
 //     oracle: sta.Analyze is a fresh engine's Full.
 //   - Analyze does the least work that gives Full's exact answer for the
 //     tree's current state: the cached Result when nothing changed, a
-//     dirty-region update over the edits reported through Touch, or a
-//     full pass.
+//     dirty-region update over the edits reported through Touch and a
+//     changed input slew, or a full pass.
 //
 // The dirty-region contract is exactness, not approximation: an
 // incremental Analyze returns results bitwise identical to a from-scratch
@@ -57,15 +57,21 @@ import (
 // capacitance inventory from contiguous per-node arrays only when one of
 // its inputs changed.
 //
-// When the dirty region is too large for the update to win — the visit
-// budget, a structural edit (buffer added/removed), a new tree, a changed
-// input slew, or a preceding Full call — Analyze falls back to one full
-// pass, which also refreshes every cache. Zero pending edits return the
-// cached Result for free.
+// A changed input slew goes through the same update: the cap-dirty stages
+// are rebuilt as above, and then the full pass's own timing walk re-times
+// the whole tree from the root over the cached parasitics and stage caps,
+// skipping the parasitic derivation and inventory loop a full pass would
+// repeat.
 //
-// An engine from NewParallel answers every query with pending edits by a
-// full pass, run on its workers (see NewParallel); every other engine
-// runs its passes on the caller's goroutine.
+// When the dirty region is too large for the update to win — the visit
+// budget, a structural edit (buffer added/removed), a new tree, a
+// non-positive input slew, or a preceding Full call — Analyze falls back
+// to one full pass, which also refreshes every cache. Zero pending edits
+// at the same input slew return the cached Result for free.
+//
+// An engine from NewParallel answers every query with pending edits or a
+// new input slew by a full pass, run on its workers (see NewParallel);
+// every other engine runs its passes on the caller's goroutine.
 //
 // An Incremental is not safe for concurrent use — give each worker
 // goroutine its own.
@@ -101,6 +107,9 @@ type Incremental struct {
 	depth     []int // node depth (heap key for stage ordering)
 	stageSize []int // per driver: node count of its stage
 
+	// Nodes touched since the last query. An engine from NewParallel keeps
+	// only the flag, since it answers any touch with a full pass.
+	touched     bool
 	pending     []int
 	pendingMark []bool
 
@@ -205,7 +214,8 @@ func (inc *Incremental) Touch(v int) {
 		inc.Invalidate()
 		return
 	}
-	if !inc.pendingMark[v] {
+	inc.touched = true
+	if !inc.passOnly && !inc.pendingMark[v] {
 		inc.pendingMark[v] = true
 		inc.pending = append(inc.pending, v)
 	}
@@ -221,21 +231,22 @@ func (inc *Incremental) Analyze(t *ctree.Tree, inSlew float64) (*Result, error) 
 			return nil, err
 		}
 	}
-	if !inc.valid || t != inc.tree || len(t.Nodes) != inc.n || inSlew != inc.lastSlew {
+	if !inc.valid || t != inc.tree || len(t.Nodes) != inc.n || !(inSlew > 0) {
 		return inc.full(t, inSlew)
 	}
-	if len(inc.pending) == 0 {
+	if !inc.touched && inSlew == inc.lastSlew {
 		inc.stats.CachedRuns++
 		return &inc.res, nil
 	}
 	if inc.passOnly {
 		return inc.full(t, inSlew)
 	}
-	if !inc.update(t) {
+	if !inc.update(t, inSlew) {
 		inc.stats.Fallbacks++
 		return inc.full(t, inSlew)
 	}
 	inc.stats.IncRuns++
+	inc.lastSlew = inSlew
 	inc.clearPending()
 	return &inc.res, nil
 }
@@ -254,17 +265,18 @@ func (inc *Incremental) full(t *ctree.Tree, inSlew float64) (*Result, error) {
 // capture snapshots the per-node state the update path diffs against. It
 // runs right after Full, which has already cleared the pending marks
 // (they may index the old tree, so they must go before resizing). An
-// engine from NewParallel never updates, so it keeps only the marks.
+// engine from NewParallel never updates, so it keeps only the node count
+// Touch checks against.
 func (inc *Incremental) capture(t *ctree.Tree, inSlew float64) {
 	n := len(t.Nodes)
 	inc.n, inc.lastSlew = n, inSlew
-	// The marks are all clear between queries, over the whole capacity,
-	// so resized arrays need no clearing.
-	inc.pendingMark = slices.Grow(inc.pendingMark[:0], n)[:n]
 	if inc.passOnly {
 		inc.valid = true
 		return
 	}
+	// The marks are all clear between queries, over the whole capacity,
+	// so resized arrays need no clearing.
+	inc.pendingMark = slices.Grow(inc.pendingMark[:0], n)[:n]
 	inc.bufIdx = slices.Grow(inc.bufIdx[:0], n)[:n]
 	inc.depth = slices.Grow(inc.depth[:0], n)[:n]
 	inc.stageSize = slices.Grow(inc.stageSize[:0], n)[:n]
@@ -300,6 +312,7 @@ func (inc *Incremental) capture(t *ctree.Tree, inSlew float64) {
 }
 
 func (inc *Incremental) clearPending() {
+	inc.touched = false
 	for _, v := range inc.pending {
 		inc.pendingMark[v] = false
 	}
@@ -350,11 +363,12 @@ func (inc *Incremental) schedule(d int, m uint8) {
 	}
 }
 
-// update applies the pending edits to the cached analysis. It returns
-// false when the edits call for a full re-analysis (structural change,
-// out-of-range field, or dirty region over budget); partially written
-// buffers are safe because the full pass overwrites everything.
-func (inc *Incremental) update(t *ctree.Tree) bool {
+// update applies the pending edits and the input slew to the cached
+// analysis. It returns false when they call for a full re-analysis
+// (structural change, out-of-range field, or dirty region over budget);
+// partially written buffers are safe because the full pass overwrites
+// everything.
+func (inc *Incremental) update(t *ctree.Tree, inSlew float64) bool {
 	defer inc.clearDirty()
 	te, lib := inc.te, inc.lib
 	res := &inc.res
@@ -430,8 +444,13 @@ func (inc *Incremental) update(t *ctree.Tree) bool {
 	}
 
 	// Cheap lower bound before doing any stage work: every dirty stage
-	// must be walked at least once in each phase.
+	// must be walked at least once in each phase, and a new input slew
+	// re-times every node.
+	retime := inSlew != inc.lastSlew
 	est := 0
+	if retime {
+		est = n
+	}
 	for _, d := range inc.capList {
 		est += 2 * inc.stageSize[d]
 	}
@@ -491,6 +510,19 @@ func (inc *Incremental) update(t *ctree.Tree) bool {
 	}
 	for _, d := range inc.delayList {
 		inc.schedule(d, modeFull)
+	}
+
+	// A new input slew moves every arrival and transition below the root:
+	// re-time the whole tree with the full pass's own walk (the one a
+	// one-worker pass runs) over the caps rebuilt above, and leave the
+	// timing aggregates for Summary to rescan.
+	if retime {
+		res.Slew[t.Root] = inSlew
+		inc.startStage(t, t.Root)
+		inc.timeSubtree(t, 0, t.Root)
+		visits += n
+		inc.arrStale, inc.slewStale = true, true
+		inc.driverHeap = inc.driverHeap[:0] // every scheduled stage is re-timed
 	}
 
 	// Timing phase: re-propagate dirty stages in depth order (a stage's

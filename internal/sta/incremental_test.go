@@ -3,6 +3,7 @@ package sta_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"smartndr/internal/cell"
@@ -153,6 +154,10 @@ func TestIncrementalDifferential(t *testing.T) {
 		// The summary is read on a random third of the rounds, so its
 		// patches also accumulate across several updates between reads.
 		readRNG := rand.New(rand.NewSource(tc.seed))
+		// About one round in four also moves the input slew, on top of
+		// whatever edit batch the round draws.
+		slewRNG := rand.New(rand.NewSource(tc.seed + 1))
+		inSlew, slewRuns := 40e-12, 0
 		inc := sta.NewIncremental(te, lib)
 		for round := 0; round < 60; round++ {
 			// Edit batches from 0 (cached path) through localized (1–3)
@@ -171,11 +176,19 @@ func TestIncrementalDifferential(t *testing.T) {
 			for i := 0; i < batch; i++ {
 				mutate(rng, tree, te, lib, inc)
 			}
-			got, err := inc.Analyze(tree, 40e-12)
+			newSlew := slewRNG.Intn(4) == 0
+			if newSlew {
+				inSlew = (30 + 30*slewRNG.Float64()) * 1e-12
+			}
+			before := inc.Stats().IncRuns
+			got, err := inc.Analyze(tree, inSlew)
 			if err != nil {
 				t.Fatalf("sinks=%d round=%d: %v", tc.sinks, round, err)
 			}
-			want, err := ref.Full(tree, 40e-12, nil, nil)
+			if newSlew && inc.Stats().IncRuns > before {
+				slewRuns++
+			}
+			want, err := ref.Full(tree, inSlew, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,6 +205,9 @@ func TestIncrementalDifferential(t *testing.T) {
 		}
 		if st.CachedRuns == 0 {
 			t.Errorf("sinks=%d: cached path never exercised", tc.sinks)
+		}
+		if slewRuns == 0 {
+			t.Errorf("sinks=%d: no input-slew change committed as an update", tc.sinks)
 		}
 	}
 }
@@ -259,8 +275,9 @@ func TestIncrementalStructuralFallback(t *testing.T) {
 	compareExact(t, "structural", tree, got, want)
 }
 
-// TestIncrementalInputSlewChange: a different input slew invalidates the
-// cache (full run), and localized edits afterwards are incremental again.
+// TestIncrementalInputSlewChange: a different input slew commits as a
+// dirty-region update that re-times the tree, not as a full run, and the
+// result is bitwise a from-scratch analysis at the new slew.
 func TestIncrementalInputSlewChange(t *testing.T) {
 	te := tech.Tech45()
 	lib := cell.Default45()
@@ -269,18 +286,188 @@ func TestIncrementalInputSlewChange(t *testing.T) {
 	if _, err := inc.Analyze(tree, 40e-12); err != nil {
 		t.Fatal(err)
 	}
+	st0 := inc.Stats()
 	got, err := inc.Analyze(tree, 55e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inc.Stats().FullRuns != 2 {
-		t.Fatalf("slew change must force a full run: %+v", inc.Stats())
+	if st := inc.Stats(); st.FullRuns != st0.FullRuns || st.IncRuns != st0.IncRuns+1 {
+		t.Fatalf("slew change must commit as one update: %+v, then %+v", st0, st)
 	}
 	want, err := sta.Analyze(tree, te, lib, 55e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	compareExact(t, "slew-change", tree, got, want)
+}
+
+// TestIncrementalSlewRetimeExact: an input-slew change, alone or with
+// pending edits, leaves the Result, the Summary and every engine array
+// bitwise equal to a fresh pass's at the new slew, and commits as one
+// update. The edits rebuild a stage and the stage below one of its
+// buffered endpoints (touched in both orders), resize a buffer, or
+// resize the root; one case returns to the first slew.
+func TestIncrementalSlewRetimeExact(t *testing.T) {
+	te := tech.Tech45()
+	lib := cell.Default45()
+	base := synthTree(t, 120, 21, te, lib)
+	// e is a buffered endpoint of the stage above it; k, its first kid,
+	// lies in the stage e drives.
+	e := -1
+	for v := range base.Nodes {
+		nd := &base.Nodes[v]
+		if v != base.Root && nd.BufIdx != ctree.NoBuf && nd.Kids[0] != ctree.NoNode {
+			e = v
+			break
+		}
+	}
+	if e < 0 {
+		t.Fatal("synth tree has no buffered endpoint with kids")
+	}
+	k := base.Nodes[e].Kids[0]
+	resize := func(v int) func(*ctree.Tree) int {
+		return func(tree *ctree.Tree) int {
+			tree.Nodes[v].BufIdx = (tree.Nodes[v].BufIdx + 1) % len(lib.Buffers)
+			return v
+		}
+	}
+	snake := func(v int) func(*ctree.Tree) int {
+		return func(tree *ctree.Tree) int {
+			tree.Nodes[v].EdgeLen += 30
+			return v
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		edits []func(*ctree.Tree) int
+		slews []float64 // the queries after the first, at 40 ps
+	}{
+		{"slew-only", nil, []float64{55e-12}},
+		{"stage-then-below", []func(*ctree.Tree) int{snake(e), snake(k)}, []float64{55e-12}},
+		{"below-then-stage", []func(*ctree.Tree) int{snake(k), snake(e)}, []float64{55e-12}},
+		{"buffer-resize", []func(*ctree.Tree) int{resize(e)}, []float64{33e-12}},
+		{"root-resize", []func(*ctree.Tree) int{resize(base.Root)}, []float64{33e-12}},
+		{"back-to-first", nil, []float64{55e-12, 40e-12}},
+	} {
+		tree := base.Clone()
+		inc := sta.NewIncremental(te, lib)
+		if _, err := inc.Analyze(tree, 40e-12); err != nil {
+			t.Fatal(err)
+		}
+		for _, edit := range c.edits {
+			inc.Touch(edit(tree))
+		}
+		for i, slew := range c.slews {
+			got, err := inc.Analyze(tree, slew)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := inc.Stats(); st.FullRuns != 1 || st.IncRuns != i+1 {
+				t.Fatalf("%s: query %d did not commit as an update: %+v", c.name, i, st)
+			}
+			ref := sta.NewIncremental(te, lib)
+			want, err := ref.Full(tree, slew, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameEngine(t, c.name, tree, inc, ref, got, want)
+			checkSummary(t, c.name, tree, te, inc, got)
+		}
+	}
+}
+
+// TestIncrementalSlewRetimeBudget: the re-time's n visits count toward
+// the update's 2n budget before any stage work. Cap-dirty stages whose
+// estimate alone fits the budget, but not with n more, fall back to a
+// full pass at the new slew.
+func TestIncrementalSlewRetimeBudget(t *testing.T) {
+	te := tech.Tech45()
+	lib := cell.Default45()
+	tree := synthTree(t, 250, 14, te, lib)
+	n := len(tree.Nodes)
+	inc := sta.NewIncremental(te, lib)
+	if _, err := inc.Analyze(tree, 40e-12); err != nil {
+		t.Fatal(err)
+	}
+	// Stage sizes, from the owning driver of every non-root node.
+	_, _, drv := sta.EngineArrays(inc)
+	size := make([]int, n)
+	for v := range tree.Nodes {
+		if v != tree.Root {
+			size[drv[v]]++
+		}
+	}
+	// Snake one edge in each stage, largest stages first, until the
+	// estimate (twice the dirty stage sizes) passes n. It stays within
+	// 2n: all stages together hold n-1 nodes.
+	var order []int
+	for v := range tree.Nodes {
+		if v != tree.Root {
+			order = append(order, v)
+		}
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return size[drv[b]] - size[drv[a]] })
+	dirty, est := make([]bool, n), 0
+	for _, v := range order {
+		if est > n {
+			break
+		}
+		if d := drv[v]; !dirty[d] {
+			dirty[d] = true
+			est += 2 * size[d]
+			tree.Nodes[v].EdgeLen += 5
+			inc.Touch(v)
+		}
+	}
+	if est <= n || est > 2*n {
+		t.Fatalf("estimate %d outside (n, 2n] for n = %d", est, n)
+	}
+	got, err := inc.Analyze(tree, 55e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := inc.Stats(); st.Fallbacks != 1 || st.IncRuns != 0 {
+		t.Fatalf("estimate %d plus n = %d passes 2n = %d but did not fall back: %+v", est, n, 2*n, st)
+	}
+	want, err := sta.Analyze(tree, te, lib, 55e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareExact(t, "retime-budget", tree, got, want)
+}
+
+// TestIncrementalNonPositiveSlew: a zero or negative input slew returns
+// the full pass's error, pending edits or not, and the next query at a
+// valid slew is exact.
+func TestIncrementalNonPositiveSlew(t *testing.T) {
+	te := tech.Tech45()
+	lib := cell.Default45()
+	tree := synthTree(t, 60, 24, te, lib)
+	inc := sta.NewIncremental(te, lib)
+	if _, err := inc.Analyze(tree, 40e-12); err != nil {
+		t.Fatal(err)
+	}
+	v := tree.Nodes[tree.Root].Kids[0]
+	for _, slew := range []float64{0, -5e-12} {
+		tree.Nodes[v].EdgeLen += 10
+		inc.Touch(v)
+		_, err := inc.Analyze(tree, slew)
+		_, want := sta.Analyze(tree, te, lib, slew)
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("slew %g: error %v, full pass's %v", slew, err, want)
+		}
+		got, err := inc.Analyze(tree, 45e-12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := sta.NewIncremental(te, lib)
+		wantRes, err := ref.Full(tree, 45e-12, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameEngine(t, "after-error", tree, inc, ref, got, wantRes)
+		checkSummary(t, "after-error", tree, te, inc, got)
+	}
 }
 
 // TestIncrementalLocalizedEditVisits: one leaf-stage edit on a large tree

@@ -12,8 +12,8 @@ import (
 
 // NewParallel returns a timing engine whose full passes walk disjoint
 // subtrees of the tree on up to workers goroutines (the caller's among
-// them), and which answers every query with pending edits by such a pass
-// instead of a dirty-region update. It suits a caller whose edits dirty
+// them), and which answers every query with pending edits or a new input
+// slew by such a pass instead of a dirty-region update. It suits a caller whose edits dirty
 // most of the tree between queries, like the hierarchical flow's global
 // balance, where an update costs what a full pass costs. Results are
 // bitwise those of NewIncremental's engine at any worker count; with one
