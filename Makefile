@@ -96,6 +96,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSessionRequest$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecCanonical$$' -fuzztime $(FUZZTIME) ./internal/workload/
 	$(GO) test -run '^$$' -fuzz '^FuzzDEFLiteChunked$$' -fuzztime $(FUZZTIME) ./internal/sio/
+	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalUpdate$$' -fuzztime $(FUZZTIME) ./internal/sta/
 
 # The 3-node cluster differential smoke: a frontend sharding across two
 # workers (HTTP and loopback transports) plus the full daemon fleet

@@ -44,7 +44,7 @@ func TestFlowBuildAllocs(t *testing.T) {
 func TestFlowSmartAllocs(t *testing.T) {
 	flow := smartndr.NewFlow(nil)
 	built := benchTree(t, flow, 1000)
-	testutil.PinAllocs(t, "Flow.Apply(smart)", 5, 259, func() {
+	testutil.PinAllocs(t, "Flow.Apply(smart)", 5, 248, func() {
 		if _, err := flow.Apply(built, smartndr.SchemeSmart); err != nil {
 			t.Fatal(err)
 		}

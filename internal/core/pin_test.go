@@ -21,7 +21,7 @@ func TestOptimizeAllocs(t *testing.T) {
 	if _, err := core.RepairToTargets(context.Background(), base, te, lib, 40e-12, nil, te.MaxSkew, 30, 1); err != nil {
 		t.Fatal(err)
 	}
-	testutil.PinAllocs(t, "Optimize", 5, 167, func() {
+	testutil.PinAllocs(t, "Optimize", 5, 158, func() {
 		if _, err := core.Optimize(base.Clone(), te, lib, core.Config{EM: &em}); err != nil {
 			t.Fatal(err)
 		}

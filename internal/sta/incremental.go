@@ -1,13 +1,11 @@
 package sta
 
 import (
-	"math"
 	"slices"
 
 	"smartndr/internal/cell"
 	"smartndr/internal/ctree"
 	"smartndr/internal/obs"
-	"smartndr/internal/rctree"
 	"smartndr/internal/tech"
 )
 
@@ -26,9 +24,9 @@ import (
 // incremental Analyze returns results bitwise identical to a from-scratch
 // pass over the same tree. That is what lets the optimizer, sessions and
 // the cold flow share results without changing a single decision (see the
-// invariance tests in internal/core). The engine achieves it by re-running
-// the *same* arithmetic the full pass runs, in the same per-node order,
-// over the dirty region only:
+// invariance tests in internal/core). The engine achieves it by running
+// the full pass's own per-node steps, over the same operands, on the
+// dirty region only:
 //
 //   - a rule or edge-length edit re-derives that edge's parasitics and
 //     marks its owning stage cap-dirty; the stage's downstream caps and
@@ -41,10 +39,17 @@ import (
 //     exactly like a wire edit (design sessions edit sink caps in place);
 //   - a buffer resize updates the endpoint cap it presents to its parent
 //     stage (cap-dirty) and marks its own stage delay-dirty;
-//   - timing then re-propagates top-down from the dirty stages, in
-//     stage-depth order, pruning at every buffered endpoint whose
-//     (arrival, slew) came out bitwise unchanged;
-//   - a stage reached only by an arrival shift (input slew, load, and
+//   - a new input slew is written to the root pin and marks the root
+//     stage delay-dirty;
+//   - timing then re-propagates top-down in one depth-first walk from
+//     each dirty stage driver that no earlier walk reached, shallowest
+//     driver first, so every stage is timed after the stages above it
+//     and at most once. Each node takes the full pass's own step
+//     (wireTiming), and the walk enters the stage below a buffered
+//     endpoint only when that endpoint is dirty or its (arrival, slew)
+//     changed: it stops at every endpoint that came out bitwise
+//     unchanged;
+//   - a stage entered only by an arrival shift (input slew, load, and
 //     buffer all unchanged) takes the arrival-only fast path: its cached
 //     driver delay is reused and each node gets one add
 //     (Arrival = stageOutArr + elm), skipping the NLDM table lookups and
@@ -56,12 +61,6 @@ import (
 // (see Summary) current from the nodes it rewrote, and re-sums the
 // capacitance inventory from contiguous per-node arrays only when one of
 // its inputs changed.
-//
-// A changed input slew goes through the same update: the cap-dirty stages
-// are rebuilt as above, and then the full pass's own timing walk re-times
-// the whole tree from the root over the cached parasitics and stage caps,
-// skipping the parasitic derivation and inventory loop a full pass would
-// repeat.
 //
 // When the dirty region is too large for the update to win — the visit
 // budget, a structural edit (buffer added/removed), a new tree, a
@@ -104,7 +103,7 @@ type Incremental struct {
 	lastSlew float64
 
 	bufIdx    []int // BufIdx snapshot at last analysis
-	depth     []int // node depth (heap key for stage ordering)
+	depth     []int // node depth (sort key for the dirty stage drivers)
 	stageSize []int // per driver: node count of its stage
 
 	// Nodes touched since the last query. An engine from NewParallel keeps
@@ -118,11 +117,11 @@ type Incremental struct {
 	capList    []int
 	delayDirty []bool
 	delayList  []int
-	mode       []uint8 // per driver: scheduled timing mode
-	schedList  []int
-	driverHeap driverHeap
-	walk       []int // stage DFS stack
-	stageBuf   []int // gathered stage nodes (cap phase)
+	mode       []uint8 // per driver: the mode the walk started its stage in
+	started    []int   // drivers whose mode is set
+	order      []int   // dirty stage drivers, shallowest first
+	walk       []int   // DFS stack
+	stageBuf   []int   // gathered stage nodes (cap phase)
 
 	// Aggregates behind Summary. A stale flag means the cached value must
 	// be recomputed before it is read; see Summary.
@@ -141,8 +140,9 @@ type Incremental struct {
 	stats IncStats
 }
 
-// Timing modes a stage can be scheduled with. A stage scheduled both ways
-// keeps the stronger (full) mode.
+// Timing modes the update's walk starts a stage in: full re-times every
+// node of the stage; arrival-only reuses its driver delay, Elmore delays
+// and transitions and only shifts its arrivals.
 const (
 	modeNone uint8 = iota
 	modeArrival
@@ -153,8 +153,9 @@ const (
 // one unit per node touched by a tree-traversal pass — a full pass costs
 // 2n (cap pass + timing pass), an incremental update costs the
 // dirty-region stage walks it actually performs (arrival-only visits
-// included). Flat inventory re-sums (one add per node, no traversal) are
-// not counted; docs/performance.md records the definition.
+// included, and the root pin when the input slew moved). Flat inventory
+// re-sums (one add per node, no traversal) are not counted;
+// docs/performance.md records the definition.
 type IncStats struct {
 	FullRuns   int   // from-scratch passes (every Full call; Analyze's first run, invalidation, fallback)
 	IncRuns    int   // dirty-region updates that committed
@@ -328,11 +329,10 @@ func (inc *Incremental) clearDirty() {
 		inc.delayDirty[d] = false
 	}
 	inc.delayList = inc.delayList[:0]
-	for _, d := range inc.schedList {
+	for _, d := range inc.started {
 		inc.mode[d] = modeNone
 	}
-	inc.schedList = inc.schedList[:0]
-	inc.driverHeap = inc.driverHeap[:0]
+	inc.started = inc.started[:0]
 }
 
 func (inc *Incremental) markCap(d int) {
@@ -349,20 +349,6 @@ func (inc *Incremental) markDelay(d int) {
 	}
 }
 
-// schedule queues stage driver d for timing re-propagation; a stage asked
-// for both modes keeps the stronger one.
-func (inc *Incremental) schedule(d int, m uint8) {
-	if inc.mode[d] == modeNone {
-		inc.mode[d] = m
-		inc.schedList = append(inc.schedList, d)
-		inc.driverHeap.push(hDriver{depth: inc.depth[d], node: d})
-		return
-	}
-	if m > inc.mode[d] {
-		inc.mode[d] = m
-	}
-}
-
 // update applies the pending edits and the input slew to the cached
 // analysis. It returns false when they call for a full re-analysis
 // (structural change, out-of-range field, or dirty region over budget);
@@ -376,7 +362,7 @@ func (inc *Incremental) update(t *ctree.Tree, inSlew float64) bool {
 	// A full pass costs 2n node visits, so that is the break-even budget:
 	// past it an update stops paying for itself. The pre-check below
 	// catches most oversized dirty sets before any work; this bounds the
-	// cascade itself.
+	// walks themselves.
 	budget := 2 * n
 	if budget < 32 {
 		budget = 32
@@ -445,10 +431,10 @@ func (inc *Incremental) update(t *ctree.Tree, inSlew float64) bool {
 
 	// Cheap lower bound before doing any stage work: every dirty stage
 	// must be walked at least once in each phase, and a new input slew
-	// re-times every node.
-	retime := inSlew != inc.lastSlew
+	// reaches every node.
+	newSlew := inSlew != inc.lastSlew
 	est := 0
-	if retime {
+	if newSlew {
 		est = n
 	}
 	for _, d := range inc.capList {
@@ -461,6 +447,16 @@ func (inc *Incremental) update(t *ctree.Tree, inSlew float64) bool {
 	}
 	if est > budget {
 		return false
+	}
+
+	// A new input slew is a new transition at the root pin, folded into
+	// the summary like any other pin's: the root stage is then timed in
+	// full, as after a root resize. The pin is one visit.
+	if newSlew {
+		visits++
+		inc.noteSlew(res.Slew[t.Root], inSlew)
+		res.Slew[t.Root] = inSlew
+		inc.markDelay(t.Root)
 	}
 
 	// Cap phase: rebuild each cap-dirty stage bottom-up with the full
@@ -506,46 +502,24 @@ func (inc *Incremental) update(t *ctree.Tree, inSlew float64) bool {
 		}
 		inc.capNode(t, d)
 		inc.stageBuf = stage[:0]
-		inc.schedule(d, modeFull)
-	}
-	for _, d := range inc.delayList {
-		inc.schedule(d, modeFull)
 	}
 
-	// A new input slew moves every arrival and transition below the root:
-	// re-time the whole tree with the full pass's own walk (the one a
-	// one-worker pass runs) over the caps rebuilt above, and leave the
-	// timing aggregates for Summary to rescan.
-	if retime {
-		res.Slew[t.Root] = inSlew
-		inc.startStage(t, t.Root)
-		inc.timeSubtree(t, 0, t.Root)
-		visits += n
-		inc.arrStale, inc.slewStale = true, true
-		inc.driverHeap = inc.driverHeap[:0] // every scheduled stage is re-timed
-	}
-
-	// Timing phase: re-propagate dirty stages in depth order (a stage's
-	// driver is strictly shallower than any stage it feeds, so parents
-	// always commit their endpoint arrivals/slews before children read
-	// them). Propagation prunes at every buffered endpoint whose values
-	// come out bitwise unchanged.
-	for len(inc.driverHeap) > 0 {
-		d := inc.driverHeap.pop().node
-		m := inc.mode[d]
-		if m == modeFull {
-			inc.startStage(t, d)
-		} else {
-			// Arrival-only: input slew, load, and buffer unchanged, so the
-			// cached delay is exactly what DelayAt would return.
-			inc.stageOutArr[d] = res.Arrival[d] + inc.stageDelay[d]
+	// Timing phase: one depth-first walk from each dirty stage driver no
+	// earlier walk reached, shallowest first. A driver is strictly
+	// shallower than any stage it feeds, and a walk times parents before
+	// children, so a stage always reads input timing the stages above it
+	// have committed; a stage the walk entered has a mode, so none is
+	// timed twice. The walk stops at every clean buffered endpoint whose
+	// values came out bitwise unchanged; a dirty stage below one keeps its
+	// input timing, and the loop starts its own walk.
+	order := append(append(inc.order[:0], inc.capList...), inc.delayList...)
+	slices.SortFunc(order, func(a, b int) int { return inc.depth[a] - inc.depth[b] })
+	inc.order = order
+	for _, d := range order {
+		if inc.mode[d] != modeNone {
+			continue // entered by an earlier walk, or listed twice
 		}
-		w := inc.walk[:0]
-		for _, k := range t.Nodes[d].Kids {
-			if k != ctree.NoNode {
-				w = append(w, k)
-			}
-		}
+		w := inc.enter(t, inc.walk[:0], d, modeFull)
 		for len(w) > 0 {
 			v := w[len(w)-1]
 			w = w[:len(w)-1]
@@ -557,42 +531,28 @@ func (inc *Incremental) update(t *ctree.Tree, inSlew float64) bool {
 			}
 			nd := &t.Nodes[v]
 			var arr, sl float64
-			if m == modeFull {
-				base := 0.0
-				if p := nd.Parent; p != d {
-					base = inc.elm[p]
-				}
-				e := base + inc.edgeR[v]*inc.downCap[v]
-				inc.elm[v] = e
-				arr = inc.stageOutArr[d] + e
-				sl = math.Hypot(inc.stageOutSlew[d], rctree.Ln9*e)
+			if s := inc.drv[v]; inc.mode[s] == modeFull {
+				arr, sl = inc.wireTiming(t, v)
 			} else {
-				arr = inc.stageOutArr[d] + inc.elm[v]
-				sl = res.Slew[v]
+				arr, sl = inc.stageOutArr[s]+inc.elm[v], res.Slew[v]
 			}
+			oldArr, oldSlew := res.Arrival[v], res.Slew[v]
+			res.Arrival[v], res.Slew[v] = arr, sl
 			if nd.SinkIdx != ctree.NoSink {
-				inc.noteArrival(res.Arrival[v], arr)
+				inc.noteArrival(oldArr, arr)
 			}
-			inc.noteSlew(res.Slew[v], sl)
-			if nd.BufIdx != ctree.NoBuf {
-				arrChanged := arr != res.Arrival[v]
-				slChanged := sl != res.Slew[v]
-				res.Arrival[v] = arr
-				res.Slew[v] = sl
-				switch {
-				case slChanged:
-					inc.schedule(v, modeFull)
-				case arrChanged:
-					inc.schedule(v, modeArrival)
+			inc.noteSlew(oldSlew, sl)
+			switch {
+			case nd.BufIdx == ctree.NoBuf:
+				for _, k := range nd.Kids {
+					if k != ctree.NoNode {
+						w = append(w, k)
+					}
 				}
-				continue // endpoint: the child stage owns what lies below
-			}
-			res.Arrival[v] = arr
-			res.Slew[v] = sl
-			for _, k := range nd.Kids {
-				if k != ctree.NoNode {
-					w = append(w, k)
-				}
+			case sl != oldSlew || inc.capDirty[v] || inc.delayDirty[v]:
+				w = inc.enter(t, w, v, modeFull)
+			case arr != oldArr:
+				w = inc.enter(t, w, v, modeArrival)
 			}
 		}
 		inc.walk = w[:0]
@@ -636,48 +596,22 @@ func (inc *Incremental) update(t *ctree.Tree, inSlew float64) bool {
 	return true
 }
 
-// hDriver is a stage driver queued for timing re-propagation.
-type hDriver struct{ depth, node int }
-
-// driverHeap is a min-heap of dirty stage drivers keyed by depth. push
-// and pop are container/heap's Push and Pop with its up and down sifts
-// written out on the concrete slice, comparison for comparison and swap
-// for swap, so drivers of equal depth pop in the order container/heap
-// gave them, without boxing each one in an interface.
-type driverHeap []hDriver
-
-func (h *driverHeap) push(d hDriver) {
-	s := append(*h, d)
-	for j := len(s) - 1; ; {
-		i := (j - 1) / 2 // parent
-		if i == j || s[j].depth >= s[i].depth {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		j = i
+// enter starts the stage buffered node d drives, in mode m, for the
+// update's walk, and pushes the stage's first nodes onto the stack w.
+func (inc *Incremental) enter(t *ctree.Tree, w []int, d int, m uint8) []int {
+	inc.mode[d] = m
+	inc.started = append(inc.started, d)
+	if m == modeFull {
+		inc.startStage(t, d)
+	} else {
+		// Arrival-only: input slew, load, and buffer unchanged, so the
+		// cached delay is exactly what DelayAt would return.
+		inc.stageOutArr[d] = inc.res.Arrival[d] + inc.stageDelay[d]
 	}
-	*h = s
-}
-
-func (h *driverHeap) pop() hDriver {
-	s := *h
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	for i := 0; ; {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
+	for _, k := range t.Nodes[d].Kids {
+		if k != ctree.NoNode {
+			w = append(w, k)
 		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && s[j2].depth < s[j1].depth {
-			j = j2 // right child
-		}
-		if s[j].depth >= s[i].depth {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		i = j
 	}
-	*h = s[:n]
-	return s[n]
+	return w
 }

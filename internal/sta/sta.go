@@ -413,7 +413,18 @@ func (inc *Incremental) timeSubtree(t *ctree.Tree, w, c int) {
 
 // timeNode times non-root node v from its parent's timing.
 func (inc *Incremental) timeNode(t *ctree.Tree, v int) {
-	res, elm, drv := &inc.res, inc.elm, inc.drv
+	res := &inc.res
+	res.Arrival[v], res.Slew[v] = inc.wireTiming(t, v)
+	if t.Nodes[v].BufIdx != ctree.NoBuf {
+		inc.startStage(t, v)
+	}
+}
+
+// wireTiming sets non-root node v's stage driver and Elmore delay from
+// its parent's, and returns v's input arrival and transition. It is the
+// per-node step of both the pass and the dirty-region update's walk.
+func (inc *Incremental) wireTiming(t *ctree.Tree, v int) (arr, slew float64) {
+	elm, drv := inc.elm, inc.drv
 	p := t.Nodes[v].Parent
 	var d int
 	var base float64
@@ -426,11 +437,7 @@ func (inc *Incremental) timeNode(t *ctree.Tree, v int) {
 	}
 	drv[v] = d
 	elm[v] = base + inc.edgeR[v]*inc.downCap[v]
-	res.Arrival[v] = inc.stageOutArr[d] + elm[v]
-	res.Slew[v] = math.Hypot(inc.stageOutSlew[d], rctree.Ln9*elm[v])
-	if t.Nodes[v].BufIdx != ctree.NoBuf {
-		inc.startStage(t, v)
-	}
+	return inc.stageOutArr[d] + elm[v], math.Hypot(inc.stageOutSlew[d], rctree.Ln9*elm[v])
 }
 
 // startStage derives the output arrival and transition of the buffer at
